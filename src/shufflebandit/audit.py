@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import binom
 
-from .mechanism import SMALL, PrivacyParams, derive_params, regime
+from .mechanism import PrivacyParams, derive_params, noise_law
 
 DEFAULT_SUPPORT_CAP = 10**6
+TAU_MULTIPLES = {"tau": 1, "4tau": 4}
 
 
 @dataclass(frozen=True)
@@ -33,35 +34,25 @@ class AuditReport:
 
 @dataclass(frozen=True)
 class GridCell:
-    m: int
+    m: int | str
     epsilon: float
     delta: float
     report: AuditReport | None
     error: str | None
 
 
-def noise_binomial(m: int, params: PrivacyParams) -> tuple[int, float]:
-    """(trials, success probability) of the total noise-bit count B."""
-    if m < 1:
-        raise ValueError(f"batch size must be >= 1, got {m}")
-    if regime(m, params) == SMALL:
-        return math.ceil(params.tau / m) * m, 0.5
-    return m, params.tau / (2.0 * m)
-
-
-def noise_distribution(m: int, params: PrivacyParams,
-                       support_cap: int = DEFAULT_SUPPORT_CAP) -> np.ndarray:
+def noise_distribution(m: int, params: PrivacyParams) -> np.ndarray:
     """Exact pmf of B over its full support 0..n.
 
     scipy's direct pmf evaluation is used rather than exponentiating logpmf:
     it is underflow-safe over this support and keeps the total mass within
     1e-12 of 1 even for supports of ~1e5 points.
     """
-    n, q = noise_binomial(m, params)
-    if n + 1 > support_cap:
-        raise ValueError(
-            f"noise support of {n + 1} points exceeds cap {support_cap}")
-    return binom.pmf(np.arange(n + 1), n, q)
+    law = noise_law(m, params)
+    if law.n + 1 > DEFAULT_SUPPORT_CAP:
+        raise ValueError(f"noise support of {law.n + 1} points exceeds cap "
+                         f"{DEFAULT_SUPPORT_CAP}")
+    return binom.pmf(np.arange(law.n + 1), law.n, law.q)
 
 
 def shifted_hockey_stick(pmf: np.ndarray, epsilon: float) -> tuple[float, float]:
@@ -79,24 +70,29 @@ def shifted_hockey_stick(pmf: np.ndarray, epsilon: float) -> tuple[float, float]
     return forward, backward
 
 
-def hockey_stick(m: int, params: PrivacyParams,
-                 support_cap: int = DEFAULT_SUPPORT_CAP) -> AuditReport:
+def hockey_stick(m: int, params: PrivacyParams) -> AuditReport:
     """Exact (epsilon, delta) audit of one batch size."""
-    pmf = noise_distribution(m, params, support_cap=support_cap)
+    pmf = noise_distribution(m, params)
     fwd, bwd = shifted_hockey_stick(pmf, params.epsilon)
     return AuditReport(m=m, epsilon=params.epsilon, delta=params.delta,
                        divergence_forward=fwd, divergence_backward=bwd,
                        passed=max(fwd, bwd) <= params.delta)
 
 
-def audit_grid(ms: list[int], epsilons: list[float], deltas: list[float],
-               support_cap: int = DEFAULT_SUPPORT_CAP) -> list[GridCell]:
-    """Cartesian sweep; per-cell failures are recorded, not raised."""
+def audit_grid(ms: list[int | str], epsilons: list[float],
+               deltas: list[float]) -> list[GridCell]:
+    """Cartesian sweep; per-cell failures are recorded, not raised.
+
+    A batch size may also be a key of TAU_MULTIPLES, which resolves to that
+    multiple of ceil(tau) in each (epsilon, delta) cell.
+    """
     cells = []
     for m, eps, delta in itertools.product(ms, epsilons, deltas):
         try:
             params = derive_params(eps, delta)
-            report = hockey_stick(m, params, support_cap=support_cap)
+            if m in TAU_MULTIPLES:
+                m = TAU_MULTIPLES[m] * math.ceil(params.tau)
+            report = hockey_stick(m, params)
             cells.append(GridCell(m, eps, delta, report, None))
         except ValueError as exc:
             cells.append(GridCell(m, eps, delta, None, str(exc)))
@@ -112,14 +108,14 @@ def brute_force_shuffle_divergence(params: PrivacyParams,
     computes both hockey-stick divergences between the neighboring inputs
     x = 0 and x = 1 directly over multisets.
     """
-    if regime(1, params) != SMALL:
-        raise ValueError("brute-force audit is defined for the small regime")
-    p = math.ceil(params.tau)
+    law = noise_law(1, params)
+    p = law.n
     if p > max_noise_bits:
         raise ValueError(f"{p} noise bits is too many to enumerate")
     dist = {0: {}, 1: {}}  # input bit -> {multiset key: probability}
-    weight = 0.5**p
     for noise in itertools.product((0, 1), repeat=p):
+        ones = sum(noise)
+        weight = law.q**ones * (1.0 - law.q)**(p - ones)
         for x in (0, 1):
             key = tuple(sorted((x,) + noise))
             dist[x][key] = dist[x].get(key, 0.0) + weight

@@ -56,7 +56,6 @@ class EngineConfig:
     schedule: BatchSchedule
     horizon: int
     privacy: PrivacyParams | None = None
-    noiseless: bool = False
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -90,7 +89,6 @@ class RegretTrace:
     cumulative_regret: np.ndarray
     eliminations: list[tuple[int, int]] = field(default_factory=list)
     clean_event_violated: bool = False
-    arm_pulls: list[int] = field(default_factory=list)       # committed to state
     arm_pulls_total: list[int] = field(default_factory=list)  # incl. interrupted batch
 
     @property
@@ -155,7 +153,7 @@ def run_phase(states, tapes, phase, config, instance, seeds, cum, consumed):
             # the T-th pull exits before the communication step
             break
         true_sum = float(bits.sum())
-        if config.privacy is None or config.noiseless:
+        if config.privacy is None:
             z = true_sum
         else:
             rng = seeds.noise_rng(a, st.batches)
@@ -192,6 +190,5 @@ def run_episode(instance: BanditInstance, config: EngineConfig,
                 trace.clean_event_violated = True
         for a in eliminate(states):
             trace.eliminations.append((a, phase))
-    trace.arm_pulls = [st.pulls for st in states]
     trace.arm_pulls_total = [tape.cursor for tape in tapes]
     return trace

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .audit import audit_grid
+from .audit import TAU_MULTIPLES, audit_grid
 from .harness import ConfigError, parse_config, run_experiment
 from .mechanism import derive_params, private_sum
 
@@ -24,8 +24,9 @@ def _parse_floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
 
-def _parse_ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+def _parse_batch_sizes(text: str) -> list[int | str]:
+    tokens = [v.strip() for v in text.split(",") if v.strip()]
+    return [v if v in TAU_MULTIPLES else int(v) for v in tokens]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,7 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_audit = sub.add_parser("audit", help="exact privacy audit grid")
     p_audit.add_argument("--m", required=True,
-                         help="comma-separated batch sizes")
+                         help="comma-separated batch sizes; 'tau' and "
+                         "'4tau' resolve to 1 and 4 times ceil(tau) per cell")
     p_audit.add_argument("--eps", required=True,
                          help="comma-separated epsilon values")
     p_audit.add_argument("--delta", required=True,
@@ -64,7 +66,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    cells = audit_grid(_parse_ints(args.m), _parse_floats(args.eps),
+    cells = audit_grid(_parse_batch_sizes(args.m), _parse_floats(args.eps),
                        _parse_floats(args.delta))
     print("m,epsilon,delta,div_forward,div_backward,pass")
     for cell in cells:

@@ -95,11 +95,6 @@ class RewardTape:
         return bits
 
 
-def draw_batch_rewards(tape: RewardTape, batch_size: int) -> np.ndarray:
-    """Draw the next batch of iid Bernoulli rewards from an arm's tape."""
-    return tape.draw(batch_size)
-
-
 def make_tapes(instance: BanditInstance, seeds: SeedSpec) -> list[RewardTape]:
     return [RewardTape(a, instance.means[a], seeds, instance.horizon)
             for a in range(instance.k)]

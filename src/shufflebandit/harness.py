@@ -12,7 +12,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -79,6 +79,8 @@ def _parse_list(value: str) -> list[str]:
 
 
 def parse_config(path: str) -> ExperimentConfig:
+    """Read a config file; unknown, repeated or malformed keys are errors."""
+    known = {f.name for f in fields(ExperimentConfig)}
     raw: dict[str, tuple[str, int]] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -89,7 +91,13 @@ def parse_config(path: str) -> ExperimentConfig:
             if not sep:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', "
                                   f"got {text!r}")
-            raw[key.strip()] = (value.strip(), lineno)
+            key = key.strip()
+            if key not in known:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in raw:
+                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r} "
+                                  f"(first set on line {raw[key][1]})")
+            raw[key] = (value.strip(), lineno)
 
     def need(key):
         if key not in raw:
@@ -198,14 +206,14 @@ def _cells(config: ExperimentConfig, variant: str):
 
 
 def _run_job(args):
-    config, variant, eps, delta, seed = args
+    config, variant, eps, delta, seed, full_trace = args
     params = None if eps is None else derive_params(eps, delta)
     instance = config.instance()
     econf = engine_config(config, variant, params)
     trace = run_episode(instance, econf, SeedSpec(config.master_seed, seed))
     checks = np.array([trace.cumulative_regret[c - 1]
                        for c in config.checkpoints])
-    full = trace.cumulative_regret.copy()
+    full = trace.cumulative_regret if full_trace else None
     return checks, bool(trace.clean_event_violated), full
 
 
@@ -217,7 +225,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1,
     for variant in config.variants:
         for eps, delta in _cells(config, variant):
             for seed in range(config.seeds):
-                jobs.append((config, variant, eps, delta, seed))
+                jobs.append((config, variant, eps, delta, seed, full_trace))
                 keys.append((variant, eps, delta, seed))
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:

@@ -2,10 +2,11 @@
 
 Each user sends their data bit plus noise bits; a shuffler uniformly permutes
 the flattened bit multiset; the analyzer popcounts and subtracts the expected
-noise.  Two regimes: for m <= tau each user sends ceil(tau/m) fair coins, for
-m > tau each user sends a single Bernoulli(tau/(2m)) coin.  The additive error
-is B - E[B] with B binomial, so it is unbiased, independent of the input, and
-sub-Gaussian with variance 1.5 * tau.
+noise.  Up to tau users each user sends several fair coins, above tau a
+single biased coin; `noise_law` is the one definition of both, and the
+encoder, the analyzer, `private_sum` and the auditor all read it.  The
+additive error is B - E[B] with B binomial, so it is unbiased, independent of
+the input, and sub-Gaussian with variance 1.5 * tau.
 """
 
 from __future__ import annotations
@@ -14,9 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-SMALL = "small"
-LARGE = "large"
 
 
 @dataclass(frozen=True)
@@ -53,21 +51,30 @@ def derive_params(epsilon: float, delta: float) -> PrivacyParams:
     return PrivacyParams(epsilon=epsilon, delta=delta, tau=tau, sigma2=1.5 * tau)
 
 
-def regime(m: int, params: PrivacyParams) -> str:
-    return SMALL if m <= params.tau else LARGE
+@dataclass(frozen=True)
+class NoiseLaw:
+    """Noise count of one batch, B ~ Binomial(n, q); offset is E[B].
+
+    Each of the batch's m users sends n // m of the n noise bits.
+    """
+    n: int
+    q: float
+    offset: float
 
 
-def noise_bits_per_user(m: int, params: PrivacyParams) -> int:
-    if regime(m, params) == SMALL:
-        return math.ceil(params.tau / m)
-    return 1
+def noise_law(m: int, params: PrivacyParams) -> NoiseLaw:
+    """The noise law of a batch of m users.
 
-
-def noise_offset(m: int, params: PrivacyParams) -> float:
-    """E[B]: the analyzer's debiasing constant."""
-    if regime(m, params) == SMALL:
-        return math.ceil(params.tau / m) * m / 2.0
-    return params.tau / 2.0
+    For m <= tau each user sends ceil(tau/m) fair coins; above tau each user
+    sends one Bernoulli(tau/(2m)) coin.  Above tau the offset is computed as
+    tau/2, which can differ from n*q in the last bit.
+    """
+    if m < 1:
+        raise ValueError(f"batch size must be >= 1, got {m}")
+    if m <= params.tau:
+        n = math.ceil(params.tau / m) * m
+        return NoiseLaw(n=n, q=0.5, offset=n / 2.0)
+    return NoiseLaw(n=m, q=params.tau / (2.0 * m), offset=params.tau / 2.0)
 
 
 @dataclass(frozen=True)
@@ -79,7 +86,6 @@ class EncodedMessage:
 class ShuffledBatch:
     bits: np.ndarray
     m: int
-    regime: str
 
 
 @dataclass(frozen=True)
@@ -105,13 +111,8 @@ def encode(x: int, m: int, params: PrivacyParams,
     """Local randomizer for one user: (x, y_1..y_p) or (x, y)."""
     if x not in (0, 1):
         raise ValueError(f"data bit must be 0 or 1, got {x}")
-    if m < 1:
-        raise ValueError(f"batch size must be >= 1, got {m}")
-    if regime(m, params) == SMALL:
-        p = math.ceil(params.tau / m)
-        noise = rng.random(p) < 0.5
-    else:
-        noise = rng.random(1) < params.tau / (2.0 * m)
+    law = noise_law(m, params)
+    noise = rng.random(law.n // m) < law.q
     payload = np.empty(1 + noise.size, dtype=np.int8)
     payload[0] = x
     payload[1:] = noise
@@ -123,27 +124,22 @@ def shuffle(messages: list[EncodedMessage],
     """Flatten all payloads and permute uniformly, destroying sender order."""
     m = len(messages)
     if m == 0:
-        return ShuffledBatch(bits=np.empty(0, dtype=np.int8), m=0, regime=SMALL)
+        return ShuffledBatch(bits=np.empty(0, dtype=np.int8), m=0)
     lengths = {msg.payload.size for msg in messages}
     if len(lengths) != 1:
         raise ValueError(f"mixed payload lengths in one batch: {sorted(lengths)}")
     flat = np.concatenate([msg.payload for msg in messages])
-    # payload length 2 can only come from the large-regime branch (a small
-    # batch with ceil(tau/m) == 1 would require m >= tau and m <= tau at once)
-    reg = SMALL if messages[0].payload.size > 2 else LARGE
-    return ShuffledBatch(bits=rng.permutation(flat), m=m, regime=reg)
+    return ShuffledBatch(bits=rng.permutation(flat), m=m)
 
 
 def analyze(batch: ShuffledBatch, m: int, params: PrivacyParams) -> SumEstimate:
     """Popcount minus the expected noise; output deliberately not clamped."""
-    reg = regime(m, params)
-    expected = m * (1 + noise_bits_per_user(m, params))
+    law = noise_law(m, params)
+    expected = m + law.n
     if batch.bits.size != expected:
         raise ValueError(
-            f"batch has {batch.bits.size} bits, expected {expected} for "
-            f"m={m} in the {reg} regime")
-    return SumEstimate(popcount=int(batch.bits.sum()),
-                       offset=noise_offset(m, params))
+            f"batch has {batch.bits.size} bits, expected {expected} for m={m}")
+    return SumEstimate(popcount=int(batch.bits.sum()), offset=law.offset)
 
 
 def private_sum(bits, params: PrivacyParams,
@@ -156,16 +152,10 @@ def private_sum(bits, params: PrivacyParams,
     """
     data = np.asarray(bits, dtype=np.int8)
     m = int(data.size)
-    if m == 0:
-        raise ValueError("private_sum requires a nonempty input")
-    if regime(m, params) == SMALL:
-        p = math.ceil(params.tau / m)
-        noise = rng.random((m, p)) < 0.5
-    else:
-        noise = rng.random((m, 1)) < params.tau / (2.0 * m)
+    law = noise_law(m, params)
+    noise = rng.random((m, law.n // m)) < law.q
     payload = np.empty((m, 1 + noise.shape[1]), dtype=np.int8)
     payload[:, 0] = data
     payload[:, 1:] = noise
     shuffled = rng.permutation(payload.ravel())
-    return SumEstimate(popcount=int(shuffled.sum()),
-                       offset=noise_offset(m, params))
+    return SumEstimate(popcount=int(shuffled.sum()), offset=law.offset)

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
-from shufflebandit.audit import (GridCell, audit_grid,
+from shufflebandit.audit import (DEFAULT_SUPPORT_CAP, GridCell, audit_grid,
                                  brute_force_shuffle_divergence, hockey_stick,
-                                 noise_binomial, noise_distribution,
-                                 shifted_hockey_stick)
+                                 noise_distribution, shifted_hockey_stick)
 from shufflebandit.mechanism import PrivacyParams, derive_params
 
 
@@ -16,12 +16,14 @@ def _params96():
 
 class TestNoiseDistribution:
     def test_small_regime_parameters(self):
-        assert noise_binomial(4, _params96()) == (96, 0.5)
+        pmf = noise_distribution(4, _params96())
+        assert np.array_equal(pmf, binom.pmf(np.arange(97), 96, 0.5))
 
     def test_large_regime_parameters(self):
-        n, q = noise_binomial(200, _params96())
-        assert n == 200
-        assert q == pytest.approx(0.24)
+        pmf = noise_distribution(200, _params96())
+        assert pmf.size == 201
+        assert np.allclose(pmf, binom.pmf(np.arange(201), 200, 0.24),
+                           rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("m", [1, 4, 95, 97, 200, 5000])
     def test_total_mass(self, m):
@@ -29,9 +31,12 @@ class TestNoiseDistribution:
         assert abs(pmf.sum() - 1.0) < 1e-12
 
     def test_support_cap(self):
-        params = derive_params(0.1, 1e-6)  # tau ~ 1.4e5
-        with pytest.raises(ValueError):
-            noise_distribution(1, params, support_cap=1000)
+        tau = float(DEFAULT_SUPPORT_CAP)  # m = 1 needs cap + 1 points
+        params = PrivacyParams(0.5, 0.01, tau=tau, sigma2=1.5 * tau)
+        with pytest.raises(ValueError, match="exceeds cap"):
+            noise_distribution(1, params)
+        assert noise_distribution(1, PrivacyParams(
+            0.5, 0.01, tau=tau - 1, sigma2=1.5 * (tau - 1))).size == tau
 
 
 class TestHockeyStick:
@@ -87,6 +92,14 @@ class TestHockeyStick:
         # m = 1 with a shrunken noise budget: auditing the raw shuffled
         # multiset agrees exactly with auditing the sum statistic
         params = PrivacyParams(0.8, 0.05, tau=3.2, sigma2=4.8)
+        report = hockey_stick(1, params)
+        fwd, bwd = brute_force_shuffle_divergence(params)
+        assert fwd == pytest.approx(report.divergence_forward, abs=1e-12)
+        assert bwd == pytest.approx(report.divergence_backward, abs=1e-12)
+
+    def test_brute_force_single_biased_coin(self):
+        # tau < 1: the one user sends a single Bernoulli(tau / 2) coin
+        params = PrivacyParams(0.8, 0.05, tau=0.6, sigma2=0.9)
         report = hockey_stick(1, params)
         fwd, bwd = brute_force_shuffle_divergence(params)
         assert fwd == pytest.approx(report.divergence_forward, abs=1e-12)

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 
 import pytest
 
@@ -34,6 +35,24 @@ class TestAudit:
         assert len(rows) == 2
         assert {row["pass"] for row in rows} == {"true"}
         assert float(rows[0]["div_forward"]) <= 0.01
+
+    def test_tau_tokens_resolve_per_cell(self, capsys):
+        code, out, _ = run_cli(
+            ["audit", "--m", "7,tau,4tau", "--eps", "0.3,0.9",
+             "--delta", "0.01"], capsys)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        taus = [math.ceil(96 * math.log(200) / e**2) for e in (0.3, 0.9)]
+        assert [int(row["m"]) for row in rows] == \
+            [7, 7] + taus + [4 * t for t in taus]
+        assert {row["pass"] for row in rows} == {"true"}
+
+    def test_bad_batch_size_exits_one(self, capsys):
+        code, _, err = run_cli(
+            ["audit", "--m", "2tau", "--eps", "0.5", "--delta", "0.01"],
+            capsys)
+        assert code == 1
+        assert "error" in err
 
     def test_invalid_epsilon_recorded_per_cell(self, capsys):
         code, out, _ = run_cli(

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shufflebandit.env import (RewardTape, SeedSpec, draw_batch_rewards,
-                               make_instance, make_tapes)
+from shufflebandit.env import RewardTape, SeedSpec, make_instance, make_tapes
 
 
 class TestMakeInstance:
@@ -52,16 +51,16 @@ class TestRewardTape:
         return RewardTape(arm, mean, SeedSpec(seed), horizon)
 
     def test_deterministic_arm_all_ones(self):
-        bits = draw_batch_rewards(self._tape(1.0), 5)
+        bits = self._tape(1.0).draw(5)
         assert bits.tolist() == [1, 1, 1, 1, 1]
 
     def test_deterministic_arm_all_zeros(self):
-        bits = draw_batch_rewards(self._tape(0.0), 3)
+        bits = self._tape(0.0).draw(3)
         assert bits.tolist() == [0, 0, 0]
 
     def test_law_of_large_numbers(self):
         # Hoeffding at 6 sigma: for n = 1e5 fair coins, 0.01 > 6 * 0.5/sqrt(n)
-        bits = draw_batch_rewards(self._tape(0.5), 10**5)
+        bits = self._tape(0.5).draw(10**5)
         assert abs(bits.mean() - 0.5) < 0.01
 
     def test_replay_determinism(self):

@@ -81,6 +81,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="epsilons"):
             parse_config(path)
 
+    def test_unknown_key_reports_lineno(self, tmp_path):
+        path, _ = write_config(tmp_path, MINIMAL + "sdp_ae_M = 3\n")
+        with pytest.raises(ConfigError, match=r":11: unknown key 'sdp_ae_M'"):
+            parse_config(path)
+
+    def test_duplicate_key_reports_lineno(self, tmp_path):
+        path, _ = write_config(tmp_path, MINIMAL + "seeds = 5\n")
+        with pytest.raises(ConfigError,
+                           match=r":11: duplicate key 'seeds' .*line 6"):
+            parse_config(path)
+
     def test_unknown_variant(self, tmp_path):
         bad = MINIMAL.replace("ae-baseline", "thompson")
         path, _ = write_config(tmp_path, bad)

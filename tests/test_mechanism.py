@@ -1,14 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom, chisquare
 
-from shufflebandit.mechanism import (LARGE, SMALL, PrivacyParams, analyze,
-                                     derive_params, encode, noise_offset,
-                                     private_sum, regime, shuffle,
-                                     ShuffledBatch)
+from shufflebandit.mechanism import (NoiseLaw, PrivacyParams, ShuffledBatch,
+                                     analyze, derive_params, encode,
+                                     noise_law, private_sum, shuffle)
 
 TAU_05_001 = 2034.5538687544460841      # 96 ln(200) / 0.25
 SIGMA2_05_001 = 3051.8308031316691262   # 1.5 * tau
@@ -47,6 +48,132 @@ class TestDeriveParams:
 
     def test_epsilon_one_endpoint_allowed(self):
         derive_params(1.0, 1e-5)
+
+
+class TestNoiseLaw:
+    def test_small_regime(self):
+        params = PrivacyParams(0.5, 0.01, tau=96.0, sigma2=144.0)
+        assert noise_law(4, params) == NoiseLaw(n=96, q=0.5, offset=48.0)
+
+    def test_large_regime(self):
+        params = PrivacyParams(0.5, 0.01, tau=96.0, sigma2=144.0)
+        law = noise_law(200, params)
+        assert law.n == 200
+        assert law.q == pytest.approx(0.24)
+        assert law.offset == 48.0
+
+    def test_large_regime_offset_is_half_tau(self):
+        # n * q rounds to another double here; the offset stays tau / 2
+        params = PrivacyParams(0.5, 0.01, tau=96.0, sigma2=144.0)
+        law = noise_law(147, params)
+        assert law.n * law.q != 48.0
+        assert law.offset == 48.0
+
+    def test_boundary_belongs_to_fair_coins(self):
+        params = PrivacyParams(0.5, 0.01, tau=96.0, sigma2=144.0)
+        assert noise_law(96, params) == NoiseLaw(n=96, q=0.5, offset=48.0)
+        assert noise_law(97, params).n == 97
+
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_rejects_empty_batch(self, m):
+        with pytest.raises(ValueError, match="batch size"):
+            noise_law(m, derive_params(0.5, 0.01))
+
+
+class _Scripted:
+    """Generator stub for one `encode` call that enumerates its outcomes.
+
+    `random(p)` returns the stub itself; encode's comparison `draws < t`
+    records the threshold t and yields the scripted noise pattern, which a
+    real uniform draw produces with probability t**ones * (1-t)**zeros.
+    """
+
+    def __init__(self, pattern=()):
+        self.pattern = np.array(pattern, dtype=bool)
+        self.size = None
+        self.threshold = None
+
+    def random(self, size):
+        self.size = size
+        return self
+
+    def __lt__(self, threshold):
+        self.threshold = float(threshold)
+        if self.pattern.size == 0:
+            return np.zeros(self.size, dtype=bool)
+        assert self.pattern.size == self.size
+        return self.pattern
+
+    def probability(self):
+        ones = int(self.pattern.sum())
+        return self.threshold**ones * (1 - self.threshold)**(self.size - ones)
+
+
+def _encode_outcomes(m, params):
+    """{noise-bit count of one user's message: probability}, by enumeration."""
+    probe = _Scripted()
+    encode(0, m, params, probe)
+    out = {}
+    for pattern in itertools.product((0, 1), repeat=probe.size):
+        rng = _Scripted(pattern)
+        msg = encode(0, m, params, rng)
+        ones = int(msg.payload[1:].sum())
+        out[ones] = out.get(ones, 0.0) + rng.probability()
+    return out
+
+
+def _pooled_chisquare(counts, pmf, min_expected=5.0):
+    """Chi-square p-value with adjacent bins pooled to >= min_expected."""
+    expected = pmf * counts.sum()
+    obs, exp, o, e = [], [], 0, 0.0
+    for c, x in zip(counts, expected):
+        o += c
+        e += x
+        if e >= min_expected:
+            obs.append(o)
+            exp.append(e)
+            o, e = 0, 0.0
+    obs[-1] += o
+    exp[-1] += e
+    exp = np.array(exp)
+    return chisquare(obs, exp * counts.sum() / exp.sum()).pvalue
+
+
+class TestSingleLaw:
+    """The explicit encoder's noise count is exactly Binomial(n, q)."""
+
+    @pytest.mark.parametrize("m,tau", [
+        (1, 5.0), (2, 3.0), (3, 4.0), (2, 7.0),   # fair coins
+        (4, 3.0), (5, 2.5), (7, 1.2), (1, 0.6),   # one Bernoulli coin
+    ])
+    def test_encode_enumeration_matches_pmf(self, m, tau):
+        params = PrivacyParams(0.5, 0.01, tau=tau, sigma2=1.5 * tau)
+        law = noise_law(m, params)
+        per_user = _encode_outcomes(m, params)
+        total = {0: 1.0}
+        for _ in range(m):
+            nxt = {}
+            for (a, pa), (b, pb) in itertools.product(total.items(),
+                                                      per_user.items()):
+                nxt[a + b] = nxt.get(a + b, 0.0) + pa * pb
+            total = nxt
+        assert max(total) == law.n
+        pmf = binom.pmf(np.arange(law.n + 1), law.n, law.q)
+        enumerated = np.array([total.get(b, 0.0) for b in range(law.n + 1)])
+        assert np.max(np.abs(enumerated - pmf)) < 1e-12
+        mean = float(np.arange(law.n + 1) @ enumerated)
+        assert law.offset == pytest.approx(mean, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [50, 2000])
+    def test_private_sum_chi_square(self, m):
+        params = derive_params(0.9, 0.1)  # tau ~ 355: m = 50 below, 2000 above
+        law = noise_law(m, params)
+        rng = np.random.default_rng(2024)
+        zeros = np.zeros(m, dtype=np.int8)
+        draws = [private_sum(zeros, params, rng).popcount for _ in range(4000)]
+        counts = np.bincount(draws, minlength=law.n + 1)
+        pmf = binom.pmf(np.arange(law.n + 1), law.n, law.q)
+        assert _pooled_chisquare(counts, pmf) > 1e-3
 
 
 class TestEncode:
@@ -109,25 +236,25 @@ class TestShuffle:
 
 
 class TestAnalyze:
-    def _batch(self, n_bits, ones, m, reg):
+    def _batch(self, n_bits, ones, m):
         bits = np.zeros(n_bits, dtype=np.int8)
         bits[:ones] = 1
-        return ShuffledBatch(bits=bits, m=m, regime=reg)
+        return ShuffledBatch(bits=bits, m=m)
 
     def test_small_regime_arithmetic(self):
         params = PrivacyParams(0.5, 0.01, tau=96.0, sigma2=144.0)
-        batch = self._batch(100, ones=53, m=4, reg=SMALL)
+        batch = self._batch(100, ones=53, m=4)
         assert analyze(batch, 4, params).value == pytest.approx(5.0)
 
     def test_large_regime_noise_at_mean(self):
         params = PrivacyParams(0.5, 0.01, tau=96.0, sigma2=144.0)
-        batch = self._batch(400, ones=148, m=200, reg=LARGE)
+        batch = self._batch(400, ones=148, m=200)
         assert analyze(batch, 200, params).value == pytest.approx(100.0)
 
     def test_rejects_inconsistent_size(self):
         params = PrivacyParams(0.5, 0.01, tau=96.0, sigma2=144.0)
         with pytest.raises(ValueError):
-            analyze(self._batch(99, 10, 4, SMALL), 4, params)
+            analyze(self._batch(99, 10, 4), 4, params)
 
 
 class TestPrivateSum:
@@ -135,7 +262,7 @@ class TestPrivateSum:
         params = PrivacyParams(0.5, 0.01, tau=96.0, sigma2=144.0)
         est = private_sum([0, 0, 0, 0], params, _ZeroNoise())
         # zero noise bits sit 48 below their expectation of 48/2 per bit
-        assert est.value == -noise_offset(4, params)
+        assert est.value == -noise_law(4, params).offset
 
     def test_matches_explicit_composition(self):
         params = derive_params(0.7, 1e-3)
@@ -180,7 +307,7 @@ class TestInvariants:
     @settings(max_examples=40, deadline=None)
     def test_message_count_contract(self, m, eps, delta):
         params = derive_params(eps, delta)
-        if regime(m, params) == SMALL:
+        if m <= params.tau:
             expected = m * (1 + math.ceil(params.tau / m))
         else:
             expected = 2 * m
