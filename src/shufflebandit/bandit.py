@@ -9,12 +9,16 @@ in the confidence radius.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .env import BanditInstance, SeedSpec, make_tapes
-from .mechanism import PrivacyParams, private_sum
+from .mechanism import PrivacyParams, noisy_sum
+# perfbench/tracer.py looks up bandit.private_sum; the engine draws through
+# noisy_sum, and private_sum stays the specification it is tested against.
+from .mechanism import private_sum  # noqa: F401
 
 CONSTANT = "constant"
 DOUBLING = "doubling"
@@ -73,7 +77,6 @@ class ArmState:
     mean_estimate: float = 0.0
     radius: float = math.inf
     active: bool = True
-    batches: int = 0
 
     @property
     def ucb(self) -> float:
@@ -86,14 +89,61 @@ class ArmState:
 
 @dataclass
 class RegretTrace:
-    cumulative_regret: np.ndarray
+    """Cumulative regret of one episode, kept as one segment per batch.
+
+    Segment i covers users starts[i] + 1 up to the next segment's start (or
+    `users` for the last), all pulls of one arm with gap gaps[i].  Cumulative
+    regret at user u inside it is bases[i] + gaps[i] * (u - starts[i]), the
+    same floating-point arithmetic as filling a per-user array batch by
+    batch, so every value is exact.  Consecutive zero-gap batches share one
+    flat segment, which is exact too, so the trace stops growing once only
+    optimal arms remain.  Memory is O(batches), not O(T).
+    """
+    starts: array = field(default_factory=lambda: array("q"))
+    bases: array = field(default_factory=lambda: array("d"))
+    gaps: array = field(default_factory=lambda: array("d"))
+    users: int = 0       # pulls charged so far
+    regret: float = 0.0  # cumulative regret after them
     eliminations: list[tuple[int, int]] = field(default_factory=list)
     clean_event_violated: bool = False
     arm_pulls_total: list[int] = field(default_factory=list)  # incl. interrupted batch
 
+    def charge(self, pulls: int, gap: float) -> None:
+        """Charge one batch of `pulls` pulls of an arm with this gap."""
+        if gap != 0.0 or not self.gaps or self.gaps[-1] != 0.0:
+            self.starts.append(self.users)
+            self.bases.append(self.regret)
+            self.gaps.append(gap)
+        self.users += pulls
+        self.regret += gap * pulls
+
+    def at(self, users) -> np.ndarray:
+        """Cumulative regret after each of the given (1-based) users."""
+        u = np.asarray(users, dtype=np.int64)
+        if u.size and (u.min() < 1 or u.max() > self.users):
+            raise ValueError(f"users must lie in [1, {self.users}]")
+        starts = np.frombuffer(self.starts, dtype=np.int64)
+        i = np.searchsorted(starts, u) - 1
+        return (np.frombuffer(self.bases)[i]
+                + np.frombuffer(self.gaps)[i] * (u - starts[i]))
+
+    @property
+    def cumulative_regret(self) -> np.ndarray:
+        """Read-only per-user cumulative regret, expanded on demand.
+
+        This costs 8 bytes per pull; `at` reads checkpoints without it.
+        """
+        out = np.empty(self.users)
+        ends = self.starts[1:] + array("q", [self.users])
+        for start, end, base, gap in zip(self.starts, ends, self.bases,
+                                         self.gaps):
+            out[start:end] = base + gap * np.arange(1, end - start + 1)
+        out.flags.writeable = False
+        return out
+
     @property
     def final_regret(self) -> float:
-        return float(self.cumulative_regret[-1])
+        return self.regret
 
 
 def confidence_radius(t: int, pulls: int, horizon: float, sigma: float) -> float:
@@ -124,10 +174,11 @@ def eliminate(states: list[ArmState]) -> list[int]:
     return out
 
 
-def run_phase(states, tapes, phase, config, instance, seeds, cum, consumed):
+def run_phase(states, tapes, noise, phase, config, instance, trace):
     """Pull one batch per active arm, in ascending arm order.
 
-    Returns the new consumed-user count.  If the horizon is reached the
+    `noise` holds one generator per arm for the mechanism.  Returns the
+    number of users consumed so far.  If the horizon is reached the
     interrupted batch's pulls count toward regret but the mechanism is not
     invoked and the arm's state is left untouched.
     """
@@ -138,31 +189,23 @@ def run_phase(states, tapes, phase, config, instance, seeds, cum, consumed):
         st = states[a]
         if not st.active:
             continue
-        remaining = horizon - consumed
+        remaining = horizon - trace.users
         if remaining == 0:
             break
         take = min(m, remaining)
-        bits = tapes[a].draw(take)
-        base = cum[consumed - 1] if consumed > 0 else 0.0
-        if gaps[a] == 0.0:
-            cum[consumed:consumed + take] = base
-        else:
-            cum[consumed:consumed + take] = base + gaps[a] * np.arange(1, take + 1)
-        consumed += take
-        if consumed == horizon:
+        true_sum = tapes[a].draw(take)
+        trace.charge(take, gaps[a])
+        if trace.users == horizon:
             # the T-th pull exits before the communication step
             break
-        true_sum = float(bits.sum())
         if config.privacy is None:
-            z = true_sum
+            z = float(true_sum)
         else:
-            rng = seeds.noise_rng(a, st.batches)
-            z = private_sum(bits, config.privacy, rng).value
-        st.batches += 1
+            z = noisy_sum(true_sum, m, config.privacy, noise[a]).value
         st.noisy_sum += z
         st.pulls += m
         st.mean_estimate = st.noisy_sum / st.pulls
-    return consumed
+    return trace.users
 
 
 def run_episode(instance: BanditInstance, config: EngineConfig,
@@ -171,15 +214,16 @@ def run_episode(instance: BanditInstance, config: EngineConfig,
     horizon = config.horizon
     states = [ArmState() for _ in range(instance.k)]
     tapes = make_tapes(instance, seeds)
-    cum = np.empty(horizon, dtype=np.float64)
-    trace = RegretTrace(cumulative_regret=cum)
+    noise = ([seeds.noise_rng(a) for a in range(instance.k)]
+             if config.privacy is not None else None)
+    trace = RegretTrace()
     sigma = config.sigma
     consumed = 0
     phase = 0
     while consumed < horizon:
         phase += 1
-        consumed = run_phase(states, tapes, phase, config, instance, seeds,
-                             cum, consumed)
+        consumed = run_phase(states, tapes, noise, phase, config, instance,
+                             trace)
         if consumed >= horizon:
             break
         for st in states:

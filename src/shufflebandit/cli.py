@@ -15,7 +15,6 @@ import sys
 
 import numpy as np
 
-from .audit import TAU_MULTIPLES, audit_grid
 from .harness import ConfigError, parse_config, run_experiment
 from .mechanism import derive_params, private_sum
 
@@ -25,6 +24,8 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _parse_batch_sizes(text: str) -> list[int | str]:
+    from .audit import TAU_MULTIPLES  # scipy loads only for `audit`
+
     tokens = [v.strip() for v in text.split(",") if v.strip()]
     return [v if v in TAU_MULTIPLES else int(v) for v in tokens]
 
@@ -66,6 +67,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from .audit import audit_grid
+
     cells = audit_grid(_parse_batch_sizes(args.m), _parse_floats(args.eps),
                        _parse_floats(args.delta))
     print("m,epsilon,delta,div_forward,div_backward,pass")

@@ -1,8 +1,8 @@
 """Bandit instances and reproducible Bernoulli reward streams.
 
-Rewards are generated lazily, one batch at a time, from per-(arm, batch)
-sub-seeded generators.  This keeps memory O(k) at large horizons and makes
-an arm's stream independent of every other arm's stream.
+Rewards are generated lazily, one batch at a time, as the batch's reward
+sum drawn from one per-arm generator.  This keeps memory O(k) at any horizon
+and makes an arm's stream independent of every other arm's stream.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy loads it lazily, on the first draw otherwise
 
 # Stream labels keep reward randomness disjoint from mechanism randomness.
 _REWARD_STREAM = 0
@@ -28,11 +29,11 @@ class SeedSpec:
                                      spawn_key=(self.run_index, *key))
         return np.random.default_rng(seq)
 
-    def reward_rng(self, arm: int, batch: int) -> np.random.Generator:
-        return self._rng(_REWARD_STREAM, arm, batch)
+    def reward_rng(self, arm: int) -> np.random.Generator:
+        return self._rng(_REWARD_STREAM, arm)
 
-    def noise_rng(self, arm: int, batch: int) -> np.random.Generator:
-        return self._rng(_NOISE_STREAM, arm, batch)
+    def noise_rng(self, arm: int) -> np.random.Generator:
+        return self._rng(_NOISE_STREAM, arm)
 
 
 @dataclass(frozen=True)
@@ -71,28 +72,29 @@ def make_instance(k: int, means: list[float], horizon: int) -> BanditInstance:
 
 
 class RewardTape:
-    """Lazy per-arm stream of Bernoulli(mu) bits, consumed batch by batch."""
+    """Lazy per-arm stream of Bernoulli(mu) rewards, consumed batch by batch.
+
+    A batch is only ever aggregated, so each draw returns the batch's reward
+    sum, Binomial(batch_size, mu), from the arm's one generator.
+    """
 
     def __init__(self, arm: int, mean: float, seeds: SeedSpec, horizon: int):
         self.arm = arm
         self.mean = mean
-        self.seeds = seeds
         self.horizon = horizon
         self.cursor = 0
-        self.batches_drawn = 0
+        self._rng = seeds.reward_rng(arm)
 
-    def draw(self, batch_size: int) -> np.ndarray:
+    def draw(self, batch_size: int) -> int:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if self.cursor + batch_size > self.horizon:
             raise ValueError(
                 f"tape for arm {self.arm} exhausted: cursor={self.cursor}, "
                 f"requested {batch_size}, horizon={self.horizon}")
-        rng = self.seeds.reward_rng(self.arm, self.batches_drawn)
-        bits = (rng.random(batch_size) < self.mean).astype(np.int8)
-        self.batches_drawn += 1
+        total = int(self._rng.binomial(batch_size, self.mean))
         self.cursor += batch_size
-        return bits
+        return total
 
 
 def make_tapes(instance: BanditInstance, seeds: SeedSpec) -> list[RewardTape]:

@@ -11,13 +11,16 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import __version__
-from .bandit import BatchSchedule, EngineConfig, RegretTrace, run_episode
+from .bandit import BatchSchedule, EngineConfig, run_episode
 from .env import BanditInstance, SeedSpec, make_instance
 from .mechanism import PrivacyParams, derive_params
 
@@ -69,8 +72,9 @@ class ResultRow:
 @dataclass
 class AggregateResult:
     rows: list[ResultRow]
-    # (variant, epsilon, delta) -> seed -> checkpointed regret array
+    # (variant, epsilon, delta, seed) -> checkpointed regret array
     traces: dict = field(default_factory=dict)
+    # same keys -> the run's RegretTrace, with --full-trace only
     full_traces: dict = field(default_factory=dict)
 
 
@@ -211,15 +215,16 @@ def _run_job(args):
     instance = config.instance()
     econf = engine_config(config, variant, params)
     trace = run_episode(instance, econf, SeedSpec(config.master_seed, seed))
-    checks = np.array([trace.cumulative_regret[c - 1]
-                       for c in config.checkpoints])
-    full = trace.cumulative_regret if full_trace else None
-    return checks, bool(trace.clean_event_violated), full
+    # the segments are expanded to one value per user only when written
+    full = trace if full_trace else None
+    return trace.at(config.checkpoints), bool(trace.clean_event_violated), full
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1,
                    full_trace: bool = False,
                    write: bool = True) -> AggregateResult:
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     jobs = []
     keys = []
     for variant in config.variants:
@@ -271,14 +276,49 @@ def _fmt(value) -> str:
     return repr(value)
 
 
+@contextmanager
+def _replacing(path: str):
+    """Open a temporary file beside path for writing; on success it replaces
+    path, so readers see the old file or the new one, never a partial one."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write failed
+            os.remove(tmp)
+
+
+def _write_traces(directory: str, result: AggregateResult,
+                  config: ExperimentConfig, full_trace: bool) -> None:
+    for key, checks in sorted(result.traces.items(), key=lambda kv: str(kv[0])):
+        variant, eps, delta, seed = key
+        tag = f"{variant}_{_fmt(eps) or 'none'}_{_fmt(delta) or 'none'}_{seed}"
+        with open(os.path.join(directory, tag + ".csv"), "w") as fh:
+            if full_trace and key in result.full_traces:
+                fh.write("user,cumulative_regret\n")
+                full = result.full_traces[key].cumulative_regret
+                for user, value in enumerate(full, 1):
+                    fh.write(f"{user},{float(value)!r}\n")
+            else:
+                fh.write("checkpoint,cumulative_regret\n")
+                for cp, value in zip(config.checkpoints, checks):
+                    fh.write(f"{cp},{float(value)!r}\n")
+
+
 def emit_outputs(result: AggregateResult, config: ExperimentConfig,
                  full_trace: bool = False) -> None:
-    """Write results.csv, per-episode traces, plotdata.csv, and manifest.json."""
+    """Write results.csv, per-episode traces, plotdata.csv, and manifest.json.
+
+    Each file is replaced whole.  `traces/` is built in a fresh directory
+    beside it and swapped in, so it never holds a previous run's files;
+    nothing else in the output directory is touched.
+    """
     out = config.output
     os.makedirs(out, exist_ok=True)
-    os.makedirs(os.path.join(out, "traces"), exist_ok=True)
 
-    with open(os.path.join(out, "results.csv"), "w") as fh:
+    with _replacing(os.path.join(out, "results.csv")) as fh:
         fh.write(RESULTS_HEADER + "\n")
         for row in result.rows:
             fh.write(",".join([
@@ -287,22 +327,23 @@ def emit_outputs(result: AggregateResult, config: ExperimentConfig,
                 _fmt(row.min), _fmt(row.max), str(row.clean_violations),
             ]) + "\n")
 
-    for (variant, eps, delta, seed), checks in sorted(
-            result.traces.items(), key=lambda kv: str(kv[0])):
-        tag = f"{variant}_{_fmt(eps) or 'none'}_{_fmt(delta) or 'none'}_{seed}"
-        path = os.path.join(out, "traces", tag + ".csv")
-        with open(path, "w") as fh:
-            if full_trace and (variant, eps, delta, seed) in result.full_traces:
-                fh.write("user,cumulative_regret\n")
-                full = result.full_traces[(variant, eps, delta, seed)]
-                for user, value in enumerate(full, 1):
-                    fh.write(f"{user},{value!r}\n")
-            else:
-                fh.write("checkpoint,cumulative_regret\n")
-                for cp, value in zip(config.checkpoints, checks):
-                    fh.write(f"{cp},{float(value)!r}\n")
+    traces = os.path.join(out, "traces")
+    fresh = tempfile.mkdtemp(prefix=".traces-", dir=out)
+    stale = None
+    try:
+        os.chmod(fresh, os.stat(out).st_mode & 0o777)  # mkdtemp makes it 0700
+        _write_traces(fresh, result, config, full_trace)
+        if os.path.lexists(traces):
+            stale = fresh + ".old"
+            os.rename(traces, stale)
+        os.rename(fresh, traces)
+    except BaseException:
+        shutil.rmtree(fresh, ignore_errors=True)
+        raise
+    if stale is not None:
+        shutil.rmtree(stale)
 
-    with open(os.path.join(out, "plotdata.csv"), "w") as fh:
+    with _replacing(os.path.join(out, "plotdata.csv")) as fh:
         fh.write("variant,epsilon,delta,seed,checkpoint,cumulative_regret\n")
         for (variant, eps, delta, seed), checks in sorted(
                 result.traces.items(), key=lambda kv: str(kv[0])):
@@ -327,6 +368,6 @@ def emit_outputs(result: AggregateResult, config: ExperimentConfig,
             "sdp_ae_m": config.sdp_ae_m,
         },
     }
-    with open(os.path.join(out, "manifest.json"), "w") as fh:
+    with _replacing(os.path.join(out, "manifest.json")) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -4,7 +4,10 @@ Each user sends their data bit plus noise bits; a shuffler uniformly permutes
 the flattened bit multiset; the analyzer popcounts and subtracts the expected
 noise.  Up to tau users each user sends several fair coins, above tau a
 single biased coin; `noise_law` is the one definition of both, and the
-encoder, the analyzer, `private_sum` and the auditor all read it.  The
+encoder, the analyzer, `private_sum`, the engine's sampler `noisy_sum` and
+the auditor all read it.  The explicit `encode -> shuffle -> analyze` path
+and `private_sum` are the executable specification; the engines draw only
+the popcount that the analyzer reads, through `noisy_sum`.  The
 additive error is B - E[B] with B binomial, so it is unbiased, independent of
 the input, and sub-Gaussian with variance 1.5 * tau.
 """
@@ -159,3 +162,16 @@ def private_sum(bits, params: PrivacyParams,
     payload[:, 1:] = noise
     shuffled = rng.permutation(payload.ravel())
     return SumEstimate(popcount=int(shuffled.sum()), offset=law.offset)
+
+
+def noisy_sum(true_sum: int, m: int, params: PrivacyParams,
+              rng: np.random.Generator) -> SumEstimate:
+    """What the analyzer sees of one batch, drawn from its sufficient statistic.
+
+    The analyzer reads only the popcount, true_sum + B with B ~ Binomial(n, q)
+    under `noise_law`, so this has the distribution of `private_sum` on any
+    batch of m bits summing to true_sum, though not its random stream.
+    """
+    law = noise_law(m, params)
+    return SumEstimate(popcount=true_sum + int(rng.binomial(law.n, law.q)),
+                       offset=law.offset)

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shufflebandit.bandit import (ArmState, BatchSchedule, EngineConfig,
-                                  confidence_radius, eliminate, run_episode,
-                                  run_phase, update_confidence)
-from shufflebandit.env import SeedSpec, make_instance, make_tapes
+                                  RegretTrace, confidence_radius, eliminate,
+                                  run_episode, run_phase, update_confidence)
+from shufflebandit.env import RewardTape, SeedSpec, make_instance, make_tapes
 from shufflebandit.mechanism import derive_params
 
 I_4_30_12_1E5 = 8.553728421127085  # (2*2*12/30 + 1/sqrt(30)) * sqrt(2 ln 1e5)
@@ -65,9 +65,8 @@ class TestRunPhase:
         config = EngineConfig(schedule=BatchSchedule.constant(10), horizon=1000)
         states = [ArmState(), ArmState()]
         tapes = make_tapes(inst, SeedSpec(0))
-        cum = np.empty(1000)
-        consumed = run_phase(states, tapes, 1, config, inst, SeedSpec(0),
-                             cum, 0)
+        consumed = run_phase(states, tapes, None, 1, config, inst,
+                             RegretTrace())
         assert consumed == 20
         assert [st.pulls for st in states] == [10, 10]
 
@@ -76,8 +75,7 @@ class TestRunPhase:
         config = EngineConfig(schedule=BatchSchedule.constant(5), horizon=100)
         states = [ArmState()]
         tapes = make_tapes(inst, SeedSpec(0))
-        cum = np.empty(100)
-        run_phase(states, tapes, 1, config, inst, SeedSpec(0), cum, 0)
+        run_phase(states, tapes, None, 1, config, inst, RegretTrace())
         assert states[0].noisy_sum == 5.0
         assert states[0].mean_estimate == 1.0
 
@@ -86,11 +84,9 @@ class TestRunPhase:
         config = EngineConfig(schedule=BatchSchedule.doubling(), horizon=10**4)
         states = [ArmState(), ArmState()]
         tapes = make_tapes(inst, SeedSpec(0))
-        cum = np.empty(10**4)
-        consumed = 0
+        trace = RegretTrace()
         for t in (1, 2, 3):
-            consumed = run_phase(states, tapes, t, config, inst, SeedSpec(0),
-                                 cum, consumed)
+            run_phase(states, tapes, None, t, config, inst, trace)
         assert all(st.pulls == 2**4 - 2 for st in states)
 
     def test_horizon_exit_skips_mechanism(self):
@@ -99,9 +95,8 @@ class TestRunPhase:
         config = EngineConfig(schedule=BatchSchedule.constant(10), horizon=15)
         states = [ArmState(), ArmState()]
         tapes = make_tapes(inst, SeedSpec(0))
-        cum = np.empty(15)
-        consumed = run_phase(states, tapes, 1, config, inst, SeedSpec(0),
-                             cum, 0)
+        consumed = run_phase(states, tapes, None, 1, config, inst,
+                             RegretTrace())
         assert consumed == 15
         assert states[0].pulls == 10
         assert states[1].pulls == 0  # interrupted batch, no state update
@@ -160,11 +155,10 @@ class TestRunEpisode:
                               horizon=5000, privacy=params)
         states = [ArmState() for _ in range(4)]
         tapes = make_tapes(inst, SeedSpec(21))
-        cum = np.empty(5000)
-        consumed = 0
+        noise = [SeedSpec(21).noise_rng(a) for a in range(4)]
+        trace = RegretTrace()
         for t in range(1, 5):
-            consumed = run_phase(states, tapes, t, config, inst, SeedSpec(21),
-                                 cum, consumed)
+            run_phase(states, tapes, noise, t, config, inst, trace)
             active_pulls = {st.pulls for st in states if st.active}
             assert len(active_pulls) == 1
             for st in states:
@@ -203,6 +197,83 @@ class TestRunEpisode:
         assert trace.cumulative_regret.size == 600
         assert np.all(np.diff(trace.cumulative_regret) >= 0)
         assert sum(trace.arm_pulls_total) == 600
+
+
+def _reference_fill(batches, gaps, horizon):
+    """Per-user cumulative regret filled batch by batch, as the engine once
+    kept it: the reference the segment trace must reproduce exactly."""
+    cum = np.empty(horizon, dtype=np.float64)
+    consumed = 0
+    for arm, take in batches:
+        base = cum[consumed - 1] if consumed > 0 else 0.0
+        if gaps[arm] == 0.0:
+            cum[consumed:consumed + take] = base
+        else:
+            cum[consumed:consumed + take] = base + gaps[arm] * np.arange(1, take + 1)
+        consumed += take
+    assert consumed == horizon
+    return cum
+
+
+class TestRegretSegments:
+    # arms 0 and 1 tie for best, so two arms have zero gap
+    MEANS = [0.8, 0.8, 0.3, 0.55]
+
+    @pytest.mark.parametrize("schedule,private", [
+        (BatchSchedule.constant(7), False),
+        (BatchSchedule.constant(30), True),
+        (BatchSchedule.doubling(), True),
+    ])
+    @pytest.mark.parametrize("horizon", [1, 997, 5001])
+    def test_segments_equal_per_user_fill(self, monkeypatch, schedule,
+                                          private, horizon):
+        batches = []
+        draw = RewardTape.draw
+
+        def recording_draw(tape, batch_size):
+            batches.append((tape.arm, batch_size))
+            return draw(tape, batch_size)
+
+        monkeypatch.setattr(RewardTape, "draw", recording_draw)
+        inst = make_instance(4, self.MEANS, horizon)
+        config = EngineConfig(schedule=schedule, horizon=horizon,
+                              privacy=derive_params(0.9, 1e-2) if private
+                              else None)
+        trace = run_episode(inst, config, SeedSpec(31))
+        reference = _reference_fill(batches, inst.gaps, horizon)
+        users = np.arange(1, horizon + 1)
+        np.testing.assert_array_equal(trace.cumulative_regret, reference)
+        np.testing.assert_array_equal(trace.at(users), reference)
+        checkpoints = sorted({1, (horizon + 1) // 2, horizon})
+        np.testing.assert_array_equal(trace.at(checkpoints),
+                                      reference[np.array(checkpoints) - 1])
+        assert trace.final_regret == reference[-1]
+        # every case ends on a batch cut short by the horizon
+        full_sizes = {schedule.batch_size(phase) for phase in range(1, 30)}
+        assert batches[-1][1] not in full_sizes
+
+    def test_at_rejects_users_outside_trace(self):
+        trace = RegretTrace()
+        trace.charge(10, 0.5)
+        np.testing.assert_array_equal(trace.at([10]), [5.0])
+        for users in ([0], [11]):
+            with pytest.raises(ValueError):
+                trace.at(users)
+
+    def test_zero_gap_batches_share_a_segment(self):
+        trace = RegretTrace()
+        for pulls, gap in [(5, 0.0), (5, 0.0), (3, 0.2), (2, 0.0), (4, 0.0)]:
+            trace.charge(pulls, gap)
+        assert list(trace.starts) == [0, 10, 13]
+        np.testing.assert_array_equal(
+            trace.cumulative_regret,
+            [0.0] * 10 + [0.2, 0.4, 0.2 * 3] + [0.2 * 3] * 6)
+
+    def test_expansion_is_read_only(self):
+        trace = RegretTrace()
+        trace.charge(3, 0.25)
+        with pytest.raises(ValueError):
+            trace.cumulative_regret[0] = 1.0
 
 
 class TestBatchSchedule:

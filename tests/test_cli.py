@@ -1,6 +1,9 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -95,6 +98,44 @@ class TestRun:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exits_one(self, tmp_path, capsys, threads):
+        out = tmp_path / "out"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(CONFIG.format(out=out))
+        code, _, err = run_cli(["run", "--config", str(cfg),
+                                "--threads", threads], capsys)
+        assert code == 1
+        assert "threads" in err
+        assert not out.exists()
+
     def test_missing_config_exits_one(self, capsys):
         code, _, _ = run_cli(["run", "--config", "/nonexistent.cfg"], capsys)
         assert code == 1
+
+
+class TestImports:
+    def test_run_does_not_load_scipy(self, tmp_path):
+        # scipy.stats takes about a second to import; only `audit` needs it
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(CONFIG.format(out=tmp_path / "out"))
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        code = ("import sys\n"
+                "from shufflebandit.cli import main\n"
+                f"assert main(['run', '--config', {str(cfg)!r}]) == 0\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_package_exports_audit_lazily(self):
+        import shufflebandit
+        from shufflebandit import audit
+
+        for name in ("AuditReport", "audit_grid", "hockey_stick",
+                     "noise_distribution"):
+            assert name in shufflebandit.__all__
+            assert getattr(shufflebandit, name) is getattr(audit, name)
+        with pytest.raises(AttributeError):
+            shufflebandit.no_such_name

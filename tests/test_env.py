@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,23 +50,21 @@ class TestRewardTape:
         return RewardTape(arm, mean, SeedSpec(seed), horizon)
 
     def test_deterministic_arm_all_ones(self):
-        bits = self._tape(1.0).draw(5)
-        assert bits.tolist() == [1, 1, 1, 1, 1]
+        assert self._tape(1.0).draw(5) == 5
 
     def test_deterministic_arm_all_zeros(self):
-        bits = self._tape(0.0).draw(3)
-        assert bits.tolist() == [0, 0, 0]
+        assert self._tape(0.0).draw(3) == 0
 
     def test_law_of_large_numbers(self):
         # Hoeffding at 6 sigma: for n = 1e5 fair coins, 0.01 > 6 * 0.5/sqrt(n)
-        bits = self._tape(0.5).draw(10**5)
-        assert abs(bits.mean() - 0.5) < 0.01
+        total = self._tape(0.5).draw(10**5)
+        assert abs(total / 10**5 - 0.5) < 0.01
 
     def test_replay_determinism(self):
         a = self._tape(0.3)
         b = self._tape(0.3)
         for size in (7, 13, 1):
-            np.testing.assert_array_equal(a.draw(size), b.draw(size))
+            assert a.draw(size) == b.draw(size)
 
     def test_cursor_advances_and_caps_at_horizon(self):
         tape = self._tape(0.5, horizon=10)
@@ -77,27 +74,30 @@ class TestRewardTape:
             tape.draw(4)
 
     def test_arm_streams_differ(self):
+        # single Binomial(2000, .5) sums collide about 1.8 % of the time
         spec = SeedSpec(5)
-        a = RewardTape(0, 0.5, spec, 10**4).draw(2000)
-        b = RewardTape(1, 0.5, spec, 10**4).draw(2000)
-        assert not np.array_equal(a, b)
+        a = RewardTape(0, 0.5, spec, 10**4)
+        b = RewardTape(1, 0.5, spec, 10**4)
+        assert [a.draw(2000) for _ in range(5)] != \
+            [b.draw(2000) for _ in range(5)]
 
     def test_other_arms_unperturbed_by_arm_set(self):
         # stream of arm 1 does not depend on whether arm 0 was consumed
         spec = SeedSpec(5)
-        lone = RewardTape(1, 0.5, spec, 10**4).draw(100)
+        lone = RewardTape(1, 0.5, spec, 10**4)
+        alone = [lone.draw(100) for _ in range(3)]
         inst = make_instance(3, [0.2, 0.5, 0.9], 10**4)
         tapes = make_tapes(inst, spec)
         tapes[0].draw(50)
-        np.testing.assert_array_equal(tapes[1].draw(100), lone)
+        assert [tapes[1].draw(100) for _ in range(3)] == alone
 
     @given(seed=st.integers(0, 2**63 - 1), run=st.integers(0, 100))
     @settings(max_examples=25)
     def test_seed_spec_replay(self, seed, run):
         spec = SeedSpec(seed, run)
-        x = RewardTape(2, 0.4, spec, 1000).draw(64)
-        y = RewardTape(2, 0.4, spec, 1000).draw(64)
-        np.testing.assert_array_equal(x, y)
+        x = RewardTape(2, 0.4, spec, 1000)
+        y = RewardTape(2, 0.4, spec, 1000)
+        assert [x.draw(64) for _ in range(3)] == [y.draw(64) for _ in range(3)]
 
     def test_hoeffding_deviation_frequency(self):
         # P(|mean - mu| > sqrt(ln(2/alpha) / (2n))) <= alpha over seeds
@@ -105,8 +105,8 @@ class TestRewardTape:
         bound = math.sqrt(math.log(2 / alpha) / (2 * n))
         exceed = 0
         for seed in range(runs):
-            bits = RewardTape(0, 0.5, SeedSpec(seed), n).draw(n)
-            if abs(bits.mean() - 0.5) > bound:
+            total = RewardTape(0, 0.5, SeedSpec(seed), n).draw(n)
+            if abs(total / n - 0.5) > bound:
                 exceed += 1
         # 3-sigma slack on the binomial count at frequency alpha
         assert exceed <= runs * alpha + 3 * math.sqrt(runs * alpha * (1 - alpha))

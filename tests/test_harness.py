@@ -172,12 +172,31 @@ class TestRunExperiment:
     def test_full_trace_mode(self, tmp_path):
         path, out = write_config(tmp_path, MINIMAL)
         config = parse_config(path)
-        run_experiment(config, full_trace=True)
+        result = run_experiment(config, full_trace=True)
         trace_files = list((out / "traces").iterdir())
         assert len(trace_files) == 1
         lines = trace_files[0].read_text().splitlines()
         assert lines[0] == "user,cumulative_regret"
         assert len(lines) - 1 == 200
+        # means (1, 0) with batches of 10: regret is 0 on arm 0's pulls
+        # and rises by 1 on arm 1's, until arm 1 is eliminated
+        regret = [float(line.split(",")[1]) for line in lines[1:]]
+        assert regret[:20] == [0.0] * 10 + [float(i) for i in range(1, 11)]
+        assert regret[-1] == result.traces[("ae-baseline", None, None, 0)][-1]
+
+    def test_rerun_replaces_traces_only(self, tmp_path):
+        path, out = write_config(tmp_path, PRIVATE)
+        run_experiment(parse_config(path))
+        assert len(list((out / "traces").iterdir())) == 5 * 3
+        (out / "notes.txt").write_text("mine")
+        path, _ = write_config(tmp_path, PRIVATE.replace("seeds = 3",
+                                                         "seeds = 1"))
+        run_experiment(parse_config(path))
+        assert len(list((out / "traces").iterdir())) == 5
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "notes.txt", "plotdata.csv", "results.csv",
+            "traces"]
+        assert (out / "notes.txt").read_text() == "mine"
 
     def test_parallel_matches_serial(self, tmp_path):
         path, out = write_config(tmp_path, PRIVATE)

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom, chisquare
 
+from shufflebandit.env import RewardTape, SeedSpec
 from shufflebandit.mechanism import (NoiseLaw, PrivacyParams, ShuffledBatch,
                                      analyze, derive_params, encode,
-                                     noise_law, private_sum, shuffle)
+                                     noise_law, noisy_sum, private_sum,
+                                     shuffle)
 
 TAU_05_001 = 2034.5538687544460841      # 96 ln(200) / 0.25
 SIGMA2_05_001 = 3051.8308031316691262   # 1.5 * tau
@@ -174,6 +176,49 @@ class TestSingleLaw:
         counts = np.bincount(draws, minlength=law.n + 1)
         pmf = binom.pmf(np.arange(law.n + 1), law.n, law.q)
         assert _pooled_chisquare(counts, pmf) > 1e-3
+
+
+def _engine_popcounts(m, mu, params, draws):
+    """Popcounts of the engine's batches: a tape's reward sum through noisy_sum."""
+    tape = RewardTape(0, mu, SeedSpec(77), draws * m)
+    rng = SeedSpec(77).noise_rng(0)
+    return [noisy_sum(tape.draw(m), m, params, rng).popcount
+            for _ in range(draws)]
+
+
+def _specification_popcounts(m, mu, params, draws):
+    """Popcounts of private_sum on fresh Bernoulli(mu) data bits."""
+    rng = np.random.default_rng(78)
+    return [private_sum((rng.random(m) < mu).astype(np.int8), params,
+                        rng).popcount for _ in range(draws)]
+
+
+class TestSufficientStatistic:
+    """Both paths' popcounts follow Binomial(m, mu) convolved with the noise law."""
+
+    @pytest.mark.parametrize("mu", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("m", [50, 2000])  # tau ~ 355: one m per regime
+    @pytest.mark.parametrize("popcounts", [_engine_popcounts,
+                                           _specification_popcounts])
+    def test_popcount_chi_square(self, popcounts, m, mu):
+        params = derive_params(0.9, 0.1)
+        law = noise_law(m, params)
+        pmf = np.convolve(binom.pmf(np.arange(m + 1), m, mu),
+                          binom.pmf(np.arange(law.n + 1), law.n, law.q))
+        counts = np.bincount(popcounts(m, mu, params, 4000),
+                             minlength=pmf.size)
+        assert counts.size == pmf.size
+        assert _pooled_chisquare(counts, pmf) > 1e-3
+
+    def test_offset_is_the_law_offset(self):
+        params = derive_params(0.9, 0.1)
+        for m in (50, 2000):
+            est = noisy_sum(7, m, params, np.random.default_rng(0))
+            assert est.offset == noise_law(m, params).offset
+
+    def test_rejects_empty_batch(self):
+        with pytest.raises(ValueError):
+            noisy_sum(0, 0, derive_params(0.5, 0.01), np.random.default_rng(0))
 
 
 class TestEncode:
