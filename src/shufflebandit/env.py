@@ -8,6 +8,7 @@ and makes an arm's stream independent of every other arm's stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import numpy.random  # numpy loads it lazily, on the first draw otherwise
@@ -51,8 +52,9 @@ class BanditInstance:
     def best_mean(self) -> float:
         return self.means[self.best_arm]
 
-    @property
+    @cached_property
     def gaps(self) -> tuple[float, ...]:
+        # read once per phase by the engine; computed once per instance
         mu_star = self.best_mean
         return tuple(mu_star - mu for mu in self.means)
 

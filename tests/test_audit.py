@@ -6,8 +6,9 @@ from scipy.stats import binom
 
 from shufflebandit.audit import (DEFAULT_SUPPORT_CAP, GridCell, audit_grid,
                                  brute_force_shuffle_divergence, hockey_stick,
-                                 noise_distribution, shifted_hockey_stick)
-from shufflebandit.mechanism import PrivacyParams, derive_params
+                                 noise_distribution, noise_window,
+                                 shifted_hockey_stick)
+from shufflebandit.mechanism import PrivacyParams, derive_params, noise_law
 
 
 def _params96():
@@ -104,6 +105,112 @@ class TestHockeyStick:
         fwd, bwd = brute_force_shuffle_divergence(params)
         assert fwd == pytest.approx(report.divergence_forward, abs=1e-12)
         assert bwd == pytest.approx(report.divergence_backward, abs=1e-12)
+
+
+def _paper_cells(sizes):
+    cells = []
+    for eps in (0.25, 0.5, 1.0):
+        for delta in (1e-5, 1e-2):
+            params = derive_params(eps, delta)
+            cells += [(m, params) for m in sizes(params)]
+    return cells
+
+
+def _full_support_ms(params):
+    return sorted({1, 2, 42, math.ceil(params.sigma), math.ceil(params.tau),
+                   4 * math.ceil(params.tau), *(2**p for p in range(10, 20))})
+
+
+# noise budgets around the smallest that passes at m = 1, so that the
+# divergences sit near delta on both sides of it
+SHRUNK = [(1, PrivacyParams(eps, delta, tau=tau, sigma2=1.5 * tau))
+          for eps, delta, tau in [(1.0, 1e-5, 61.0), (1.0, 1e-5, 62.0),
+                                  (0.5, 1e-5, 200.0), (0.5, 1e-5, 206.0),
+                                  (0.25, 1e-5, 711.0), (0.25, 1e-5, 712.0)]]
+SHRUNK += [(m, params) for m in (2, 3, 8) for _, params in SHRUNK[:2]]
+LARGE_MS = [2**20, 2**21, 2**22, 10**7, 10**9]
+
+
+def _cells(cells):
+    return pytest.mark.parametrize(
+        "m,params", cells,
+        ids=[f"m{m}-eps{p.epsilon}-delta{p.delta}-tau{p.tau:.0f}"
+             for m, p in cells])
+
+
+def _two_tail_reference(m, params):
+    """Closed-form divergences of B against B + 1, and the tail masses they
+    subtract.
+
+    P(t) / P(t-1) falls with t, so P(t) - e^eps P(t-1) is positive exactly
+    up to a crossing a, and P(t-1) - e^eps P(t) exactly from a crossing b on;
+    each divergence is a difference of two binomial tail masses.
+    """
+    law = noise_law(m, params)
+    n, q, e = law.n, law.q, math.exp(params.epsilon)
+    a = min(n, math.ceil((n + 1) * q / (q + e * (1 - q))) - 1)
+    b = max(1, math.floor((n + 1) * q / (q + (1 - q) / e)) + 1)
+    fwd = (binom.cdf(a, n, q), e * binom.cdf(a - 1, n, q))
+    bwd = (binom.sf(b - 2, n, q), e * binom.sf(b - 1, n, q))
+    return [(x - y, x + y) for x, y in (fwd, bwd)]
+
+
+class TestWindow:
+    @_cells(_paper_cells(_full_support_ms) + SHRUNK)
+    def test_brackets_full_support(self, m, params):
+        # the window of hockey_stick against the specification's full support
+        law = noise_law(m, params)
+        assert law.n + 1 <= DEFAULT_SUPPORT_CAP
+        report = hockey_stick(m, params)
+        exact = shifted_hockey_stick(noise_distribution(m, params),
+                                     params.epsilon)
+        tail = noise_window(law)[2]
+        assert tail <= 1e-12 * params.delta
+        e_eps = math.exp(params.epsilon)
+        got = (report.divergence_forward, report.divergence_backward)
+        for upper, want in zip(got, exact):
+            rounding = 1e-12 * want
+            assert upper - (1 + e_eps) * tail - rounding <= want
+            assert want <= upper + rounding
+        assert report.passed == (max(exact) <= params.delta)
+
+    @_cells(_paper_cells(lambda params: LARGE_MS))
+    def test_matches_closed_form_above_cap(self, m, params):
+        law = noise_law(m, params)
+        assert law.n + 1 > DEFAULT_SUPPORT_CAP
+        report = hockey_stick(m, params)
+        tail = noise_window(law)[2]
+        assert tail <= 1e-12 * params.delta
+        e_eps = math.exp(params.epsilon)
+        got = (report.divergence_forward, report.divergence_backward)
+        for upper, (want, subtracted) in zip(got,
+                                             _two_tail_reference(m, params)):
+            # the reference cancels about four digits of the tails it
+            # subtracts, whose rounding is below 1e-12 of their sum
+            slack = 1e-9 * want + 1e-12 * subtracted
+            assert want - slack <= upper <= want + (1 + e_eps) * tail + slack
+        assert report.passed
+        assert max(got) <= params.delta
+
+    @pytest.mark.parametrize("m,eps,delta", [(1, 0.5, 1e-5),
+                                             (2048, 1.0, 1e-2),
+                                             (4096, 1.0, 1e-5)])
+    def test_tail_is_the_mass_outside_the_window(self, m, eps, delta):
+        params = derive_params(eps, delta)
+        law = noise_law(m, params)
+        lo, hi, tail = noise_window(law)
+        mean = law.n * law.q
+        sd = math.sqrt(mean * (1 - law.q))
+        # mean +- 40 sd, widened to whole points and clipped to 0..n
+        assert lo <= max(0, mean - 40 * sd) < lo + 1
+        assert hi - 1 < min(law.n, mean + 40 * sd) <= hi < law.n
+        pmf = noise_distribution(m, params)
+        assert tail == pytest.approx(pmf[:lo].sum() + pmf[hi + 1:].sum(),
+                                     rel=1e-9, abs=0.0)
+
+    def test_window_covering_the_support_has_no_tail(self):
+        law = noise_law(1, PrivacyParams(0.8, 0.05, tau=3.2, sigma2=4.8))
+        assert noise_window(law) == (0, law.n, 0.0)
 
 
 class TestAuditGrid:

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shufflebandit import bandit
 from shufflebandit.bandit import (ArmState, BatchSchedule, EngineConfig,
                                   RegretTrace, confidence_radius, eliminate,
                                   run_episode, run_phase, update_confidence)
 from shufflebandit.env import RewardTape, SeedSpec, make_instance, make_tapes
-from shufflebandit.mechanism import derive_params
+from shufflebandit.mechanism import derive_params, noise_law, noisy_sum
 
 I_4_30_12_1E5 = 8.553728421127085  # (2*2*12/30 + 1/sqrt(30)) * sqrt(2 ln 1e5)
 
@@ -177,6 +178,31 @@ class TestRunEpisode:
         b = run_episode(inst, config, SeedSpec(123, 7))
         np.testing.assert_array_equal(a.cumulative_regret, b.cumulative_regret)
         assert a.eliminations == b.eliminations
+
+    def test_each_arm_draws_noise_from_its_own_stream(self, monkeypatch):
+        # arm a's noise counts are exactly the draws of its own generator,
+        # whatever the other arms draw before it in each phase
+        params = derive_params(0.5, 1e-2)
+        inst = make_instance(3, [0.5, 0.5, 0.5], 2000)
+        config = EngineConfig(schedule=BatchSchedule.doubling(), horizon=2000,
+                              privacy=params)
+        seeds = SeedSpec(4)
+        draws = {}  # generator -> [(m, noise count)], in order of first use
+
+        def spy(true_sum, m, p, rng):
+            est = noisy_sum(true_sum, m, p, rng)
+            draws.setdefault(id(rng), []).append((m, est.popcount - true_sum))
+            return est
+
+        monkeypatch.setattr(bandit, "noisy_sum", spy)
+        run_episode(inst, config, seeds)
+        assert len(draws) == inst.k
+        for a, seq in enumerate(draws.values()):
+            assert len(seq) > 1
+            rng = seeds.noise_rng(a)
+            laws = [noise_law(m, params) for m, _ in seq]
+            assert [count for _, count in seq] == \
+                [int(rng.binomial(law.n, law.q)) for law in laws]
 
     def test_optimal_arm_safe_in_clean_runs(self):
         inst = make_instance(3, [0.9, 0.5, 0.1], 4000)

@@ -50,6 +50,15 @@ class TestAudit:
             [7, 7] + taus + [4 * t for t in taus]
         assert {row["pass"] for row in rows} == {"true"}
 
+    def test_batch_sizes_above_support_cap_pass(self, capsys):
+        code, out, _ = run_cli(
+            ["audit", "--m", "4194304,1000000000", "--eps", "0.25,1",
+             "--delta", "1e-5"], capsys)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [int(row["m"]) for row in rows] == [4194304] * 2 + [10**9] * 2
+        assert {row["pass"] for row in rows} == {"true"}
+
     def test_bad_batch_size_exits_one(self, capsys):
         code, _, err = run_cli(
             ["audit", "--m", "2tau", "--eps", "0.5", "--delta", "0.01"],
