@@ -57,34 +57,13 @@ class BatchSchedule:
 
 @dataclass(frozen=True)
 class EngineConfig:
+    """A variant's batch schedule and privacy; the horizon is the instance's."""
     schedule: BatchSchedule
-    horizon: int
     privacy: PrivacyParams | None = None
-
-    def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
 
     @property
     def sigma(self) -> float:
         return self.privacy.sigma if self.privacy is not None else 0.0
-
-
-@dataclass
-class ArmState:
-    noisy_sum: float = 0.0
-    pulls: int = 0
-    mean_estimate: float = 0.0
-    radius: float = math.inf
-    active: bool = True
-
-    @property
-    def ucb(self) -> float:
-        return self.mean_estimate + self.radius
-
-    @property
-    def lcb(self) -> float:
-        return self.mean_estimate - self.radius
 
 
 @dataclass
@@ -141,10 +120,6 @@ class RegretTrace:
         out.flags.writeable = False
         return out
 
-    @property
-    def final_regret(self) -> float:
-        return self.regret
-
 
 def confidence_radius(t: int, pulls: int, horizon: float, sigma: float) -> float:
     """(2 sqrt(t) sigma / N + 1 / sqrt(N)) * sqrt(2 ln T)."""
@@ -152,42 +127,38 @@ def confidence_radius(t: int, pulls: int, horizon: float, sigma: float) -> float
             * math.sqrt(2.0 * math.log(horizon)))
 
 
-def update_confidence(state: ArmState, t: int, horizon: float,
-                      sigma: float) -> ArmState:
-    if state.pulls <= 0:
-        raise ValueError("confidence radius needs at least one pull")
-    state.radius = confidence_radius(t, state.pulls, horizon, sigma)
-    return state
+def eliminate(active: list[bool], estimates: list[float],
+              radii: list[float]) -> list[int]:
+    """Deactivate active arms whose UCB is strictly below the best LCB.
 
-
-def eliminate(states: list[ArmState]) -> list[int]:
-    """Deactivate active arms whose UCB is strictly below the best LCB."""
-    active = [st for st in states if st.active]
-    if not active:
+    `estimates` and `radii` are indexed by arm; entries of inactive arms are
+    not read.  Returns the deactivated arms in ascending order.
+    """
+    arms = [a for a, on in enumerate(active) if on]
+    if not arms:
         return []
-    best_lcb = max(st.lcb for st in active)
-    out = []
-    for a, st in enumerate(states):
-        if st.active and st.ucb < best_lcb:
-            st.active = False
-            out.append(a)
+    best_lcb = max(estimates[a] - radii[a] for a in arms)
+    out = [a for a in arms if estimates[a] + radii[a] < best_lcb]
+    for a in out:
+        active[a] = False
     return out
 
 
-def run_phase(states, tapes, noise, phase, config, instance, trace):
+def run_phase(sums, pulls, active, tapes, noise, phase, config, instance,
+              trace):
     """Pull one batch per active arm, in ascending arm order.
 
-    `noise` holds one generator per arm for the mechanism.  Returns the
-    number of users consumed so far.  If the horizon is reached the
-    interrupted batch's pulls count toward regret but the mechanism is not
-    invoked and the arm's state is left untouched.
+    `sums` and `pulls` hold each arm's (noisy) reward sum and the pulls fed
+    to the mechanism; `noise` holds one generator per arm for the mechanism.
+    Returns the number of users consumed so far.  If the horizon is reached
+    the interrupted batch's pulls count toward regret but the mechanism is
+    not invoked and the arm's sums and pulls are left untouched.
     """
     m = config.schedule.batch_size(phase)
     gaps = instance.gaps
-    horizon = config.horizon
+    horizon = instance.horizon
     for a in range(instance.k):
-        st = states[a]
-        if not st.active:
+        if not active[a]:
             continue
         remaining = horizon - trace.users
         if remaining == 0:
@@ -202,19 +173,21 @@ def run_phase(states, tapes, noise, phase, config, instance, trace):
             z = float(true_sum)
         else:
             z = noisy_sum(true_sum, m, config.privacy, noise[a]).value
-        st.noisy_sum += z
-        st.pulls += m
-        st.mean_estimate = st.noisy_sum / st.pulls
+        sums[a] += z
+        pulls[a] += m
     return trace.users
 
 
 def run_episode(instance: BanditInstance, config: EngineConfig,
                 seeds: SeedSpec) -> RegretTrace:
     """One seeded run to the horizon; deterministic given (instance, config, seeds)."""
-    horizon = config.horizon
-    states = [ArmState() for _ in range(instance.k)]
+    k = instance.k
+    horizon = instance.horizon
+    sums = [0.0] * k
+    pulls = [0] * k
+    active = [True] * k
     tapes = make_tapes(instance, seeds)
-    noise = ([seeds.noise_rng(a) for a in range(instance.k)]
+    noise = ([seeds.noise_rng(a) for a in range(k)]
              if config.privacy is not None else None)
     trace = RegretTrace()
     sigma = config.sigma
@@ -222,17 +195,20 @@ def run_episode(instance: BanditInstance, config: EngineConfig,
     phase = 0
     while consumed < horizon:
         phase += 1
-        consumed = run_phase(states, tapes, noise, phase, config, instance,
-                             trace)
+        consumed = run_phase(sums, pulls, active, tapes, noise, phase, config,
+                             instance, trace)
         if consumed >= horizon:
             break
-        for st in states:
-            if st.active:
-                update_confidence(st, phase, horizon, sigma)
-        for a, st in enumerate(states):
-            if st.active and abs(st.mean_estimate - instance.means[a]) > st.radius:
-                trace.clean_event_violated = True
-        for a in eliminate(states):
+        # every active arm was pulled in this completed phase
+        estimates = [0.0] * k
+        radii = [0.0] * k
+        for a in range(k):
+            if active[a]:
+                estimates[a] = sums[a] / pulls[a]
+                radii[a] = confidence_radius(phase, pulls[a], horizon, sigma)
+                if abs(estimates[a] - instance.means[a]) > radii[a]:
+                    trace.clean_event_violated = True
+        for a in eliminate(active, estimates, radii):
             trace.eliminations.append((a, phase))
     trace.arm_pulls_total = [tape.cursor for tape in tapes]
     return trace

@@ -50,7 +50,6 @@ class ExperimentConfig:
     checkpoints: tuple[int, ...]
     output: str
     baseline_m: int = 1
-    sdp_ae_m: int | None = None  # override for the constant batch size
 
     def instance(self) -> BanditInstance:
         return make_instance(self.k, list(self.means), self.horizon)
@@ -136,7 +135,6 @@ def parse_config(path: str) -> ExperimentConfig:
     deltas = tuple(getf("deltas", v)
                    for v in _parse_list(raw.get("deltas", ("", 0))[0]))
     baseline_m = geti("baseline_m", raw["baseline_m"][0]) if "baseline_m" in raw else 1
-    sdp_ae_m = geti("sdp_ae_m", raw["sdp_ae_m"][0]) if "sdp_ae_m" in raw else None
 
     if k < 1:
         raise ConfigError(f"{path}:{raw['k'][1]}: k must be >= 1")
@@ -155,6 +153,9 @@ def parse_config(path: str) -> ExperimentConfig:
                               f"{v!r} (expected one of {', '.join(VARIANTS)})")
     if seeds < 1:
         raise ConfigError(f"{path}:{raw['seeds'][1]}: seeds must be >= 1")
+    if baseline_m < 1:
+        raise ConfigError(f"{path}:{raw['baseline_m'][1]}: baseline_m must "
+                          f"be >= 1")
     if list(checkpoints) != sorted(checkpoints):
         raise ConfigError(f"{path}:{raw['checkpoints'][1]}: checkpoints must "
                           f"be sorted ascending")
@@ -179,28 +180,22 @@ def parse_config(path: str) -> ExperimentConfig:
                             variants=variants, epsilons=epsilons,
                             deltas=deltas, seeds=seeds,
                             master_seed=master_seed, checkpoints=checkpoints,
-                            output=output, baseline_m=baseline_m,
-                            sdp_ae_m=sdp_ae_m)
+                            output=output, baseline_m=baseline_m)
 
 
 def engine_config(config: ExperimentConfig, variant: str,
                   params: PrivacyParams | None) -> EngineConfig:
     if variant == VARIANT_BASELINE:
-        return EngineConfig(schedule=BatchSchedule.constant(config.baseline_m),
-                            horizon=config.horizon)
+        return EngineConfig(schedule=BatchSchedule.constant(config.baseline_m))
     if params is None:
         raise ValueError(f"variant {variant} needs privacy parameters")
     if variant == VARIANT_SDP_AE:
-        if config.sdp_ae_m is not None:
-            schedule = BatchSchedule.constant(config.sdp_ae_m)
-        else:
-            schedule = BatchSchedule.default_constant(params)
+        schedule = BatchSchedule.default_constant(params)
     elif variant == VARIANT_VB:
         schedule = BatchSchedule.doubling()
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return EngineConfig(schedule=schedule, horizon=config.horizon,
-                        privacy=params)
+    return EngineConfig(schedule=schedule, privacy=params)
 
 
 def _cells(config: ExperimentConfig, variant: str):
@@ -365,7 +360,6 @@ def emit_outputs(result: AggregateResult, config: ExperimentConfig,
             "seeds": config.seeds,
             "checkpoints": list(config.checkpoints),
             "baseline_m": config.baseline_m,
-            "sdp_ae_m": config.sdp_ae_m,
         },
     }
     with _replacing(os.path.join(out, "manifest.json")) as fh:

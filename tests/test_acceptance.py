@@ -49,9 +49,9 @@ def clean_event_runs():
     params = derive_params(1.0, 1e-5)
     configs = {
         "sdp-ae": EngineConfig(schedule=BatchSchedule.default_constant(params),
-                               horizon=10**4, privacy=params),
+                               privacy=params),
         "vb-sdp-ae": EngineConfig(schedule=BatchSchedule.doubling(),
-                                  horizon=10**4, privacy=params),
+                                  privacy=params),
     }
     traces = {name: [run_episode(instance, config, SeedSpec(606, seed))
                      for seed in range(1000)]
@@ -164,9 +164,9 @@ def test_criterion_8_log_t_regret_growth():
     for horizon in (10**4, 4 * 10**4):
         instance = make_instance(5, MEANS5, horizon)
         config = EngineConfig(schedule=BatchSchedule.doubling(),
-                              horizon=horizon, privacy=params)
+                              privacy=params)
         regrets[horizon] = np.mean(
-            [run_episode(instance, config, SeedSpec(808, s)).final_regret
+            [run_episode(instance, config, SeedSpec(808, s)).regret
              for s in range(seeds)])
     ratio = regrets[4 * 10**4] / regrets[10**4]
     assert report("8 (log-T regret growth)", ratio <= 3.0,
@@ -185,10 +185,9 @@ def test_criterion_9_epsilon_scaling_separation():
         for name, schedule in (
                 ("sdp-ae", BatchSchedule.default_constant(params)),
                 ("vb-sdp-ae", BatchSchedule.doubling())):
-            config = EngineConfig(schedule=schedule, horizon=horizon,
-                                  privacy=params)
+            config = EngineConfig(schedule=schedule, privacy=params)
             mean_regret[(name, eps)] = np.mean(
-                [run_episode(instance, config, SeedSpec(909, s)).final_regret
+                [run_episode(instance, config, SeedSpec(909, s)).regret
                  for s in range(seeds)])
     sdp_inc = mean_regret[("sdp-ae", 0.25)] - mean_regret[("sdp-ae", 1.0)]
     vb_inc = mean_regret[("vb-sdp-ae", 0.25)] - mean_regret[("vb-sdp-ae", 1.0)]
@@ -204,7 +203,7 @@ def test_criterion_10_baseline_closed_form():
     t_star = next(t for t in range(1, 500)
                   if 2 * confidence_radius(t, m * t, horizon, 0.0) < 1)
     instance = make_instance(2, [1.0, 0.0], horizon)
-    config = EngineConfig(schedule=BatchSchedule.constant(m), horizon=horizon)
+    config = EngineConfig(schedule=BatchSchedule.constant(m))
     trace = run_episode(instance, config, SeedSpec(1010))
     pulls = trace.arm_pulls_total[1]
     ok = pulls == m * t_star and trace.eliminations == [(1, t_star)]

@@ -1,14 +1,16 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shufflebandit import bandit
-from shufflebandit.bandit import (ArmState, BatchSchedule, EngineConfig,
-                                  RegretTrace, confidence_radius, eliminate,
-                                  run_episode, run_phase, update_confidence)
+from shufflebandit import bandit, harness
+from shufflebandit.bandit import (BatchSchedule, EngineConfig, RegretTrace,
+                                  confidence_radius, eliminate, run_episode,
+                                  run_phase)
 from shufflebandit.env import RewardTape, SeedSpec, make_instance, make_tapes
 from shufflebandit.mechanism import derive_params, noise_law, noisy_sum
 
@@ -30,32 +32,20 @@ class TestConfidenceRadius:
         assert confidence_radius(4, 30, 10**5, 12.0) == \
             pytest.approx(I_4_30_12_1E5, rel=1e-12)
 
-    def test_update_requires_pulls(self):
-        with pytest.raises(ValueError):
-            update_confidence(ArmState(), 1, 100, 1.0)
-
 
 class TestEliminate:
-    def _state(self, mean, radius):
-        st = ArmState()
-        st.mean_estimate = mean
-        st.radius = radius
-        return st
-
     def test_direct_rule(self):
-        states = [self._state(0.7, 0.2), self._state(0.2, 0.1)]
+        active = [True, True]
         # UCBs [0.9, 0.3], LCBs [0.5, 0.1]: arm 1 is strictly below
-        assert eliminate(states) == [1]
-        assert states[0].active and not states[1].active
+        assert eliminate(active, [0.7, 0.2], [0.2, 0.1]) == [1]
+        assert active[0] and not active[1]
 
     def test_tie_no_elimination(self):
-        states = [self._state(0.5, 0.0), self._state(0.5, 0.0)]
-        assert eliminate(states) == []
+        assert eliminate([True, True], [0.5, 0.5], [0.0, 0.0]) == []
 
     def test_best_lcb_arm_never_eliminated(self):
-        states = [self._state(0.9, 0.05), self._state(0.4, 0.05),
-                  self._state(0.3, 0.05)]
-        eliminated = eliminate(states)
+        eliminated = eliminate([True] * 3, [0.9, 0.4, 0.3],
+                               [0.05, 0.05, 0.05])
         assert 0 not in eliminated
         assert eliminated == [1, 2]
 
@@ -63,44 +53,46 @@ class TestEliminate:
 class TestRunPhase:
     def test_bookkeeping_constant(self):
         inst = make_instance(2, [1.0, 0.0], 1000)
-        config = EngineConfig(schedule=BatchSchedule.constant(10), horizon=1000)
-        states = [ArmState(), ArmState()]
+        config = EngineConfig(schedule=BatchSchedule.constant(10))
+        sums, pulls, active = [0.0, 0.0], [0, 0], [True, True]
         tapes = make_tapes(inst, SeedSpec(0))
-        consumed = run_phase(states, tapes, None, 1, config, inst,
-                             RegretTrace())
+        consumed = run_phase(sums, pulls, active, tapes, None, 1, config,
+                             inst, RegretTrace())
         assert consumed == 20
-        assert [st.pulls for st in states] == [10, 10]
+        assert pulls == [10, 10]
 
     def test_noiseless_exact_sum(self):
         inst = make_instance(1, [1.0], 100)
-        config = EngineConfig(schedule=BatchSchedule.constant(5), horizon=100)
-        states = [ArmState()]
+        config = EngineConfig(schedule=BatchSchedule.constant(5))
+        sums, pulls = [0.0], [0]
         tapes = make_tapes(inst, SeedSpec(0))
-        run_phase(states, tapes, None, 1, config, inst, RegretTrace())
-        assert states[0].noisy_sum == 5.0
-        assert states[0].mean_estimate == 1.0
+        run_phase(sums, pulls, [True], tapes, None, 1, config, inst,
+                  RegretTrace())
+        assert sums[0] == 5.0
+        assert sums[0] / pulls[0] == 1.0
 
     def test_doubling_pull_counts(self):
         inst = make_instance(2, [0.5, 0.5], 10**4)
-        config = EngineConfig(schedule=BatchSchedule.doubling(), horizon=10**4)
-        states = [ArmState(), ArmState()]
+        config = EngineConfig(schedule=BatchSchedule.doubling())
+        sums, pulls, active = [0.0, 0.0], [0, 0], [True, True]
         tapes = make_tapes(inst, SeedSpec(0))
         trace = RegretTrace()
         for t in (1, 2, 3):
-            run_phase(states, tapes, None, t, config, inst, trace)
-        assert all(st.pulls == 2**4 - 2 for st in states)
+            run_phase(sums, pulls, active, tapes, None, t, config, inst,
+                      trace)
+        assert all(n == 2**4 - 2 for n in pulls)
 
     def test_horizon_exit_skips_mechanism(self):
         # the batch reaching the T-th pull is charged but never aggregated
         inst = make_instance(2, [1.0, 1.0], 15)
-        config = EngineConfig(schedule=BatchSchedule.constant(10), horizon=15)
-        states = [ArmState(), ArmState()]
+        config = EngineConfig(schedule=BatchSchedule.constant(10))
+        sums, pulls, active = [0.0, 0.0], [0, 0], [True, True]
         tapes = make_tapes(inst, SeedSpec(0))
-        consumed = run_phase(states, tapes, None, 1, config, inst,
-                             RegretTrace())
+        consumed = run_phase(sums, pulls, active, tapes, None, 1, config,
+                             inst, RegretTrace())
         assert consumed == 15
-        assert states[0].pulls == 10
-        assert states[1].pulls == 0  # interrupted batch, no state update
+        assert pulls[0] == 10
+        assert pulls[1] == 0  # interrupted batch, no state update
         assert tapes[1].cursor == 5
 
 
@@ -108,7 +100,7 @@ class TestRunEpisode:
     def test_single_arm_zero_regret(self):
         inst = make_instance(1, [0.5], 500)
         params = derive_params(0.9, 1e-3)
-        config = EngineConfig(schedule=BatchSchedule.doubling(), horizon=500,
+        config = EngineConfig(schedule=BatchSchedule.doubling(),
                               privacy=params)
         trace = run_episode(inst, config, SeedSpec(3))
         assert np.all(trace.cumulative_regret == 0.0)
@@ -121,17 +113,16 @@ class TestRunEpisode:
         t_star = next(t for t in range(1, 200)
                       if 2 * confidence_radius(t, m * t, horizon, 0.0) < 1)
         inst = make_instance(2, [1.0, 0.0], horizon)
-        config = EngineConfig(schedule=BatchSchedule.constant(m),
-                              horizon=horizon)
+        config = EngineConfig(schedule=BatchSchedule.constant(m))
         trace = run_episode(inst, config, SeedSpec(11))
         assert trace.eliminations == [(1, t_star)]
         assert trace.arm_pulls_total[1] == m * t_star
-        assert trace.final_regret == m * t_star
+        assert trace.regret == m * t_star
 
     def test_pull_accounting(self):
         inst = make_instance(3, [0.9, 0.5, 0.1], 777)
         params = derive_params(0.8, 1e-3)
-        config = EngineConfig(schedule=BatchSchedule.doubling(), horizon=777,
+        config = EngineConfig(schedule=BatchSchedule.doubling(),
                               privacy=params)
         trace = run_episode(inst, config, SeedSpec(5))
         assert sum(trace.arm_pulls_total) == 777
@@ -140,39 +131,38 @@ class TestRunEpisode:
         inst = make_instance(3, [0.9, 0.5, 0.1], 2000)
         params = derive_params(0.8, 1e-3)
         config = EngineConfig(schedule=BatchSchedule.constant(30),
-                              horizon=2000, privacy=params)
+                              privacy=params)
         trace = run_episode(inst, config, SeedSpec(5))
         assert np.all(np.diff(trace.cumulative_regret) >= 0)
         # final value equals the gap-weighted pull counts
         gaps = inst.gaps
         expected = sum(n * g for n, g in zip(trace.arm_pulls_total, gaps))
-        assert trace.final_regret == pytest.approx(expected)
+        assert trace.regret == pytest.approx(expected)
 
     def test_equal_footing_constant_schedule(self):
         # all active arms share N (hence I) after every full phase
         inst = make_instance(4, [0.8, 0.6, 0.4, 0.2], 5000)
         params = derive_params(0.9, 1e-3)
         config = EngineConfig(schedule=BatchSchedule.constant(25),
-                              horizon=5000, privacy=params)
-        states = [ArmState() for _ in range(4)]
+                              privacy=params)
+        sums, pulls, active = [0.0] * 4, [0] * 4, [True] * 4
         tapes = make_tapes(inst, SeedSpec(21))
         noise = [SeedSpec(21).noise_rng(a) for a in range(4)]
         trace = RegretTrace()
         for t in range(1, 5):
-            run_phase(states, tapes, noise, t, config, inst, trace)
-            active_pulls = {st.pulls for st in states if st.active}
+            run_phase(sums, pulls, active, tapes, noise, t, config, inst,
+                      trace)
+            active_pulls = {n for n, on in zip(pulls, active) if on}
             assert len(active_pulls) == 1
-            for st in states:
-                if st.active:
-                    update_confidence(st, t, 5000, params.sigma)
-            radii = {st.radius for st in states if st.active}
-            assert len(radii) == 1
-            eliminate(states)
+            radii = [confidence_radius(t, n, 5000, params.sigma)
+                     for n in pulls]
+            assert len({r for r, on in zip(radii, active) if on}) == 1
+            eliminate(active, [s / n for s, n in zip(sums, pulls)], radii)
 
     def test_determinism(self):
         inst = make_instance(3, [0.7, 0.5, 0.3], 3000)
         params = derive_params(0.6, 1e-4)
-        config = EngineConfig(schedule=BatchSchedule.doubling(), horizon=3000,
+        config = EngineConfig(schedule=BatchSchedule.doubling(),
                               privacy=params)
         a = run_episode(inst, config, SeedSpec(123, 7))
         b = run_episode(inst, config, SeedSpec(123, 7))
@@ -184,7 +174,7 @@ class TestRunEpisode:
         # whatever the other arms draw before it in each phase
         params = derive_params(0.5, 1e-2)
         inst = make_instance(3, [0.5, 0.5, 0.5], 2000)
-        config = EngineConfig(schedule=BatchSchedule.doubling(), horizon=2000,
+        config = EngineConfig(schedule=BatchSchedule.doubling(),
                               privacy=params)
         seeds = SeedSpec(4)
         draws = {}  # generator -> [(m, noise count)], in order of first use
@@ -206,7 +196,7 @@ class TestRunEpisode:
 
     def test_optimal_arm_safe_in_clean_runs(self):
         inst = make_instance(3, [0.9, 0.5, 0.1], 4000)
-        config = EngineConfig(schedule=BatchSchedule.constant(5), horizon=4000)
+        config = EngineConfig(schedule=BatchSchedule.constant(5))
         for seed in range(30):
             trace = run_episode(inst, config, SeedSpec(900, seed))
             if not trace.clean_event_violated:
@@ -217,7 +207,7 @@ class TestRunEpisode:
     def test_trace_invariants_property(self, seed):
         inst = make_instance(2, [0.8, 0.3], 600)
         params = derive_params(0.9, 1e-2)
-        config = EngineConfig(schedule=BatchSchedule.doubling(), horizon=600,
+        config = EngineConfig(schedule=BatchSchedule.doubling(),
                               privacy=params)
         trace = run_episode(inst, config, SeedSpec(seed))
         assert trace.cumulative_regret.size == 600
@@ -262,7 +252,7 @@ class TestRegretSegments:
 
         monkeypatch.setattr(RewardTape, "draw", recording_draw)
         inst = make_instance(4, self.MEANS, horizon)
-        config = EngineConfig(schedule=schedule, horizon=horizon,
+        config = EngineConfig(schedule=schedule,
                               privacy=derive_params(0.9, 1e-2) if private
                               else None)
         trace = run_episode(inst, config, SeedSpec(31))
@@ -273,7 +263,7 @@ class TestRegretSegments:
         checkpoints = sorted({1, (horizon + 1) // 2, horizon})
         np.testing.assert_array_equal(trace.at(checkpoints),
                                       reference[np.array(checkpoints) - 1])
-        assert trace.final_regret == reference[-1]
+        assert trace.regret == reference[-1]
         # every case ends on a batch cut short by the horizon
         full_sizes = {schedule.batch_size(phase) for phase in range(1, 30)}
         assert batches[-1][1] not in full_sizes
@@ -300,6 +290,41 @@ class TestRegretSegments:
         trace.charge(3, 0.25)
         with pytest.raises(ValueError):
             trace.cumulative_regret[0] = 1.0
+
+
+def _load_tracer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTracerHooks:
+    def test_tracer_counts_phases_and_eliminations(self):
+        # the benchmark's tracer wraps engine functions by name from outside;
+        # renaming one, or no longer calling it, must fail here
+        tracing = _load_tracer()
+        tracer = tracing.Tracer()
+        horizon, m = 1000, 10
+        t_star = next(t for t in range(1, 200)
+                      if 2 * confidence_radius(t, m * t, horizon, 0.0) < 1)
+        inst = make_instance(2, [1.0, 0.0], horizon)
+        config = EngineConfig(schedule=BatchSchedule.constant(m))
+        originals = (bandit.run_phase, bandit.eliminate, harness.run_episode)
+        uninstall = tracing.install(tracer)
+        try:
+            trace = harness.run_episode(inst, config, SeedSpec(11))
+        finally:
+            uninstall()
+        assert (bandit.run_phase, bandit.eliminate,
+                harness.run_episode) == originals
+        metrics = tracing.layer_metrics(tracer)
+        # t_star phases of both arms, then arm 0 alone up to the horizon
+        assert metrics["bandit.phases"] == \
+            t_star + (horizon - 2 * m * t_star) // m
+        assert metrics["bandit.eliminations"] == len(trace.eliminations) == 1
+        assert metrics["bandit.regret_bytes"] == 8 * horizon
 
 
 class TestBatchSchedule:

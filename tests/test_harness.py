@@ -92,6 +92,13 @@ class TestParseConfig:
                            match=r":11: duplicate key 'seeds' .*line 6"):
             parse_config(path)
 
+    @pytest.mark.parametrize("m", ["0", "-3"])
+    def test_baseline_m_below_one_reports_lineno(self, tmp_path, m):
+        bad = MINIMAL.replace("baseline_m = 10", f"baseline_m = {m}")
+        path, _ = write_config(tmp_path, bad)
+        with pytest.raises(ConfigError, match=r":10: baseline_m must be >= 1"):
+            parse_config(path)
+
     def test_unknown_variant(self, tmp_path):
         bad = MINIMAL.replace("ae-baseline", "thompson")
         path, _ = write_config(tmp_path, bad)
