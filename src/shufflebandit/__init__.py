@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .env import BanditInstance, RewardTape, SeedSpec, make_instance
 from .mechanism import (PrivacyParams, SumEstimate, analyze, derive_params,
                         encode, noisy_sum, private_sum, shuffle)
-from .bandit import BatchSchedule, EngineConfig, RegretTrace, run_episode
+from .bandit import EngineConfig, RegretTrace, run_episode
 from .harness import ExperimentConfig, parse_config, run_experiment
 
 __all__ = [
@@ -13,7 +13,7 @@ __all__ = [
     "PrivacyParams", "SumEstimate", "analyze", "noisy_sum",
     "derive_params", "encode", "private_sum", "shuffle", "AuditReport",
     "audit_grid", "hockey_stick", "noise_distribution",
-    "BatchSchedule", "EngineConfig", "RegretTrace", "run_episode",
+    "EngineConfig", "RegretTrace", "run_episode",
     "ExperimentConfig", "parse_config", "run_experiment", "__version__",
 ]
 

@@ -20,46 +20,19 @@ from .mechanism import PrivacyParams, noisy_sum
 # noisy_sum, and private_sum stays the specification it is tested against.
 from .mechanism import private_sum  # noqa: F401
 
-CONSTANT = "constant"
-DOUBLING = "doubling"
-
-
-@dataclass(frozen=True)
-class BatchSchedule:
-    kind: str
-    constant_m: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in (CONSTANT, DOUBLING):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.kind == CONSTANT:
-            if self.constant_m is None or self.constant_m < 1:
-                raise ValueError("constant schedule needs constant_m >= 1")
-
-    @classmethod
-    def constant(cls, m: int) -> "BatchSchedule":
-        return cls(kind=CONSTANT, constant_m=m)
-
-    @classmethod
-    def doubling(cls) -> "BatchSchedule":
-        return cls(kind=DOUBLING)
-
-    @classmethod
-    def default_constant(cls, params: PrivacyParams) -> "BatchSchedule":
-        """Constant batches of ceil(sigma), the recommended fixed size."""
-        return cls.constant(math.ceil(params.sigma))
-
-    def batch_size(self, phase: int) -> int:
-        if self.kind == CONSTANT:
-            return self.constant_m
-        return 2**phase
-
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """A variant's batch schedule and privacy; the horizon is the instance's."""
-    schedule: BatchSchedule
+    """A variant's batch size and privacy; the horizon is the instance's.
+
+    Every batch holds `m` users, or 2**phase users when `m` is None.
+    """
+    m: int | None = None
     privacy: PrivacyParams | None = None
+
+    def __post_init__(self):
+        if self.m is not None and self.m < 1:
+            raise ValueError(f"batch size m must be >= 1, got {self.m}")
 
     @property
     def sigma(self) -> float:
@@ -154,7 +127,7 @@ def run_phase(sums, pulls, active, tapes, noise, phase, config, instance,
     the interrupted batch's pulls count toward regret but the mechanism is
     not invoked and the arm's sums and pulls are left untouched.
     """
-    m = config.schedule.batch_size(phase)
+    m = config.m if config.m is not None else 2**phase
     gaps = instance.gaps
     horizon = instance.horizon
     for a in range(instance.k):

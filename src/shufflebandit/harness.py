@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from .bandit import BatchSchedule, EngineConfig, run_episode
+from .bandit import EngineConfig, run_episode
 from .env import BanditInstance, SeedSpec, make_instance
 from .mechanism import PrivacyParams, derive_params
 
@@ -153,12 +153,15 @@ def parse_config(path: str) -> ExperimentConfig:
                               f"{v!r} (expected one of {', '.join(VARIANTS)})")
     if seeds < 1:
         raise ConfigError(f"{path}:{raw['seeds'][1]}: seeds must be >= 1")
+    if master_seed < 0:
+        raise ConfigError(f"{path}:{raw['master_seed'][1]}: master_seed "
+                          f"must be >= 0")
     if baseline_m < 1:
         raise ConfigError(f"{path}:{raw['baseline_m'][1]}: baseline_m must "
                           f"be >= 1")
-    if list(checkpoints) != sorted(checkpoints):
+    if any(a >= b for a, b in zip(checkpoints, checkpoints[1:])):
         raise ConfigError(f"{path}:{raw['checkpoints'][1]}: checkpoints must "
-                          f"be sorted ascending")
+                          f"be sorted strictly ascending")
     if not checkpoints:
         raise ConfigError(f"{path}: checkpoints must be nonempty")
     if checkpoints[0] < 1 or checkpoints[-1] > horizon:
@@ -185,17 +188,16 @@ def parse_config(path: str) -> ExperimentConfig:
 
 def engine_config(config: ExperimentConfig, variant: str,
                   params: PrivacyParams | None) -> EngineConfig:
+    """The batch size and privacy each variant runs with."""
     if variant == VARIANT_BASELINE:
-        return EngineConfig(schedule=BatchSchedule.constant(config.baseline_m))
+        return EngineConfig(m=config.baseline_m)
     if params is None:
         raise ValueError(f"variant {variant} needs privacy parameters")
     if variant == VARIANT_SDP_AE:
-        schedule = BatchSchedule.default_constant(params)
-    elif variant == VARIANT_VB:
-        schedule = BatchSchedule.doubling()
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return EngineConfig(schedule=schedule, privacy=params)
+        return EngineConfig(m=math.ceil(params.sigma), privacy=params)
+    if variant == VARIANT_VB:
+        return EngineConfig(privacy=params)
+    raise ValueError(f"unknown variant {variant!r}")
 
 
 def _cells(config: ExperimentConfig, variant: str):
@@ -216,17 +218,13 @@ def _run_job(args):
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1,
-                   full_trace: bool = False,
-                   write: bool = True) -> AggregateResult:
+                   full_trace: bool = False) -> AggregateResult:
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    jobs = []
-    keys = []
-    for variant in config.variants:
-        for eps, delta in _cells(config, variant):
-            for seed in range(config.seeds):
-                jobs.append((config, variant, eps, delta, seed, full_trace))
-                keys.append((variant, eps, delta, seed))
+    keys = [(variant, eps, delta, seed) for variant in config.variants
+            for eps, delta in _cells(config, variant)
+            for seed in range(config.seeds)]
+    jobs = [(config, *key, full_trace) for key in keys]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(_run_job, jobs, chunksize=4))
@@ -235,14 +233,13 @@ def run_experiment(config: ExperimentConfig, threads: int = 1,
 
     result = AggregateResult(rows=[])
     per_cell: dict = {}
-    for (variant, eps, delta, seed), (checks, violated, full) in zip(keys, outcomes):
-        cell = per_cell.setdefault((variant, eps, delta),
-                                   {"checks": [], "violations": 0})
+    for key, (checks, violated, full) in zip(keys, outcomes):
+        cell = per_cell.setdefault(key[:3], {"checks": [], "violations": 0})
         cell["checks"].append(checks)
         cell["violations"] += int(violated)
-        result.traces[(variant, eps, delta, seed)] = checks
-        if full_trace:
-            result.full_traces[(variant, eps, delta, seed)] = full
+        result.traces[key] = checks
+        if full is not None:
+            result.full_traces[key] = full
 
     for variant in config.variants:
         for eps, delta in _cells(config, variant):
@@ -260,8 +257,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1,
                     mean_regret=float(means[j]), stderr=float(stderrs[j]),
                     min=float(data[:, j].min()), max=float(data[:, j].max()),
                     clean_violations=cell["violations"]))
-    if write:
-        emit_outputs(result, config, full_trace=full_trace)
+    emit_outputs(result, config)
     return result
 
 
@@ -286,12 +282,12 @@ def _replacing(path: str):
 
 
 def _write_traces(directory: str, result: AggregateResult,
-                  config: ExperimentConfig, full_trace: bool) -> None:
+                  config: ExperimentConfig) -> None:
     for key, checks in sorted(result.traces.items(), key=lambda kv: str(kv[0])):
         variant, eps, delta, seed = key
         tag = f"{variant}_{_fmt(eps) or 'none'}_{_fmt(delta) or 'none'}_{seed}"
         with open(os.path.join(directory, tag + ".csv"), "w") as fh:
-            if full_trace and key in result.full_traces:
+            if key in result.full_traces:
                 fh.write("user,cumulative_regret\n")
                 full = result.full_traces[key].cumulative_regret
                 for user, value in enumerate(full, 1):
@@ -302,9 +298,11 @@ def _write_traces(directory: str, result: AggregateResult,
                     fh.write(f"{cp},{float(value)!r}\n")
 
 
-def emit_outputs(result: AggregateResult, config: ExperimentConfig,
-                 full_trace: bool = False) -> None:
+def emit_outputs(result: AggregateResult, config: ExperimentConfig) -> None:
     """Write results.csv, per-episode traces, plotdata.csv, and manifest.json.
+
+    An episode's trace holds every user when its key is in
+    `result.full_traces`, and its checkpoints otherwise.
 
     Each file is replaced whole.  `traces/` is built in a fresh directory
     beside it and swapped in, so it never holds a previous run's files;
@@ -327,7 +325,7 @@ def emit_outputs(result: AggregateResult, config: ExperimentConfig,
     stale = None
     try:
         os.chmod(fresh, os.stat(out).st_mode & 0o777)  # mkdtemp makes it 0700
-        _write_traces(fresh, result, config, full_trace)
+        _write_traces(fresh, result, config)
         if os.path.lexists(traces):
             stale = fresh + ".old"
             os.rename(traces, stale)

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from shufflebandit.audit import brute_force_shuffle_divergence, hockey_stick
-from shufflebandit.bandit import (BatchSchedule, EngineConfig,
-                                  confidence_radius, run_episode)
+from shufflebandit.bandit import EngineConfig, confidence_radius, run_episode
 from shufflebandit.env import SeedSpec, make_instance
 from shufflebandit.harness import parse_config, run_experiment
 from shufflebandit.mechanism import PrivacyParams, derive_params, private_sum
@@ -48,10 +47,8 @@ def clean_event_runs():
     instance = make_instance(5, MEANS5, 10**4)
     params = derive_params(1.0, 1e-5)
     configs = {
-        "sdp-ae": EngineConfig(schedule=BatchSchedule.default_constant(params),
-                               privacy=params),
-        "vb-sdp-ae": EngineConfig(schedule=BatchSchedule.doubling(),
-                                  privacy=params),
+        "sdp-ae": EngineConfig(m=math.ceil(params.sigma), privacy=params),
+        "vb-sdp-ae": EngineConfig(privacy=params),
     }
     traces = {name: [run_episode(instance, config, SeedSpec(606, seed))
                      for seed in range(1000)]
@@ -163,8 +160,7 @@ def test_criterion_8_log_t_regret_growth():
     regrets = {}
     for horizon in (10**4, 4 * 10**4):
         instance = make_instance(5, MEANS5, horizon)
-        config = EngineConfig(schedule=BatchSchedule.doubling(),
-                              privacy=params)
+        config = EngineConfig(privacy=params)
         regrets[horizon] = np.mean(
             [run_episode(instance, config, SeedSpec(808, s)).regret
              for s in range(seeds)])
@@ -182,10 +178,9 @@ def test_criterion_9_epsilon_scaling_separation():
     mean_regret = {}
     for eps in (0.25, 1.0):
         params = derive_params(eps, 1e-5)
-        for name, schedule in (
-                ("sdp-ae", BatchSchedule.default_constant(params)),
-                ("vb-sdp-ae", BatchSchedule.doubling())):
-            config = EngineConfig(schedule=schedule, privacy=params)
+        for name, m in (("sdp-ae", math.ceil(params.sigma)),
+                        ("vb-sdp-ae", None)):
+            config = EngineConfig(m=m, privacy=params)
             mean_regret[(name, eps)] = np.mean(
                 [run_episode(instance, config, SeedSpec(909, s)).regret
                  for s in range(seeds)])
@@ -203,7 +198,7 @@ def test_criterion_10_baseline_closed_form():
     t_star = next(t for t in range(1, 500)
                   if 2 * confidence_radius(t, m * t, horizon, 0.0) < 1)
     instance = make_instance(2, [1.0, 0.0], horizon)
-    config = EngineConfig(schedule=BatchSchedule.constant(m))
+    config = EngineConfig(m=m)
     trace = run_episode(instance, config, SeedSpec(1010))
     pulls = trace.arm_pulls_total[1]
     ok = pulls == m * t_star and trace.eliminations == [(1, t_star)]

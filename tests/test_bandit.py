@@ -1,5 +1,6 @@
 import importlib.util
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shufflebandit import bandit, harness
-from shufflebandit.bandit import (BatchSchedule, EngineConfig, RegretTrace,
-                                  confidence_radius, eliminate, run_episode,
-                                  run_phase)
+from shufflebandit.bandit import (EngineConfig, RegretTrace, confidence_radius,
+                                  eliminate, run_episode, run_phase)
 from shufflebandit.env import RewardTape, SeedSpec, make_instance, make_tapes
 from shufflebandit.mechanism import derive_params, noise_law, noisy_sum
 
@@ -53,7 +53,7 @@ class TestEliminate:
 class TestRunPhase:
     def test_bookkeeping_constant(self):
         inst = make_instance(2, [1.0, 0.0], 1000)
-        config = EngineConfig(schedule=BatchSchedule.constant(10))
+        config = EngineConfig(m=10)
         sums, pulls, active = [0.0, 0.0], [0, 0], [True, True]
         tapes = make_tapes(inst, SeedSpec(0))
         consumed = run_phase(sums, pulls, active, tapes, None, 1, config,
@@ -63,7 +63,7 @@ class TestRunPhase:
 
     def test_noiseless_exact_sum(self):
         inst = make_instance(1, [1.0], 100)
-        config = EngineConfig(schedule=BatchSchedule.constant(5))
+        config = EngineConfig(m=5)
         sums, pulls = [0.0], [0]
         tapes = make_tapes(inst, SeedSpec(0))
         run_phase(sums, pulls, [True], tapes, None, 1, config, inst,
@@ -73,7 +73,7 @@ class TestRunPhase:
 
     def test_doubling_pull_counts(self):
         inst = make_instance(2, [0.5, 0.5], 10**4)
-        config = EngineConfig(schedule=BatchSchedule.doubling())
+        config = EngineConfig()
         sums, pulls, active = [0.0, 0.0], [0, 0], [True, True]
         tapes = make_tapes(inst, SeedSpec(0))
         trace = RegretTrace()
@@ -85,7 +85,7 @@ class TestRunPhase:
     def test_horizon_exit_skips_mechanism(self):
         # the batch reaching the T-th pull is charged but never aggregated
         inst = make_instance(2, [1.0, 1.0], 15)
-        config = EngineConfig(schedule=BatchSchedule.constant(10))
+        config = EngineConfig(m=10)
         sums, pulls, active = [0.0, 0.0], [0, 0], [True, True]
         tapes = make_tapes(inst, SeedSpec(0))
         consumed = run_phase(sums, pulls, active, tapes, None, 1, config,
@@ -100,8 +100,7 @@ class TestRunEpisode:
     def test_single_arm_zero_regret(self):
         inst = make_instance(1, [0.5], 500)
         params = derive_params(0.9, 1e-3)
-        config = EngineConfig(schedule=BatchSchedule.doubling(),
-                              privacy=params)
+        config = EngineConfig(privacy=params)
         trace = run_episode(inst, config, SeedSpec(3))
         assert np.all(trace.cumulative_regret == 0.0)
 
@@ -113,7 +112,7 @@ class TestRunEpisode:
         t_star = next(t for t in range(1, 200)
                       if 2 * confidence_radius(t, m * t, horizon, 0.0) < 1)
         inst = make_instance(2, [1.0, 0.0], horizon)
-        config = EngineConfig(schedule=BatchSchedule.constant(m))
+        config = EngineConfig(m=m)
         trace = run_episode(inst, config, SeedSpec(11))
         assert trace.eliminations == [(1, t_star)]
         assert trace.arm_pulls_total[1] == m * t_star
@@ -122,16 +121,14 @@ class TestRunEpisode:
     def test_pull_accounting(self):
         inst = make_instance(3, [0.9, 0.5, 0.1], 777)
         params = derive_params(0.8, 1e-3)
-        config = EngineConfig(schedule=BatchSchedule.doubling(),
-                              privacy=params)
+        config = EngineConfig(privacy=params)
         trace = run_episode(inst, config, SeedSpec(5))
         assert sum(trace.arm_pulls_total) == 777
 
     def test_regret_nondecreasing(self):
         inst = make_instance(3, [0.9, 0.5, 0.1], 2000)
         params = derive_params(0.8, 1e-3)
-        config = EngineConfig(schedule=BatchSchedule.constant(30),
-                              privacy=params)
+        config = EngineConfig(m=30, privacy=params)
         trace = run_episode(inst, config, SeedSpec(5))
         assert np.all(np.diff(trace.cumulative_regret) >= 0)
         # final value equals the gap-weighted pull counts
@@ -143,8 +140,7 @@ class TestRunEpisode:
         # all active arms share N (hence I) after every full phase
         inst = make_instance(4, [0.8, 0.6, 0.4, 0.2], 5000)
         params = derive_params(0.9, 1e-3)
-        config = EngineConfig(schedule=BatchSchedule.constant(25),
-                              privacy=params)
+        config = EngineConfig(m=25, privacy=params)
         sums, pulls, active = [0.0] * 4, [0] * 4, [True] * 4
         tapes = make_tapes(inst, SeedSpec(21))
         noise = [SeedSpec(21).noise_rng(a) for a in range(4)]
@@ -162,8 +158,7 @@ class TestRunEpisode:
     def test_determinism(self):
         inst = make_instance(3, [0.7, 0.5, 0.3], 3000)
         params = derive_params(0.6, 1e-4)
-        config = EngineConfig(schedule=BatchSchedule.doubling(),
-                              privacy=params)
+        config = EngineConfig(privacy=params)
         a = run_episode(inst, config, SeedSpec(123, 7))
         b = run_episode(inst, config, SeedSpec(123, 7))
         np.testing.assert_array_equal(a.cumulative_regret, b.cumulative_regret)
@@ -174,8 +169,7 @@ class TestRunEpisode:
         # whatever the other arms draw before it in each phase
         params = derive_params(0.5, 1e-2)
         inst = make_instance(3, [0.5, 0.5, 0.5], 2000)
-        config = EngineConfig(schedule=BatchSchedule.doubling(),
-                              privacy=params)
+        config = EngineConfig(privacy=params)
         seeds = SeedSpec(4)
         draws = {}  # generator -> [(m, noise count)], in order of first use
 
@@ -196,7 +190,7 @@ class TestRunEpisode:
 
     def test_optimal_arm_safe_in_clean_runs(self):
         inst = make_instance(3, [0.9, 0.5, 0.1], 4000)
-        config = EngineConfig(schedule=BatchSchedule.constant(5))
+        config = EngineConfig(m=5)
         for seed in range(30):
             trace = run_episode(inst, config, SeedSpec(900, seed))
             if not trace.clean_event_violated:
@@ -207,8 +201,7 @@ class TestRunEpisode:
     def test_trace_invariants_property(self, seed):
         inst = make_instance(2, [0.8, 0.3], 600)
         params = derive_params(0.9, 1e-2)
-        config = EngineConfig(schedule=BatchSchedule.doubling(),
-                              privacy=params)
+        config = EngineConfig(privacy=params)
         trace = run_episode(inst, config, SeedSpec(seed))
         assert trace.cumulative_regret.size == 600
         assert np.all(np.diff(trace.cumulative_regret) >= 0)
@@ -236,9 +229,9 @@ class TestRegretSegments:
     MEANS = [0.8, 0.8, 0.3, 0.55]
 
     @pytest.mark.parametrize("schedule,private", [
-        (BatchSchedule.constant(7), False),
-        (BatchSchedule.constant(30), True),
-        (BatchSchedule.doubling(), True),
+        (EngineConfig(m=7), False),
+        (EngineConfig(m=30), True),
+        (EngineConfig(), True),
     ])
     @pytest.mark.parametrize("horizon", [1, 997, 5001])
     def test_segments_equal_per_user_fill(self, monkeypatch, schedule,
@@ -252,9 +245,8 @@ class TestRegretSegments:
 
         monkeypatch.setattr(RewardTape, "draw", recording_draw)
         inst = make_instance(4, self.MEANS, horizon)
-        config = EngineConfig(schedule=schedule,
-                              privacy=derive_params(0.9, 1e-2) if private
-                              else None)
+        config = replace(schedule, privacy=derive_params(0.9, 1e-2) if private
+                         else None)
         trace = run_episode(inst, config, SeedSpec(31))
         reference = _reference_fill(batches, inst.gaps, horizon)
         users = np.arange(1, horizon + 1)
@@ -265,7 +257,7 @@ class TestRegretSegments:
                                       reference[np.array(checkpoints) - 1])
         assert trace.regret == reference[-1]
         # every case ends on a batch cut short by the horizon
-        full_sizes = {schedule.batch_size(phase) for phase in range(1, 30)}
+        full_sizes = {schedule.m or 2**phase for phase in range(1, 30)}
         assert batches[-1][1] not in full_sizes
 
     def test_at_rejects_users_outside_trace(self):
@@ -310,7 +302,7 @@ class TestTracerHooks:
         t_star = next(t for t in range(1, 200)
                       if 2 * confidence_radius(t, m * t, horizon, 0.0) < 1)
         inst = make_instance(2, [1.0, 0.0], horizon)
-        config = EngineConfig(schedule=BatchSchedule.constant(m))
+        config = EngineConfig(m=m)
         originals = (bandit.run_phase, bandit.eliminate, harness.run_episode)
         uninstall = tracing.install(tracer)
         try:
@@ -327,20 +319,40 @@ class TestTracerHooks:
         assert metrics["bandit.regret_bytes"] == 8 * horizon
 
 
-class TestBatchSchedule:
-    def test_doubling_sizes(self):
-        sched = BatchSchedule.doubling()
-        assert [sched.batch_size(t) for t in (1, 2, 3, 4)] == [2, 4, 8, 16]
+class TestEngineConfig:
+    def test_doubling_sizes(self, monkeypatch):
+        sizes = []
+        draw = RewardTape.draw
 
-    def test_default_constant_is_ceil_sigma(self):
+        def recording_draw(tape, batch_size):
+            sizes.append(batch_size)
+            return draw(tape, batch_size)
+
+        monkeypatch.setattr(RewardTape, "draw", recording_draw)
+        run_episode(make_instance(1, [0.5], 14), EngineConfig(), SeedSpec(3))
+        assert sizes == [2, 4, 8]
+
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_rejects_m_below_one(self, m):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            EngineConfig(m=m)
+
+    EXPERIMENT = harness.ExperimentConfig(
+        k=2, means=(0.9, 0.1), horizon=100, variants=harness.VARIANTS,
+        epsilons=(1.0,), deltas=(1e-5,), seeds=1, master_seed=0,
+        checkpoints=(100,), output="", baseline_m=7)
+
+    def test_variant_batch_sizes_and_privacy(self):
         params = derive_params(1.0, 1e-5)
-        sched = BatchSchedule.default_constant(params)
-        assert sched.constant_m == math.ceil(params.sigma) == 42
+        assert harness.engine_config(self.EXPERIMENT, "sdp-ae", params) == \
+            EngineConfig(m=math.ceil(params.sigma), privacy=params)
+        assert math.ceil(params.sigma) == 42
+        assert harness.engine_config(self.EXPERIMENT, "vb-sdp-ae", params) == \
+            EngineConfig(m=None, privacy=params)
+        assert harness.engine_config(self.EXPERIMENT, "ae-baseline", None) == \
+            EngineConfig(m=7, privacy=None)
 
-    def test_rejects_bad_kind(self):
-        with pytest.raises(ValueError):
-            BatchSchedule(kind="triangle")
-
-    def test_constant_needs_m(self):
-        with pytest.raises(ValueError):
-            BatchSchedule(kind="constant")
+    def test_unknown_variant(self):
+        with pytest.raises(ValueError, match="thompson"):
+            harness.engine_config(self.EXPERIMENT, "thompson",
+                                  derive_params(1.0, 1e-5))

@@ -64,6 +64,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="sorted"):
             parse_config(path)
 
+    def test_repeated_checkpoints_report_lineno(self, tmp_path):
+        bad = MINIMAL.replace("100, 200", "100, 100, 200")
+        path, _ = write_config(tmp_path, bad)
+        with pytest.raises(ConfigError,
+                           match=r":8: checkpoints must be sorted strictly"):
+            parse_config(path)
+
+    def test_negative_master_seed_reports_lineno(self, tmp_path):
+        bad = MINIMAL.replace("master_seed = 7", "master_seed = -1")
+        path, _ = write_config(tmp_path, bad)
+        with pytest.raises(ConfigError, match=r":7: master_seed must be >= 0"):
+            parse_config(path)
+
     def test_missing_key(self, tmp_path):
         bad = MINIMAL.replace("seeds = 1\n", "")
         path, _ = write_config(tmp_path, bad)
@@ -140,7 +153,7 @@ class TestRunExperiment:
     def test_regret_nondecreasing_along_checkpoints(self, tmp_path):
         path, out = write_config(tmp_path, PRIVATE)
         config = parse_config(path)
-        result = run_experiment(config, write=False)
+        result = run_experiment(config)
         for trace in result.traces.values():
             assert np.all(np.diff(trace) >= 0)
 
@@ -206,8 +219,25 @@ class TestRunExperiment:
         assert (out / "notes.txt").read_text() == "mine"
 
     def test_parallel_matches_serial(self, tmp_path):
-        path, out = write_config(tmp_path, PRIVATE)
-        config = parse_config(path)
-        serial = run_experiment(config, write=False)
-        parallel = run_experiment(config, threads=2, write=False)
-        assert [r for r in serial.rows] == [r for r in parallel.rows]
+        for full_trace in (False, True):
+            runs = []
+            for threads in (1, 2):
+                out = tmp_path / f"out-{full_trace}-{threads}"
+                path = tmp_path / f"{full_trace}-{threads}.cfg"
+                path.write_text(PRIVATE.format(out=out))
+                result = run_experiment(parse_config(str(path)),
+                                        threads=threads, full_trace=full_trace)
+                files = {str(p.relative_to(out)): p.read_bytes()
+                         for p in out.rglob("*") if p.is_file()}
+                runs.append((result, files))
+            (serial, serial_files), (parallel, parallel_files) = runs
+            assert serial.rows == parallel.rows
+            assert serial.traces.keys() == parallel.traces.keys()
+            for key, checks in serial.traces.items():
+                np.testing.assert_array_equal(checks, parallel.traces[key])
+            traces = [v for k, v in serial_files.items()
+                      if k.startswith("traces/")]
+            assert len(traces) == 5 * 3 and len(serial_files) == 3 + 5 * 3
+            header = b"user," if full_trace else b"checkpoint,"
+            assert all(v.startswith(header) for v in traces)
+            assert serial_files == parallel_files
