@@ -11,14 +11,18 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from functools import cache, partial
 
 import numpy as np
 
 from .env import BanditInstance, SeedSpec, make_tapes
-from .mechanism import PrivacyParams, noisy_sum
-# perfbench/tracer.py looks up bandit.private_sum; the engine draws through
-# noisy_sum, and private_sum stays the specification it is tested against.
+from .mechanism import PrivacyParams, noise_law
+# perfbench/tracer.py looks up bandit.private_sum; the engine draws noise
+# counts of `noise_law`, and private_sum stays the specification it is
+# tested against.
 from .mechanism import private_sum  # noqa: F401
+
+RUN_CAP = 1024  # phases drawn ahead in one vector call per stream, at most
 
 
 @dataclass(frozen=True)
@@ -117,71 +121,115 @@ def eliminate(active: list[bool], estimates: list[float],
     return out
 
 
-def run_phase(sums, pulls, active, tapes, noise, phase, config, instance,
-              trace):
-    """Pull one batch per active arm, in ascending arm order.
+def run_phase(sums, active, tapes, counts, m, offset, instance, trace):
+    """Pull one batch of m users per active arm, in ascending arm order.
 
-    `sums` and `pulls` hold each arm's (noisy) reward sum and the pulls fed
-    to the mechanism; `noise` holds one generator per arm for the mechanism.
-    Returns the number of users consumed so far.  If the horizon is reached
-    the interrupted batch's pulls count toward regret but the mechanism is
-    not invoked and the arm's sums and pulls are left untouched.
+    `sums` holds each arm's (noisy) reward sum.  `counts[a]` yields arm a's
+    noise count of each batch, whose law has mean `offset`; `counts` is None
+    for the noiseless engine.  Returns the number of users consumed so far.
+    If the horizon is reached the interrupted batch's pulls count toward
+    regret but the mechanism is not invoked and the arm's sum is left
+    untouched.
     """
-    m = config.m if config.m is not None else 2**phase
     gaps = instance.gaps
     horizon = instance.horizon
     for a in range(instance.k):
         if not active[a]:
             continue
-        remaining = horizon - trace.users
-        if remaining == 0:
-            break
-        take = min(m, remaining)
+        take = min(m, horizon - trace.users)
         true_sum = tapes[a].draw(take)
         trace.charge(take, gaps[a])
         if trace.users == horizon:
             # the T-th pull exits before the communication step
             break
-        if config.privacy is None:
-            z = float(true_sum)
+        if counts is None:
+            sums[a] += float(true_sum)
         else:
-            z = noisy_sum(true_sum, m, config.privacy, noise[a]).value
-        sums[a] += z
-        pulls[a] += m
+            sums[a] += float(true_sum + next(counts[a])) - offset
     return trace.users
+
+
+def _complete_phases(m, phase, users, n_active, horizon) -> list[int]:
+    """Batch sizes of the next phases that must complete, at most RUN_CAP.
+
+    Phase j completes when users + n_active * m_j < horizon at its start;
+    eliminations only lower the users, so no later elimination undoes it.
+    """
+    if m is not None:
+        return [m] * min(RUN_CAP, (horizon - users - 1) // (n_active * m))
+    sizes = []
+    while len(sizes) < RUN_CAP:
+        size = 2 ** (phase + len(sizes) + 1)
+        users += n_active * size
+        if users >= horizon:
+            break
+        sizes.append(size)
+    return sizes
 
 
 def run_episode(instance: BanditInstance, config: EngineConfig,
                 seeds: SeedSpec) -> RegretTrace:
-    """One seeded run to the horizon; deterministic given (instance, config, seeds)."""
+    """One seeded run to the horizon; deterministic given (instance, config, seeds).
+
+    Before each run of phases that must complete, every active arm draws
+    the reward sums and noise counts of all of them in one vector call per
+    stream.  Such a call returns the values of one scalar call per batch
+    and leaves the generator in the same state, and each arm has its own
+    generators, so the streams are those of drawing batch by batch.  An arm
+    eliminated during a run drops its unread draws.  The phase the horizon
+    cuts short draws one scalar per batch it reaches.
+    """
     k = instance.k
+    means = instance.means
     horizon = instance.horizon
+    privacy = config.privacy
     sums = [0.0] * k
-    pulls = [0] * k
     active = [True] * k
     tapes = make_tapes(instance, seeds)
     noise = ([seeds.noise_rng(a) for a in range(k)]
-             if config.privacy is not None else None)
+             if privacy is not None else None)
+    law = cache(lambda m: noise_law(m, privacy))  # once per batch size
+    counts = None
     trace = RegretTrace()
     sigma = config.sigma
-    consumed = 0
     phase = 0
-    while consumed < horizon:
-        phase += 1
-        consumed = run_phase(sums, pulls, active, tapes, noise, phase, config,
-                             instance, trace)
-        if consumed >= horizon:
-            break
-        # every active arm was pulled in this completed phase
-        estimates = [0.0] * k
-        radii = [0.0] * k
-        for a in range(k):
-            if active[a]:
-                estimates[a] = sums[a] / pulls[a]
-                radii[a] = confidence_radius(phase, pulls[a], horizon, sigma)
-                if abs(estimates[a] - instance.means[a]) > radii[a]:
+    pulled = 0  # pulls of every active arm: each is pulled in every phase
+    while sizes := _complete_phases(config.m, phase, trace.users,
+                                    active.count(True), horizon):
+        arms = [a for a in range(k) if active[a]]
+        for a in arms:
+            tapes[a].draw_ahead(sizes)
+        offsets = [0.0] * len(sizes)
+        if noise is not None:
+            laws = [law(m) for m in sizes]
+            n = [x.n for x in laws]
+            q = [x.q for x in laws]
+            offsets = [x.offset for x in laws]
+            counts = [None] * k
+            for a in arms:
+                counts[a] = iter(noise[a].binomial(n, q).tolist())
+        for m, offset in zip(sizes, offsets):
+            phase += 1
+            run_phase(sums, active, tapes, counts, m, offset, instance, trace)
+            pulled += m
+            # every active arm has `pulled` pulls, hence one radius
+            radius = confidence_radius(phase, pulled, horizon, sigma)
+            estimates = [s / pulled for s in sums]
+            for a in range(k):
+                if active[a] and abs(estimates[a] - means[a]) > radius:
                     trace.clean_event_violated = True
-        for a in eliminate(active, estimates, radii):
-            trace.eliminations.append((a, phase))
+            for a in eliminate(active, estimates, [radius] * k):
+                trace.eliminations.append((a, phase))
+    # the phase the horizon cuts short
+    phase += 1
+    m = config.m if config.m is not None else 2**phase
+    offset = 0.0
+    if noise is not None:
+        last = law(m)
+        offset = last.offset
+        # lazily: one scalar draw per batch that completes
+        counts = [iter(partial(rng.binomial, last.n, last.q), None)
+                  for rng in noise]
+    run_phase(sums, active, tapes, counts, m, offset, instance, trace)
     trace.arm_pulls_total = [tape.cursor for tape in tapes]
     return trace

@@ -62,7 +62,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_run(args) -> int:
     config = parse_config(args.config)
-    run_experiment(config, threads=args.threads, full_trace=args.full_trace)
+    if args.threads < 1:
+        raise ValueError(f"threads must be >= 1, got {args.threads}")
+    try:
+        run_experiment(config, threads=args.threads,
+                       full_trace=args.full_trace)
+    except ValueError as exc:  # the input was checked: a runtime failure
+        raise RuntimeError(exc) from exc
     return 0
 
 

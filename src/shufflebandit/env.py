@@ -7,6 +7,7 @@ and makes an arm's stream independent of every other arm's stream.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -77,7 +78,8 @@ class RewardTape:
     """Lazy per-arm stream of Bernoulli(mu) rewards, consumed batch by batch.
 
     A batch is only ever aggregated, so each draw returns the batch's reward
-    sum, Binomial(batch_size, mu), from the arm's one generator.
+    sum, Binomial(batch_size, mu), from the arm's one generator.  The sums
+    of known coming batches can be drawn ahead in one vector call.
     """
 
     def __init__(self, arm: int, mean: float, seeds: SeedSpec, horizon: int):
@@ -86,6 +88,17 @@ class RewardTape:
         self.horizon = horizon
         self.cursor = 0
         self._rng = seeds.reward_rng(arm)
+        self._ahead = deque()  # (batch size, sum) drawn but not yet read
+
+    def draw_ahead(self, sizes: list[int]) -> None:
+        """Draw the sums of the next batches, of these sizes, in one call.
+
+        `draw` returns them in order, then draws one scalar per batch again.
+        The vector call returns the values of one scalar call per batch and
+        leaves the generator in the same state, so the stream is unchanged.
+        """
+        self._ahead.extend(zip(sizes,
+                               self._rng.binomial(sizes, self.mean).tolist()))
 
     def draw(self, batch_size: int) -> int:
         if batch_size < 1:
@@ -94,7 +107,13 @@ class RewardTape:
             raise ValueError(
                 f"tape for arm {self.arm} exhausted: cursor={self.cursor}, "
                 f"requested {batch_size}, horizon={self.horizon}")
-        total = int(self._rng.binomial(batch_size, self.mean))
+        if self._ahead:
+            size, total = self._ahead.popleft()
+            if size != batch_size:
+                raise ValueError(f"tape for arm {self.arm} drew a batch of "
+                                 f"{size} ahead, requested {batch_size}")
+        else:
+            total = int(self._rng.binomial(batch_size, self.mean))
         self.cursor += batch_size
         return total
 

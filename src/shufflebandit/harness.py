@@ -206,30 +206,46 @@ def _cells(config: ExperimentConfig, variant: str):
     return [(eps, delta) for eps in config.epsilons for delta in config.deltas]
 
 
-def _run_job(args):
-    config, variant, eps, delta, seed, full_trace = args
-    params = None if eps is None else derive_params(eps, delta)
+def _run_jobs(config: ExperimentConfig, keys: list, full_trace: bool) -> list:
+    """Run the episodes of these (variant, eps, delta, seed) keys in order."""
     instance = config.instance()
-    econf = engine_config(config, variant, params)
-    trace = run_episode(instance, econf, SeedSpec(config.master_seed, seed))
-    # the segments are expanded to one value per user only when written
-    full = trace if full_trace else None
-    return trace.at(config.checkpoints), bool(trace.clean_event_violated), full
+    out = []
+    for variant, eps, delta, seed in keys:
+        params = None if eps is None else derive_params(eps, delta)
+        econf = engine_config(config, variant, params)
+        trace = run_episode(instance, econf, SeedSpec(config.master_seed, seed))
+        # the segments are expanded to one value per user only when written
+        out.append((trace.at(config.checkpoints),
+                    bool(trace.clean_event_violated),
+                    trace if full_trace else None))
+    return out
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1,
                    full_trace: bool = False) -> AggregateResult:
+    """Run every (cell, seed) episode, aggregate, and emit the outputs.
+
+    With threads > 1 each pool worker gets one task: the config and every
+    threads-th key, so each sees a similar mix of cheap and expensive
+    cells.  Outcomes are put back in key order, so the bytes written do not
+    depend on threads.
+    """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     keys = [(variant, eps, delta, seed) for variant in config.variants
             for eps, delta in _cells(config, variant)
             for seed in range(config.seeds)]
-    jobs = [(config, *key, full_trace) for key in keys]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_run_job, jobs, chunksize=4))
+    tasks = min(threads, len(keys))
+    if tasks > 1:
+        strided = [keys[i::tasks] for i in range(tasks)]
+        with ProcessPoolExecutor(max_workers=tasks) as pool:
+            parts = pool.map(_run_jobs, [config] * tasks, strided,
+                             [full_trace] * tasks)
+            outcomes = [None] * len(keys)
+            for i, part in enumerate(parts):
+                outcomes[i::tasks] = part
     else:
-        outcomes = [_run_job(job) for job in jobs]
+        outcomes = _run_jobs(config, keys, full_trace)
 
     result = AggregateResult(rows=[])
     per_cell: dict = {}

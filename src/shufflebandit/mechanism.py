@@ -4,10 +4,11 @@ Each user sends their data bit plus noise bits; a shuffler uniformly permutes
 the flattened bit multiset; the analyzer popcounts and subtracts the expected
 noise.  Up to tau users each user sends several fair coins, above tau a
 single biased coin; `noise_law` is the one definition of both, and the
-encoder, the analyzer, `private_sum`, the engine's sampler `noisy_sum` and
-the auditor all read it.  The explicit `encode -> shuffle -> analyze` path
-and `private_sum` are the executable specification; the engines draw only
-the popcount that the analyzer reads, through `noisy_sum`.  The
+encoder, the analyzer, `private_sum`, the sampler `noisy_sum`, the engine
+and the auditor all read it.  The explicit `encode -> shuffle -> analyze`
+path and `private_sum` are the executable specification; the engines draw
+only the popcount that the analyzer reads, the noise count of `noisy_sum`,
+for many batches per call.  The
 additive error is B - E[B] with B binomial, so it is unbiased, independent of
 the input, and sub-Gaussian with variance 1.5 * tau.
 """

@@ -53,47 +53,69 @@ class TestEliminate:
 class TestRunPhase:
     def test_bookkeeping_constant(self):
         inst = make_instance(2, [1.0, 0.0], 1000)
-        config = EngineConfig(m=10)
-        sums, pulls, active = [0.0, 0.0], [0, 0], [True, True]
+        sums, active = [0.0, 0.0], [True, True]
         tapes = make_tapes(inst, SeedSpec(0))
-        consumed = run_phase(sums, pulls, active, tapes, None, 1, config,
-                             inst, RegretTrace())
+        consumed = run_phase(sums, active, tapes, None, 10, 0.0, inst,
+                             RegretTrace())
         assert consumed == 20
-        assert pulls == [10, 10]
+        assert [tape.cursor for tape in tapes] == [10, 10]
 
     def test_noiseless_exact_sum(self):
         inst = make_instance(1, [1.0], 100)
-        config = EngineConfig(m=5)
-        sums, pulls = [0.0], [0]
+        sums = [0.0]
         tapes = make_tapes(inst, SeedSpec(0))
-        run_phase(sums, pulls, [True], tapes, None, 1, config, inst,
-                  RegretTrace())
+        run_phase(sums, [True], tapes, None, 5, 0.0, inst, RegretTrace())
         assert sums[0] == 5.0
-        assert sums[0] / pulls[0] == 1.0
+        assert sums[0] / tapes[0].cursor == 1.0
 
     def test_doubling_pull_counts(self):
         inst = make_instance(2, [0.5, 0.5], 10**4)
-        config = EngineConfig()
-        sums, pulls, active = [0.0, 0.0], [0, 0], [True, True]
+        sums, active = [0.0, 0.0], [True, True]
         tapes = make_tapes(inst, SeedSpec(0))
         trace = RegretTrace()
         for t in (1, 2, 3):
-            run_phase(sums, pulls, active, tapes, None, t, config, inst,
-                      trace)
-        assert all(n == 2**4 - 2 for n in pulls)
+            run_phase(sums, active, tapes, None, 2**t, 0.0, inst, trace)
+        assert all(tape.cursor == 2**4 - 2 for tape in tapes)
 
     def test_horizon_exit_skips_mechanism(self):
         # the batch reaching the T-th pull is charged but never aggregated
         inst = make_instance(2, [1.0, 1.0], 15)
-        config = EngineConfig(m=10)
-        sums, pulls, active = [0.0, 0.0], [0, 0], [True, True]
+        sums, active = [0.0, 0.0], [True, True]
         tapes = make_tapes(inst, SeedSpec(0))
-        consumed = run_phase(sums, pulls, active, tapes, None, 1, config,
-                             inst, RegretTrace())
+        consumed = run_phase(sums, active, tapes, None, 10, 0.0, inst,
+                             RegretTrace())
         assert consumed == 15
-        assert pulls[0] == 10
-        assert pulls[1] == 0  # interrupted batch, no state update
+        assert sums[0] == 10.0
+        assert sums[1] == 0.0  # interrupted batch, no state update
         assert tapes[1].cursor == 5
+
+    @pytest.mark.parametrize("m", [8, 300])  # below and above tau ~ 133
+    def test_commits_values_drawn_ahead(self, m):
+        # the sums and noise counts drawn ahead are read in order, once per
+        # batch, and equal drawing them batch by batch
+        params = derive_params(1.0, 0.5)
+        law = noise_law(m, params)
+        inst = make_instance(2, [0.3, 0.6], 6 * m + 1)
+        seeds = SeedSpec(5)
+        tapes = make_tapes(inst, seeds)
+        noise = [seeds.noise_rng(a) for a in range(2)]
+        counts = []
+        for tape, rng in zip(tapes, noise):
+            tape.draw_ahead([m] * 3)
+            counts.append(iter(rng.binomial(law.n, law.q, size=3).tolist()))
+        sums, active = [0.0, 0.0], [True, True]
+        trace = RegretTrace()
+        for _ in range(3):
+            run_phase(sums, active, tapes, counts, m, law.offset, inst, trace)
+        fresh = make_tapes(inst, seeds)
+        for a in range(2):
+            rng = seeds.noise_rng(a)
+            expected = 0.0
+            for _ in range(3):
+                expected += noisy_sum(fresh[a].draw(m), m, params, rng).value
+            assert sums[a] == expected
+            assert next(counts[a], None) is None
+        assert [tape.cursor for tape in tapes] == [3 * m] * 2
 
 
 class TestRunEpisode:
@@ -136,24 +158,37 @@ class TestRunEpisode:
         expected = sum(n * g for n, g in zip(trace.arm_pulls_total, gaps))
         assert trace.regret == pytest.approx(expected)
 
-    def test_equal_footing_constant_schedule(self):
-        # all active arms share N (hence I) after every full phase
+    def test_equal_footing_constant_schedule(self, monkeypatch):
+        # all active arms share N (hence I) after every full phase, so the
+        # engine's one radius per phase is every active arm's radius, and
+        # its estimates are each arm's sum over its own pulls
         inst = make_instance(4, [0.8, 0.6, 0.4, 0.2], 5000)
         params = derive_params(0.9, 1e-3)
         config = EngineConfig(m=25, privacy=params)
-        sums, pulls, active = [0.0] * 4, [0] * 4, [True] * 4
-        tapes = make_tapes(inst, SeedSpec(21))
-        noise = [SeedSpec(21).noise_rng(a) for a in range(4)]
-        trace = RegretTrace()
-        for t in range(1, 5):
-            run_phase(sums, pulls, active, tapes, noise, t, config, inst,
-                      trace)
-            active_pulls = {n for n, on in zip(pulls, active) if on}
-            assert len(active_pulls) == 1
-            radii = [confidence_radius(t, n, 5000, params.sigma)
-                     for n in pulls]
-            assert len({r for r, on in zip(radii, active) if on}) == 1
-            eliminate(active, [s / n for s, n in zip(sums, pulls)], radii)
+        seen = {}  # the arguments of the last run_phase call
+
+        def phase_spy(sums, active, tapes, *args):
+            seen.update(sums=sums, tapes=tapes)
+            return run_phase(sums, active, tapes, *args)
+
+        phases = []
+
+        def eliminate_spy(active, estimates, radii):
+            t = len(phases) + 1
+            pulls = [tape.cursor for tape in seen["tapes"]]
+            arms = [a for a, on in enumerate(active) if on]
+            assert len({pulls[a] for a in arms}) == 1
+            for a in arms:
+                assert radii[a] == confidence_radius(t, pulls[a], 5000,
+                                                     params.sigma)
+                assert estimates[a] == seen["sums"][a] / pulls[a]
+            phases.append(len(arms))
+            return eliminate(active, estimates, radii)
+
+        monkeypatch.setattr(bandit, "run_phase", phase_spy)
+        monkeypatch.setattr(bandit, "eliminate", eliminate_spy)
+        run_episode(inst, config, SeedSpec(21))
+        assert len(phases) > 1
 
     def test_determinism(self):
         inst = make_instance(3, [0.7, 0.5, 0.3], 3000)
@@ -166,26 +201,38 @@ class TestRunEpisode:
 
     def test_each_arm_draws_noise_from_its_own_stream(self, monkeypatch):
         # arm a's noise counts are exactly the draws of its own generator,
-        # whatever the other arms draw before it in each phase
+        # one per batch under that batch's noise law, in phase order,
+        # whatever the other arms draw
         params = derive_params(0.5, 1e-2)
         inst = make_instance(3, [0.5, 0.5, 0.5], 2000)
         config = EngineConfig(privacy=params)
         seeds = SeedSpec(4)
-        draws = {}  # generator -> [(m, noise count)], in order of first use
+        draws = {}  # generator -> [(n, q, noise count)], in order of first use
+        noise_rng = SeedSpec.noise_rng
 
-        def spy(true_sum, m, p, rng):
-            est = noisy_sum(true_sum, m, p, rng)
-            draws.setdefault(id(rng), []).append((m, est.popcount - true_sum))
-            return est
+        class Recorder:
+            def __init__(self, rng):
+                self.rng = rng
 
-        monkeypatch.setattr(bandit, "noisy_sum", spy)
+            def binomial(self, n, q, size=None):
+                out = self.rng.binomial(n, q, size)
+                values = np.broadcast_arrays(n, q, out)
+                draws.setdefault(id(self), []).extend(
+                    zip(*(v.ravel().tolist() for v in values)))
+                return out
+
+        monkeypatch.setattr(SeedSpec, "noise_rng",
+                            lambda spec, arm: Recorder(noise_rng(spec, arm)))
         run_episode(inst, config, seeds)
         assert len(draws) == inst.k
         for a, seq in enumerate(draws.values()):
             assert len(seq) > 1
-            rng = seeds.noise_rng(a)
-            laws = [noise_law(m, params) for m, _ in seq]
-            assert [count for _, count in seq] == \
+            laws = [noise_law(2**phase, params)
+                    for phase in range(1, len(seq) + 1)]
+            assert [(n, q) for n, q, _ in seq] == \
+                [(law.n, law.q) for law in laws]
+            rng = noise_rng(seeds, a)
+            assert [count for _, _, count in seq] == \
                 [int(rng.binomial(law.n, law.q)) for law in laws]
 
     def test_optimal_arm_safe_in_clean_runs(self):

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from shufflebandit import harness
 from shufflebandit.cli import main
 
 CONFIG = """\
@@ -118,6 +119,22 @@ class TestRun:
         assert "threads" in err
         assert not out.exists()
 
+    def test_engine_value_error_exits_two(self, tmp_path, capsys,
+                                          monkeypatch):
+        # a ValueError raised while running is a runtime failure, not bad
+        # input
+        def broken(*args, **kwargs):
+            raise ValueError("binomial: n < 0")
+
+        monkeypatch.setattr(harness, "run_episode", broken)
+        out = tmp_path / "out"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(CONFIG.format(out=out))
+        code, _, err = run_cli(["run", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err.startswith("runtime failure:")
+        assert "n < 0" in err
+
     def test_missing_config_exits_one(self, capsys):
         code, _, _ = run_cli(["run", "--config", "/nonexistent.cfg"], capsys)
         assert code == 1
@@ -148,3 +165,18 @@ class TestImports:
             assert getattr(shufflebandit, name) is getattr(audit, name)
         with pytest.raises(AttributeError):
             shufflebandit.no_such_name
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m(self, capsys):
+        # `mechanism sample` does not import scipy, so the subprocess is quick
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        argv = ["mechanism", "sample", "--m", "3", "--eps", "0.8",
+                "--delta", "0.01", "--n", "1", "--seed", "5"]
+        proc = subprocess.run([sys.executable, "-m", "shufflebandit", *argv],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert proc.stdout == out and len(out.splitlines()) == 1

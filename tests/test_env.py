@@ -73,6 +73,23 @@ class TestRewardTape:
         with pytest.raises(ValueError):
             tape.draw(4)
 
+    def test_draw_ahead_equals_scalar_draws(self):
+        # sums drawn ahead are returned in order, then scalar draws resume
+        # on the same stream
+        ahead = self._tape(0.3)
+        scalar = self._tape(0.3)
+        ahead.draw_ahead([5, 5, 40])
+        sizes = (5, 5, 40, 7, 1)
+        assert [ahead.draw(n) for n in sizes] == \
+            [scalar.draw(n) for n in sizes]
+        assert ahead.cursor == scalar.cursor == sum(sizes)
+
+    def test_draw_ahead_rejects_another_batch_size(self):
+        tape = self._tape(0.5)
+        tape.draw_ahead([8])
+        with pytest.raises(ValueError, match="drew a batch of 8 ahead"):
+            tape.draw(4)
+
     def test_arm_streams_differ(self):
         # single Binomial(2000, .5) sums collide about 1.8 % of the time
         spec = SeedSpec(5)

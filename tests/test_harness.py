@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from shufflebandit import harness
 from shufflebandit.harness import (RESULTS_HEADER, ConfigError, parse_config,
                                    run_experiment)
 
@@ -219,25 +220,75 @@ class TestRunExperiment:
         assert (out / "notes.txt").read_text() == "mine"
 
     def test_parallel_matches_serial(self, tmp_path):
+        # 10 jobs: 3 threads split them 4, 3, 3; the 2-job config gets
+        # more threads than jobs
+        configs = [(PRIVATE.replace("seeds = 3", "seeds = 2"), 5 * 2, (2, 3)),
+                   (PRIVATE.replace("seeds = 3", "seeds = 2").replace(
+                       "sdp-ae, vb-sdp-ae, ae-baseline", "ae-baseline"),
+                    2, (3,))]
         for full_trace in (False, True):
-            runs = []
-            for threads in (1, 2):
-                out = tmp_path / f"out-{full_trace}-{threads}"
-                path = tmp_path / f"{full_trace}-{threads}.cfg"
-                path.write_text(PRIVATE.format(out=out))
-                result = run_experiment(parse_config(str(path)),
-                                        threads=threads, full_trace=full_trace)
-                files = {str(p.relative_to(out)): p.read_bytes()
-                         for p in out.rglob("*") if p.is_file()}
-                runs.append((result, files))
-            (serial, serial_files), (parallel, parallel_files) = runs
-            assert serial.rows == parallel.rows
-            assert serial.traces.keys() == parallel.traces.keys()
-            for key, checks in serial.traces.items():
-                np.testing.assert_array_equal(checks, parallel.traces[key])
-            traces = [v for k, v in serial_files.items()
-                      if k.startswith("traces/")]
-            assert len(traces) == 5 * 3 and len(serial_files) == 3 + 5 * 3
-            header = b"user," if full_trace else b"checkpoint,"
-            assert all(v.startswith(header) for v in traces)
-            assert serial_files == parallel_files
+            for text, jobs, pooled in configs:
+                runs = []
+                for threads in (1, *pooled):
+                    out = tmp_path / f"out-{full_trace}-{jobs}-{threads}"
+                    path = tmp_path / f"{full_trace}-{jobs}-{threads}.cfg"
+                    path.write_text(text.format(out=out))
+                    result = run_experiment(parse_config(str(path)),
+                                            threads=threads,
+                                            full_trace=full_trace)
+                    files = {str(p.relative_to(out)): p.read_bytes()
+                             for p in out.rglob("*") if p.is_file()}
+                    runs.append((result, files))
+                serial, serial_files = runs[0]
+                traces = [v for k, v in serial_files.items()
+                          if k.startswith("traces/")]
+                assert len(traces) == jobs and len(serial_files) == 3 + jobs
+                header = b"user," if full_trace else b"checkpoint,"
+                assert all(v.startswith(header) for v in traces)
+                for parallel, parallel_files in runs[1:]:
+                    assert serial.rows == parallel.rows
+                    assert serial.traces.keys() == parallel.traces.keys()
+                    for key, checks in serial.traces.items():
+                        np.testing.assert_array_equal(checks,
+                                                      parallel.traces[key])
+                    assert serial_files == parallel_files
+
+    @pytest.mark.parametrize("threads,jobs,tasks", [
+        (1, 15, 0), (2, 15, 2), (3, 15, 3), (16, 15, 15), (4, 1, 0)])
+    def test_one_pool_task_per_worker(self, tmp_path, monkeypatch, threads,
+                                      jobs, tasks):
+        # each worker gets one task of strided keys; threads = 1, or a
+        # single job, starts no pool
+        pools = []
+
+        class InlinePool:
+            """Records the pool's size and tasks, and runs them here."""
+
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+                self.keys = []
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                tasks = list(zip(*iterables))
+                self.keys = [args[1] for args in tasks]
+                return [fn(*args) for args in tasks]
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        text = PRIVATE if jobs == 15 else MINIMAL
+        path, _ = write_config(tmp_path, text)
+        result = run_experiment(parse_config(path), threads=threads)
+        keys = list(result.traces)
+        assert len(keys) == jobs
+        if tasks == 0:
+            assert pools == []
+            return
+        [pool] = pools
+        assert pool.max_workers == len(pool.keys) == tasks
+        assert pool.keys == [keys[i::tasks] for i in range(tasks)]
