@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -105,17 +105,18 @@ def confidence_radius(t: int, pulls: int, horizon: float, sigma: float) -> float
 
 
 def eliminate(active: list[bool], estimates: list[float],
-              radii: list[float]) -> list[int]:
+              radius: float) -> list[int]:
     """Deactivate active arms whose UCB is strictly below the best LCB.
 
-    `estimates` and `radii` are indexed by arm; entries of inactive arms are
-    not read.  Returns the deactivated arms in ascending order.
+    Every active arm has the same pulls, hence the same `radius`.
+    `estimates` is indexed by arm; entries of inactive arms are not read.
+    Returns the deactivated arms in ascending order.
     """
     arms = [a for a, on in enumerate(active) if on]
     if not arms:
         return []
-    best_lcb = max(estimates[a] - radii[a] for a in arms)
-    out = [a for a in arms if estimates[a] + radii[a] < best_lcb]
+    best_lcb = max(estimates[a] for a in arms) - radius
+    out = [a for a in arms if estimates[a] + radius < best_lcb]
     for a in out:
         active[a] = False
     return out
@@ -126,10 +127,10 @@ def run_phase(sums, active, tapes, counts, m, offset, instance, trace):
 
     `sums` holds each arm's (noisy) reward sum.  `counts[a]` yields arm a's
     noise count of each batch, whose law has mean `offset`; `counts` is None
-    for the noiseless engine.  Returns the number of users consumed so far.
-    If the horizon is reached the interrupted batch's pulls count toward
-    regret but the mechanism is not invoked and the arm's sum is left
-    untouched.
+    for the noiseless engine and for the phase the horizon cuts short.
+    Returns the number of users consumed so far.  If the horizon is reached
+    the interrupted batch's pulls count toward regret but the mechanism is
+    not invoked and the arm's sum is left untouched.
     """
     gaps = instance.gaps
     horizon = instance.horizon
@@ -155,11 +156,9 @@ def _complete_phases(m, phase, users, n_active, horizon) -> list[int]:
     Phase j completes when users + n_active * m_j < horizon at its start;
     eliminations only lower the users, so no later elimination undoes it.
     """
-    if m is not None:
-        return [m] * min(RUN_CAP, (horizon - users - 1) // (n_active * m))
     sizes = []
     while len(sizes) < RUN_CAP:
-        size = 2 ** (phase + len(sizes) + 1)
+        size = m or 2 ** (phase + len(sizes) + 1)
         users += n_active * size
         if users >= horizon:
             break
@@ -177,7 +176,8 @@ def run_episode(instance: BanditInstance, config: EngineConfig,
     and leaves the generator in the same state, and each arm has its own
     generators, so the streams are those of drawing batch by batch.  An arm
     eliminated during a run drops its unread draws.  The phase the horizon
-    cuts short draws one scalar per batch it reaches.
+    cuts short draws one reward sum per batch it reaches and no noise: no
+    elimination test reads its sums.
     """
     k = instance.k
     means = instance.means
@@ -189,7 +189,6 @@ def run_episode(instance: BanditInstance, config: EngineConfig,
     noise = ([seeds.noise_rng(a) for a in range(k)]
              if privacy is not None else None)
     law = cache(lambda m: noise_law(m, privacy))  # once per batch size
-    counts = None
     trace = RegretTrace()
     sigma = config.sigma
     phase = 0
@@ -199,7 +198,7 @@ def run_episode(instance: BanditInstance, config: EngineConfig,
         arms = [a for a in range(k) if active[a]]
         for a in arms:
             tapes[a].draw_ahead(sizes)
-        offsets = [0.0] * len(sizes)
+        counts, offsets = None, [0.0] * len(sizes)
         if noise is not None:
             laws = [law(m) for m in sizes]
             n = [x.n for x in laws]
@@ -218,18 +217,11 @@ def run_episode(instance: BanditInstance, config: EngineConfig,
             for a in range(k):
                 if active[a] and abs(estimates[a] - means[a]) > radius:
                     trace.clean_event_violated = True
-            for a in eliminate(active, estimates, [radius] * k):
+            for a in eliminate(active, estimates, radius):
                 trace.eliminations.append((a, phase))
     # the phase the horizon cuts short
     phase += 1
-    m = config.m if config.m is not None else 2**phase
-    offset = 0.0
-    if noise is not None:
-        last = law(m)
-        offset = last.offset
-        # lazily: one scalar draw per batch that completes
-        counts = [iter(partial(rng.binomial, last.n, last.q), None)
-                  for rng in noise]
-    run_phase(sums, active, tapes, counts, m, offset, instance, trace)
+    run_phase(sums, active, tapes, None, config.m or 2**phase, 0.0, instance,
+              trace)
     trace.arm_pulls_total = [tape.cursor for tape in tapes]
     return trace

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .harness import ConfigError, parse_config, run_experiment
+from .harness import parse_config, run_experiment
 from .mechanism import derive_params, private_sum
 
 
@@ -108,10 +108,8 @@ def main(argv=None) -> int:
             return cmd_run(args)
         if args.command == "audit":
             return cmd_audit(args)
-        if args.command == "mechanism":
-            return cmd_mechanism_sample(args)
-        return 2
-    except (ConfigError, ValueError, FileNotFoundError) as exc:
+        return cmd_mechanism_sample(args)
+    except ValueError as exc:  # bad input, a ConfigError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

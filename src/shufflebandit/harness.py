@@ -15,7 +15,8 @@ import shutil
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
+from itertools import groupby
 
 import numpy as np
 
@@ -85,22 +86,27 @@ def parse_config(path: str) -> ExperimentConfig:
     """Read a config file; unknown, repeated or malformed keys are errors."""
     known = {f.name for f in fields(ExperimentConfig)}
     raw: dict[str, tuple[str, int]] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            key, sep, value = text.partition("=")
-            if not sep:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', "
-                                  f"got {text!r}")
-            key = key.strip()
-            if key not in known:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in raw:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r} "
-                                  f"(first set on line {raw[key][1]})")
-            raw[key] = (value.strip(), lineno)
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config: "
+                          f"{exc.strerror or exc}") from None
+    for lineno, line in enumerate(lines, 1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        key, sep, value = text.partition("=")
+        if not sep:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', "
+                              f"got {text!r}")
+        key = key.strip()
+        if key not in known:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in raw:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r} "
+                              f"(first set on line {raw[key][1]})")
+        raw[key] = (value.strip(), lineno)
 
     def need(key):
         if key not in raw:
@@ -147,6 +153,16 @@ def parse_config(path: str) -> ExperimentConfig:
                               f"outside [0, 1]")
     if horizon < 1:
         raise ConfigError(f"{path}:{raw['horizon'][1]}: horizon must be >= 1")
+    for key, value in (("variants", variants), ("output", output)):
+        if not value:
+            raise ConfigError(f"{path}:{raw[key][1]}: {key} must be nonempty")
+    # one cell per entry: a repeated entry would run its cells twice
+    for key, items in (("variants", variants), ("epsilons", epsilons),
+                       ("deltas", deltas)):
+        repeated = [v for i, v in enumerate(items) if v in items[:i]]
+        if repeated:
+            raise ConfigError(f"{path}:{raw[key][1]}: {key} entry "
+                              f"{repeated[0]!r} is repeated")
     for v in variants:
         if v not in VARIANTS:
             raise ConfigError(f"{path}:{raw['variants'][1]}: unknown variant "
@@ -248,31 +264,29 @@ def run_experiment(config: ExperimentConfig, threads: int = 1,
         outcomes = _run_jobs(config, keys, full_trace)
 
     result = AggregateResult(rows=[])
-    per_cell: dict = {}
-    for key, (checks, violated, full) in zip(keys, outcomes):
-        cell = per_cell.setdefault(key[:3], {"checks": [], "violations": 0})
-        cell["checks"].append(checks)
-        cell["violations"] += int(violated)
-        result.traces[key] = checks
-        if full is not None:
-            result.full_traces[key] = full
-
-    for variant in config.variants:
-        for eps, delta in _cells(config, variant):
-            cell = per_cell[(variant, eps, delta)]
-            data = np.vstack(cell["checks"])
-            n = data.shape[0]
-            means = data.mean(axis=0)
-            if n > 1:
-                stderrs = data.std(axis=0, ddof=1) / math.sqrt(n)
-            else:
-                stderrs = np.zeros(data.shape[1])
-            for j, cp in enumerate(config.checkpoints):
-                result.rows.append(ResultRow(
-                    variant=variant, epsilon=eps, delta=delta, checkpoint=cp,
-                    mean_regret=float(means[j]), stderr=float(stderrs[j]),
-                    min=float(data[:, j].min()), max=float(data[:, j].max()),
-                    clean_violations=cell["violations"]))
+    # keys hold each cell's seeds in a row, and parse_config keeps cells unique
+    for (variant, eps, delta), group in groupby(zip(keys, outcomes),
+                                                key=lambda kv: kv[0][:3]):
+        cell, violations = [], 0
+        for key, (checks, violated, full) in group:
+            cell.append(checks)
+            violations += int(violated)
+            result.traces[key] = checks
+            if full is not None:
+                result.full_traces[key] = full
+        data = np.vstack(cell)
+        n = data.shape[0]
+        means = data.mean(axis=0)
+        if n > 1:
+            stderrs = data.std(axis=0, ddof=1) / math.sqrt(n)
+        else:
+            stderrs = np.zeros(data.shape[1])
+        for j, cp in enumerate(config.checkpoints):
+            result.rows.append(ResultRow(
+                variant=variant, epsilon=eps, delta=delta, checkpoint=cp,
+                mean_regret=float(means[j]), stderr=float(stderrs[j]),
+                min=float(data[:, j].min()), max=float(data[:, j].max()),
+                clean_violations=violations))
     emit_outputs(result, config)
     return result
 
@@ -297,9 +311,9 @@ def _replacing(path: str):
             os.remove(tmp)
 
 
-def _write_traces(directory: str, result: AggregateResult,
+def _write_traces(directory: str, traces: list, result: AggregateResult,
                   config: ExperimentConfig) -> None:
-    for key, checks in sorted(result.traces.items(), key=lambda kv: str(kv[0])):
+    for key, checks in traces:
         variant, eps, delta, seed = key
         tag = f"{variant}_{_fmt(eps) or 'none'}_{_fmt(delta) or 'none'}_{seed}"
         with open(os.path.join(directory, tag + ".csv"), "w") as fh:
@@ -336,12 +350,14 @@ def emit_outputs(result: AggregateResult, config: ExperimentConfig) -> None:
                 _fmt(row.min), _fmt(row.max), str(row.clean_violations),
             ]) + "\n")
 
+    # episodes in the str order of their keys, as traces/ lists them
+    ordered = sorted(result.traces.items(), key=lambda kv: str(kv[0]))
     traces = os.path.join(out, "traces")
     fresh = tempfile.mkdtemp(prefix=".traces-", dir=out)
     stale = None
     try:
         os.chmod(fresh, os.stat(out).st_mode & 0o777)  # mkdtemp makes it 0700
-        _write_traces(fresh, result, config)
+        _write_traces(fresh, ordered, result, config)
         if os.path.lexists(traces):
             stale = fresh + ".old"
             os.rename(traces, stale)
@@ -354,27 +370,18 @@ def emit_outputs(result: AggregateResult, config: ExperimentConfig) -> None:
 
     with _replacing(os.path.join(out, "plotdata.csv")) as fh:
         fh.write("variant,epsilon,delta,seed,checkpoint,cumulative_regret\n")
-        for (variant, eps, delta, seed), checks in sorted(
-                result.traces.items(), key=lambda kv: str(kv[0])):
+        for (variant, eps, delta, seed), checks in ordered:
             for cp, value in zip(config.checkpoints, checks):
                 fh.write(f"{variant},{_fmt(eps)},{_fmt(delta)},{seed},"
                          f"{cp},{float(value)!r}\n")
 
+    settings = asdict(config)
+    del settings["output"], settings["master_seed"]
     manifest = {
         "package_version": __version__,
         "numpy_version": np.__version__,
         "master_seed": config.master_seed,
-        "config": {
-            "k": config.k,
-            "means": list(config.means),
-            "horizon": config.horizon,
-            "variants": list(config.variants),
-            "epsilons": list(config.epsilons),
-            "deltas": list(config.deltas),
-            "seeds": config.seeds,
-            "checkpoints": list(config.checkpoints),
-            "baseline_m": config.baseline_m,
-        },
+        "config": settings,
     }
     with _replacing(os.path.join(out, "manifest.json")) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

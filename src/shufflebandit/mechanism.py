@@ -6,11 +6,12 @@ noise.  Up to tau users each user sends several fair coins, above tau a
 single biased coin; `noise_law` is the one definition of both, and the
 encoder, the analyzer, `private_sum`, the sampler `noisy_sum`, the engine
 and the auditor all read it.  The explicit `encode -> shuffle -> analyze`
-path and `private_sum` are the executable specification; the engines draw
-only the popcount that the analyzer reads, the noise count of `noisy_sum`,
-for many batches per call.  The
-additive error is B - E[B] with B binomial, so it is unbiased, independent of
-the input, and sub-Gaussian with variance 1.5 * tau.
+path, which passes plain bit arrays, and `private_sum` are the executable
+specification.  The engine draws only the popcount that the analyzer reads,
+the noise count of `noise_law`, for many batches per call; `noisy_sum`
+draws it for one batch and is the reference the engine is tested against.
+The additive error is B - E[B] with B binomial, so it is unbiased,
+independent of the input, and sub-Gaussian with variance 1.5 * tau.
 """
 
 from __future__ import annotations
@@ -82,17 +83,6 @@ def noise_law(m: int, params: PrivacyParams) -> NoiseLaw:
 
 
 @dataclass(frozen=True)
-class EncodedMessage:
-    payload: np.ndarray  # data bit followed by noise bits
-
-
-@dataclass(frozen=True)
-class ShuffledBatch:
-    bits: np.ndarray
-    m: int
-
-
-@dataclass(frozen=True)
 class SumEstimate:
     popcount: int
     offset: float
@@ -111,7 +101,7 @@ class SumEstimate:
 
 
 def encode(x: int, m: int, params: PrivacyParams,
-           rng: np.random.Generator) -> EncodedMessage:
+           rng: np.random.Generator) -> np.ndarray:
     """Local randomizer for one user: (x, y_1..y_p) or (x, y)."""
     if x not in (0, 1):
         raise ValueError(f"data bit must be 0 or 1, got {x}")
@@ -120,30 +110,28 @@ def encode(x: int, m: int, params: PrivacyParams,
     payload = np.empty(1 + noise.size, dtype=np.int8)
     payload[0] = x
     payload[1:] = noise
-    return EncodedMessage(payload=payload)
+    return payload
 
 
-def shuffle(messages: list[EncodedMessage],
-            rng: np.random.Generator) -> ShuffledBatch:
+def shuffle(messages: list[np.ndarray],
+            rng: np.random.Generator) -> np.ndarray:
     """Flatten all payloads and permute uniformly, destroying sender order."""
-    m = len(messages)
-    if m == 0:
-        return ShuffledBatch(bits=np.empty(0, dtype=np.int8), m=0)
-    lengths = {msg.payload.size for msg in messages}
+    if not messages:
+        return np.empty(0, dtype=np.int8)
+    lengths = {msg.size for msg in messages}
     if len(lengths) != 1:
         raise ValueError(f"mixed payload lengths in one batch: {sorted(lengths)}")
-    flat = np.concatenate([msg.payload for msg in messages])
-    return ShuffledBatch(bits=rng.permutation(flat), m=m)
+    return rng.permutation(np.concatenate(messages))
 
 
-def analyze(batch: ShuffledBatch, m: int, params: PrivacyParams) -> SumEstimate:
+def analyze(bits: np.ndarray, m: int, params: PrivacyParams) -> SumEstimate:
     """Popcount minus the expected noise; output deliberately not clamped."""
     law = noise_law(m, params)
     expected = m + law.n
-    if batch.bits.size != expected:
+    if bits.size != expected:
         raise ValueError(
-            f"batch has {batch.bits.size} bits, expected {expected} for m={m}")
-    return SumEstimate(popcount=int(batch.bits.sum()), offset=law.offset)
+            f"batch has {bits.size} bits, expected {expected} for m={m}")
+    return SumEstimate(popcount=int(bits.sum()), offset=law.offset)
 
 
 def private_sum(bits, params: PrivacyParams,

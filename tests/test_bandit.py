@@ -36,16 +36,15 @@ class TestConfidenceRadius:
 class TestEliminate:
     def test_direct_rule(self):
         active = [True, True]
-        # UCBs [0.9, 0.3], LCBs [0.5, 0.1]: arm 1 is strictly below
-        assert eliminate(active, [0.7, 0.2], [0.2, 0.1]) == [1]
+        # UCBs [0.9, 0.4], LCBs [0.5, 0.0]: arm 1 is strictly below
+        assert eliminate(active, [0.7, 0.2], 0.2) == [1]
         assert active[0] and not active[1]
 
     def test_tie_no_elimination(self):
-        assert eliminate([True, True], [0.5, 0.5], [0.0, 0.0]) == []
+        assert eliminate([True, True], [0.5, 0.5], 0.0) == []
 
     def test_best_lcb_arm_never_eliminated(self):
-        eliminated = eliminate([True] * 3, [0.9, 0.4, 0.3],
-                               [0.05, 0.05, 0.05])
+        eliminated = eliminate([True] * 3, [0.9, 0.4, 0.3], 0.05)
         assert 0 not in eliminated
         assert eliminated == [1, 2]
 
@@ -173,17 +172,17 @@ class TestRunEpisode:
 
         phases = []
 
-        def eliminate_spy(active, estimates, radii):
+        def eliminate_spy(active, estimates, radius):
             t = len(phases) + 1
             pulls = [tape.cursor for tape in seen["tapes"]]
             arms = [a for a, on in enumerate(active) if on]
             assert len({pulls[a] for a in arms}) == 1
             for a in arms:
-                assert radii[a] == confidence_radius(t, pulls[a], 5000,
-                                                     params.sigma)
+                assert radius == confidence_radius(t, pulls[a], 5000,
+                                                   params.sigma)
                 assert estimates[a] == seen["sums"][a] / pulls[a]
             phases.append(len(arms))
-            return eliminate(active, estimates, radii)
+            return eliminate(active, estimates, radius)
 
         monkeypatch.setattr(bandit, "run_phase", phase_spy)
         monkeypatch.setattr(bandit, "eliminate", eliminate_spy)
@@ -199,41 +198,35 @@ class TestRunEpisode:
         np.testing.assert_array_equal(a.cumulative_regret, b.cumulative_regret)
         assert a.eliminations == b.eliminations
 
-    def test_each_arm_draws_noise_from_its_own_stream(self, monkeypatch):
+    def test_each_arm_draws_noise_from_its_own_stream(self):
         # arm a's noise counts are exactly the draws of its own generator,
         # one per batch under that batch's noise law, in phase order,
         # whatever the other arms draw
         params = derive_params(0.5, 1e-2)
         inst = make_instance(3, [0.5, 0.5, 0.5], 2000)
-        config = EngineConfig(privacy=params)
         seeds = SeedSpec(4)
-        draws = {}  # generator -> [(n, q, noise count)], in order of first use
-        noise_rng = SeedSpec.noise_rng
-
-        class Recorder:
-            def __init__(self, rng):
-                self.rng = rng
-
-            def binomial(self, n, q, size=None):
-                out = self.rng.binomial(n, q, size)
-                values = np.broadcast_arrays(n, q, out)
-                draws.setdefault(id(self), []).extend(
-                    zip(*(v.ravel().tolist() for v in values)))
-                return out
-
-        monkeypatch.setattr(SeedSpec, "noise_rng",
-                            lambda spec, arm: Recorder(noise_rng(spec, arm)))
-        run_episode(inst, config, seeds)
+        _, draws = _record_noise_draws(inst, EngineConfig(privacy=params),
+                                       seeds)
         assert len(draws) == inst.k
-        for a, seq in enumerate(draws.values()):
+        for a, seq in enumerate(draws):
             assert len(seq) > 1
-            laws = [noise_law(2**phase, params)
-                    for phase in range(1, len(seq) + 1)]
-            assert [(n, q) for n, q, _ in seq] == \
-                [(law.n, law.q) for law in laws]
-            rng = noise_rng(seeds, a)
-            assert [count for _, _, count in seq] == \
-                [int(rng.binomial(law.n, law.q)) for law in laws]
+            _assert_scalar_noise_draws(seq, a, seeds, params)
+
+    def test_cut_phase_draws_no_noise(self):
+        # T = 2300 cuts phase 9 short after arm 0's batch of 512 completes
+        # (3 * 510 + 512 = 2042 users) and during arm 1's; no elimination
+        # test reads that phase, so no arm draws its noise
+        params = derive_params(0.5, 1e-2)
+        inst = make_instance(3, [0.5, 0.5, 0.5], 2300)
+        seeds = SeedSpec(4)
+        trace, draws = _record_noise_draws(inst, EngineConfig(privacy=params),
+                                           seeds)
+        assert trace.eliminations == []
+        assert trace.arm_pulls_total == [510 + 512, 510 + 258, 510]
+        assert len(draws) == inst.k
+        for a, seq in enumerate(draws):
+            assert len(seq) == 8  # phases 1 to 8, which complete
+            _assert_scalar_noise_draws(seq, a, seeds, params)
 
     def test_optimal_arm_safe_in_clean_runs(self):
         inst = make_instance(3, [0.9, 0.5, 0.1], 4000)
@@ -253,6 +246,40 @@ class TestRunEpisode:
         assert trace.cumulative_regret.size == 600
         assert np.all(np.diff(trace.cumulative_regret) >= 0)
         assert sum(trace.arm_pulls_total) == 600
+
+
+def _record_noise_draws(instance, config, seeds):
+    """Run one episode; its trace and each arm's (n, q, noise count) draws,
+    in order."""
+    draws = {}  # generator -> its draws, in order of first use
+    noise_rng = SeedSpec.noise_rng
+
+    class Recorder:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def binomial(self, n, q, size=None):
+            out = self.rng.binomial(n, q, size)
+            values = np.broadcast_arrays(n, q, out)
+            draws.setdefault(id(self), []).extend(
+                zip(*(v.ravel().tolist() for v in values)))
+            return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SeedSpec, "noise_rng",
+                      lambda spec, arm: Recorder(noise_rng(spec, arm)))
+        trace = run_episode(instance, config, seeds)
+    return trace, list(draws.values())
+
+
+def _assert_scalar_noise_draws(seq, arm, seeds, params):
+    """The draws are those of doubling phases 1, 2, ... by scalar calls on
+    the arm's own generator."""
+    laws = [noise_law(2**phase, params) for phase in range(1, len(seq) + 1)]
+    assert [(n, q) for n, q, _ in seq] == [(law.n, law.q) for law in laws]
+    rng = seeds.noise_rng(arm)
+    assert [count for _, _, count in seq] == \
+        [int(rng.binomial(law.n, law.q)) for law in laws]
 
 
 def _reference_fill(batches, gaps, horizon):

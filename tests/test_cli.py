@@ -139,6 +139,12 @@ class TestRun:
         code, _, _ = run_cli(["run", "--config", "/nonexistent.cfg"], capsys)
         assert code == 1
 
+    def test_directory_config_exits_one(self, tmp_path, capsys):
+        # a config that cannot be opened is bad input, like a missing one
+        code, _, err = run_cli(["run", "--config", str(tmp_path)], capsys)
+        assert code == 1
+        assert err.startswith(f"error: {tmp_path}: cannot read config")
+
 
 class TestImports:
     def test_run_does_not_load_scipy(self, tmp_path):

@@ -2,8 +2,9 @@
 
 `reference_episode` is the engine as it was before it drew runs of phases
 ahead: per-arm pull counts, one `noisy_sum` and one radius per arm and
-batch.  The engine must reproduce its outputs exactly, for any instance,
-batch size, privacy and horizon.
+batch, and its own copy of the elimination rule over per-arm radii.  The
+engine must reproduce its outputs exactly, for any instance, batch size,
+privacy and horizon.
 """
 
 import math
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shufflebandit.bandit import (EngineConfig, RegretTrace, confidence_radius,
-                                  eliminate, run_episode)
+                                  run_episode)
 from shufflebandit.env import SeedSpec, make_instance, make_tapes
 from shufflebandit.mechanism import derive_params, noisy_sum
 
@@ -70,8 +71,13 @@ def reference_episode(instance, config, seeds):
                 radii[a] = confidence_radius(phase, pulls[a], horizon, sigma)
                 if abs(estimates[a] - instance.means[a]) > radii[a]:
                     trace.clean_event_violated = True
-        for a in eliminate(active, estimates, radii):
-            trace.eliminations.append((a, phase))
+        # each arm's own radius: UCB strictly below the best LCB goes
+        arms = [a for a in range(k) if active[a]]
+        best_lcb = max(estimates[a] - radii[a] for a in arms)
+        for a in arms:
+            if estimates[a] + radii[a] < best_lcb:
+                active[a] = False
+                trace.eliminations.append((a, phase))
     trace.arm_pulls_total = [tape.cursor for tape in tapes]
     return trace
 

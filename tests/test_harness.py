@@ -119,6 +119,37 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="thompson"):
             parse_config(path)
 
+    # a repeated entry would run its cells twice, each row over its seeds
+    # twice, and count its clean-event violations twice
+    @pytest.mark.parametrize("old,new,match", [
+        ("variants = sdp-ae, vb-sdp-ae, ae-baseline",
+         "variants = ae-baseline, vb-sdp-ae, ae-baseline",
+         r":4: variants entry 'ae-baseline' is repeated"),
+        ("epsilons = 0.5, 0.9", "epsilons = 0.5, 0.9, 0.50",
+         r":5: epsilons entry 0.5 is repeated"),
+        ("deltas = 1e-3", "deltas = 1e-3, 0.001",
+         r":6: deltas entry 0.001 is repeated"),
+    ])
+    def test_repeated_list_entry_reports_lineno(self, tmp_path, old, new,
+                                                match):
+        path, _ = write_config(tmp_path, PRIVATE.replace(old, new))
+        with pytest.raises(ConfigError, match=match):
+            parse_config(path)
+
+    @pytest.mark.parametrize("key,lineno", [("variants", 5), ("output", 9)])
+    def test_empty_value_reports_lineno(self, tmp_path, key, lineno):
+        lines = [f"{key} =" if line.startswith(f"{key} =") else line
+                 for line in MINIMAL.splitlines()]
+        path, out = write_config(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(ConfigError,
+                           match=rf":{lineno}: {key} must be nonempty"):
+            parse_config(path)
+        assert not out.exists()
+
+    def test_unreadable_config_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match=str(tmp_path)):
+            parse_config(str(tmp_path))
+
 
 class TestRunExperiment:
     def test_single_seed_aggregate_equals_trace(self, tmp_path):

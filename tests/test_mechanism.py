@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from scipy.stats import binom, chisquare
 
 from shufflebandit.env import RewardTape, SeedSpec
-from shufflebandit.mechanism import (NoiseLaw, PrivacyParams, ShuffledBatch,
-                                     analyze, derive_params, encode,
-                                     noise_law, noisy_sum, private_sum,
-                                     shuffle)
+from shufflebandit.mechanism import (NoiseLaw, PrivacyParams, analyze,
+                                     derive_params, encode, noise_law,
+                                     noisy_sum, private_sum, shuffle)
 
 TAU_05_001 = 2034.5538687544460841      # 96 ln(200) / 0.25
 SIGMA2_05_001 = 3051.8308031316691262   # 1.5 * tau
@@ -119,7 +118,7 @@ def _encode_outcomes(m, params):
     for pattern in itertools.product((0, 1), repeat=probe.size):
         rng = _Scripted(pattern)
         msg = encode(0, m, params, rng)
-        ones = int(msg.payload[1:].sum())
+        ones = int(msg[1:].sum())
         out[ones] = out.get(ones, 0.0) + rng.probability()
     return out
 
@@ -225,18 +224,18 @@ class TestEncode:
     def test_small_regime_payload_length(self):
         params = PrivacyParams(0.5, 0.01, tau=96.0, sigma2=144.0)
         msg = encode(1, 4, params, np.random.default_rng(0))
-        assert msg.payload.size == 1 + 24
-        assert msg.payload[0] == 1
+        assert msg.size == 1 + 24
+        assert msg[0] == 1
 
     def test_large_regime_payload_length(self):
         params = PrivacyParams(0.5, 0.01, tau=96.0, sigma2=144.0)
         msg = encode(0, 200, params, np.random.default_rng(0))
-        assert msg.payload.size == 2
+        assert msg.size == 2
 
     def test_zero_noise_stub(self):
         params = PrivacyParams(0.5, 0.01, tau=96.0, sigma2=144.0)
         msg = encode(0, 4, params, _ZeroNoise())
-        assert msg.payload.tolist() == [0] * 25
+        assert msg.tolist() == [0] * 25
 
 
 class TestShuffle:
@@ -247,14 +246,13 @@ class TestShuffle:
 
     def test_popcount_preserved(self):
         msgs = self._messages([1, 0, 1])
-        total = sum(int(m.payload.sum()) for m in msgs)
-        batch = shuffle(msgs, np.random.default_rng(1))
-        assert batch.bits.size == 75
-        assert int(batch.bits.sum()) == total
+        total = sum(int(m.sum()) for m in msgs)
+        bits = shuffle(msgs, np.random.default_rng(1))
+        assert bits.size == 75
+        assert int(bits.sum()) == total
 
     def test_empty(self):
-        batch = shuffle([], np.random.default_rng(1))
-        assert batch.bits.size == 0
+        assert shuffle([], np.random.default_rng(1)).size == 0
 
     def test_rejects_mixed_lengths(self):
         params = PrivacyParams(0.5, 0.01, tau=96.0, sigma2=144.0)
@@ -270,36 +268,36 @@ class TestShuffle:
         rng = np.random.default_rng(3)
         msgs = [encode(x, 4, params, rng) for x in (1, 1, 0, 0)]
         n_bits = 4 * 2
-        ones = sum(int(m.payload.sum()) for m in msgs)
+        ones = sum(int(m.sum()) for m in msgs)
         frac = ones / n_bits
         runs = 4000
         counts = np.zeros(n_bits)
         for i in range(runs):
-            counts += shuffle(msgs, np.random.default_rng(100 + i)).bits
+            counts += shuffle(msgs, np.random.default_rng(100 + i))
         sd = math.sqrt(frac * (1 - frac) / runs)
         assert np.all(np.abs(counts / runs - frac) < 3 * sd + 1e-9)
 
 
 class TestAnalyze:
-    def _batch(self, n_bits, ones, m):
+    def _bits(self, n_bits, ones):
         bits = np.zeros(n_bits, dtype=np.int8)
         bits[:ones] = 1
-        return ShuffledBatch(bits=bits, m=m)
+        return bits
 
     def test_small_regime_arithmetic(self):
         params = PrivacyParams(0.5, 0.01, tau=96.0, sigma2=144.0)
-        batch = self._batch(100, ones=53, m=4)
-        assert analyze(batch, 4, params).value == pytest.approx(5.0)
+        bits = self._bits(100, ones=53)
+        assert analyze(bits, 4, params).value == pytest.approx(5.0)
 
     def test_large_regime_noise_at_mean(self):
         params = PrivacyParams(0.5, 0.01, tau=96.0, sigma2=144.0)
-        batch = self._batch(400, ones=148, m=200)
-        assert analyze(batch, 200, params).value == pytest.approx(100.0)
+        bits = self._bits(400, ones=148)
+        assert analyze(bits, 200, params).value == pytest.approx(100.0)
 
     def test_rejects_inconsistent_size(self):
         params = PrivacyParams(0.5, 0.01, tau=96.0, sigma2=144.0)
         with pytest.raises(ValueError):
-            analyze(self._batch(99, 10, 4), 4, params)
+            analyze(self._bits(99, 10), 4, params)
 
 
 class TestPrivateSum:
@@ -358,8 +356,8 @@ class TestInvariants:
             expected = 2 * m
         rng = np.random.default_rng(1)
         msgs = [encode(0, m, params, rng) for _ in range(m)]
-        assert sum(msg.payload.size for msg in msgs) == expected
-        assert shuffle(msgs, rng).bits.size == expected
+        assert sum(msg.size for msg in msgs) == expected
+        assert shuffle(msgs, rng).size == expected
 
     def test_regime_boundary_unbiased(self):
         params = derive_params(0.999, 0.5)  # tau ~ 133
