@@ -19,15 +19,12 @@ from .harness import parse_config, run_experiment
 from .mechanism import derive_params, private_sum
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
-
-
-def _parse_batch_sizes(text: str) -> list[int | str]:
-    from .audit import TAU_MULTIPLES  # scipy loads only for `audit`
-
-    tokens = [v.strip() for v in text.split(",") if v.strip()]
-    return [v if v in TAU_MULTIPLES else int(v) for v in tokens]
+def _parse_list(flag: str, text: str, parse) -> list:
+    """The comma-separated values of an `audit` flag, at least one."""
+    values = [parse(v.strip()) for v in text.split(",") if v.strip()]
+    if not values:
+        raise ValueError(f"{flag} needs at least one value")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,10 +70,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    from .audit import audit_grid
+    from .audit import TAU_MULTIPLES, audit_grid  # scipy loads only here
 
-    cells = audit_grid(_parse_batch_sizes(args.m), _parse_floats(args.eps),
-                       _parse_floats(args.delta))
+    cells = audit_grid(
+        _parse_list("--m", args.m,
+                    lambda v: v if v in TAU_MULTIPLES else int(v)),
+        _parse_list("--eps", args.eps, float),
+        _parse_list("--delta", args.delta, float))
     print("m,epsilon,delta,div_forward,div_backward,pass")
     for cell in cells:
         if cell.report is None:

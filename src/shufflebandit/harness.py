@@ -15,7 +15,7 @@ import shutil
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from itertools import groupby
 
 import numpy as np
@@ -35,11 +35,24 @@ RESULTS_HEADER = ("variant,epsilon,delta,checkpoint,"
 
 
 class ConfigError(ValueError):
-    pass
+    """A config that breaks a rule; `key` names the field at fault."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """`seeds` runs of each (variant, epsilon, delta) cell on the instance
+    (k, means, horizon), regret recorded at `checkpoints`, written to `output`.
+
+    Construction checks the config format's rules, raising ConfigError keyed
+    by the field at fault, so a config built in code meets them as a parsed
+    one does.  An empty `output` is allowed, for configs never run, and a
+    private variant needs epsilons and deltas only once `cells` lists them.
+    """
+
     k: int
     means: tuple[float, ...]
     horizon: int
@@ -52,8 +65,59 @@ class ExperimentConfig:
     output: str
     baseline_m: int = 1
 
+    def __post_init__(self):
+        for key, least in (("k", 1), ("horizon", 1), ("seeds", 1),
+                           ("master_seed", 0), ("baseline_m", 1)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key} must be >= {least}", key)
+        if len(self.means) != self.k:
+            raise ConfigError(f"got {len(self.means)} means for k={self.k}",
+                              "means")
+        for mu in self.means:
+            if not 0.0 <= mu <= 1.0:
+                raise ConfigError(f"means entry {mu} outside [0, 1]", "means")
+        if not self.variants:
+            raise ConfigError("variants must be nonempty", "variants")
+        # one cell per entry: a repeated entry would run its cells twice
+        for key in ("variants", "epsilons", "deltas"):
+            items = getattr(self, key)
+            repeated = [v for i, v in enumerate(items) if v in items[:i]]
+            if repeated:
+                raise ConfigError(f"{key} entry {repeated[0]!r} is repeated",
+                                  key)
+        for v in self.variants:
+            if v not in VARIANTS:
+                raise ConfigError(f"unknown variant {v!r} (expected one of "
+                                  f"{', '.join(VARIANTS)})", "variants")
+        cps = self.checkpoints
+        if not cps:
+            raise ConfigError("checkpoints must be nonempty", "checkpoints")
+        if any(a >= b for a, b in zip(cps, cps[1:])):
+            raise ConfigError("checkpoints must be sorted strictly ascending",
+                              "checkpoints")
+        if cps[0] < 1 or cps[-1] > self.horizon:
+            raise ConfigError("checkpoints must lie in [1, horizon]",
+                              "checkpoints")
+        for eps in self.epsilons:
+            if not 0.0 < eps <= 1.0:
+                raise ConfigError(f"epsilon {eps} outside (0, 1]", "epsilons")
+        for delta in self.deltas:
+            if not 0.0 < delta < 1.0:
+                raise ConfigError(f"delta {delta} outside (0, 1)", "deltas")
+
     def instance(self) -> BanditInstance:
         return make_instance(self.k, list(self.means), self.horizon)
+
+    def cells(self) -> list[tuple]:
+        """The (variant, epsilon, delta) cells, in run and output order."""
+        private = [v for v in self.variants if v != VARIANT_BASELINE]
+        if private and (not self.epsilons or not self.deltas):
+            raise ConfigError(f"private variants {private} need epsilons and "
+                              f"deltas", "deltas" if self.epsilons
+                              else "epsilons")
+        grid = [(eps, delta) for eps in self.epsilons for delta in self.deltas]
+        return [(v, *cell) for v in self.variants
+                for cell in ([(None, None)] if v == VARIANT_BASELINE else grid)]
 
 
 @dataclass(frozen=True)
@@ -78,13 +142,27 @@ class AggregateResult:
     full_traces: dict = field(default_factory=dict)
 
 
-def _parse_list(value: str) -> list[str]:
-    return [item.strip() for item in value.split(",") if item.strip()]
+def _read(key: str, kind: str, text: str):
+    """The value of a key from its text, by the type its field declares."""
+    item = kind.removeprefix("tuple[").removesuffix(", ...]")
+    if item != kind:  # tuple[T, ...]: a comma-separated list of T
+        return tuple(_read(key, item, v.strip()) for v in text.split(",")
+                     if v.strip())
+    try:
+        return {"int": int, "float": float, "str": str}[kind](text)
+    except ValueError:
+        raise ConfigError(f"{key} must be an integer, got {text!r}"
+                          if kind == "int" else
+                          f"{key} entry {text!r} is not a number", key) from None
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    """Read a config file; unknown, repeated or malformed keys are errors."""
-    known = {f.name for f in fields(ExperimentConfig)}
+    """Read a config file; unknown, repeated or malformed keys are errors.
+
+    ExperimentConfig checks the rules.  Each error names the file, and the
+    line of the key at fault when the file sets it.
+    """
+    known = {f.name: f for f in fields(ExperimentConfig)}
     raw: dict[str, tuple[str, int]] = {}
     try:
         with open(path) as fh:
@@ -108,98 +186,23 @@ def parse_config(path: str) -> ExperimentConfig:
                               f"(first set on line {raw[key][1]})")
         raw[key] = (value.strip(), lineno)
 
-    def need(key):
-        if key not in raw:
-            raise ConfigError(f"{path}: missing required key {key!r}")
-        return raw[key][0]
-
-    def geti(key, value):
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"{path}:{raw[key][1]}: {key} must be an "
-                              f"integer, got {value!r}") from None
-
-    def getf(key, item):
-        try:
-            return float(item)
-        except ValueError:
-            raise ConfigError(f"{path}:{raw[key][1]}: {key} entry {item!r} "
-                              f"is not a number") from None
-
-    k = geti("k", need("k"))
-    means = tuple(getf("means", v) for v in _parse_list(need("means")))
-    horizon = geti("horizon", need("horizon"))
-    variants = tuple(_parse_list(need("variants")))
-    seeds = geti("seeds", need("seeds"))
-    master_seed = geti("master_seed", need("master_seed"))
-    checkpoints = tuple(geti("checkpoints", v)
-                        for v in _parse_list(need("checkpoints")))
-    output = need("output")
-    epsilons = tuple(getf("epsilons", v)
-                     for v in _parse_list(raw.get("epsilons", ("", 0))[0]))
-    deltas = tuple(getf("deltas", v)
-                   for v in _parse_list(raw.get("deltas", ("", 0))[0]))
-    baseline_m = geti("baseline_m", raw["baseline_m"][0]) if "baseline_m" in raw else 1
-
-    if k < 1:
-        raise ConfigError(f"{path}:{raw['k'][1]}: k must be >= 1")
-    if len(means) != k:
-        raise ConfigError(f"{path}:{raw['means'][1]}: got {len(means)} means "
-                          f"for k={k}")
-    for mu in means:
-        if not 0.0 <= mu <= 1.0:
-            raise ConfigError(f"{path}:{raw['means'][1]}: means entry {mu} "
-                              f"outside [0, 1]")
-    if horizon < 1:
-        raise ConfigError(f"{path}:{raw['horizon'][1]}: horizon must be >= 1")
-    for key, value in (("variants", variants), ("output", output)):
-        if not value:
-            raise ConfigError(f"{path}:{raw[key][1]}: {key} must be nonempty")
-    # one cell per entry: a repeated entry would run its cells twice
-    for key, items in (("variants", variants), ("epsilons", epsilons),
-                       ("deltas", deltas)):
-        repeated = [v for i, v in enumerate(items) if v in items[:i]]
-        if repeated:
-            raise ConfigError(f"{path}:{raw[key][1]}: {key} entry "
-                              f"{repeated[0]!r} is repeated")
-    for v in variants:
-        if v not in VARIANTS:
-            raise ConfigError(f"{path}:{raw['variants'][1]}: unknown variant "
-                              f"{v!r} (expected one of {', '.join(VARIANTS)})")
-    if seeds < 1:
-        raise ConfigError(f"{path}:{raw['seeds'][1]}: seeds must be >= 1")
-    if master_seed < 0:
-        raise ConfigError(f"{path}:{raw['master_seed'][1]}: master_seed "
-                          f"must be >= 0")
-    if baseline_m < 1:
-        raise ConfigError(f"{path}:{raw['baseline_m'][1]}: baseline_m must "
-                          f"be >= 1")
-    if any(a >= b for a, b in zip(checkpoints, checkpoints[1:])):
-        raise ConfigError(f"{path}:{raw['checkpoints'][1]}: checkpoints must "
-                          f"be sorted strictly ascending")
-    if not checkpoints:
-        raise ConfigError(f"{path}: checkpoints must be nonempty")
-    if checkpoints[0] < 1 or checkpoints[-1] > horizon:
-        raise ConfigError(f"{path}:{raw['checkpoints'][1]}: checkpoints must "
-                          f"lie in [1, horizon]")
-    private = [v for v in variants if v != VARIANT_BASELINE]
-    if private and (not epsilons or not deltas):
-        raise ConfigError(f"{path}: private variants {private} need "
-                          f"epsilons and deltas")
-    for eps in epsilons:
-        if not 0.0 < eps <= 1.0:
-            raise ConfigError(f"{path}:{raw['epsilons'][1]}: epsilon {eps} "
-                              f"outside (0, 1]")
-    for delta in deltas:
-        if not 0.0 < delta < 1.0:
-            raise ConfigError(f"{path}:{raw['deltas'][1]}: delta {delta} "
-                              f"outside (0, 1)")
-    return ExperimentConfig(k=k, means=means, horizon=horizon,
-                            variants=variants, epsilons=epsilons,
-                            deltas=deltas, seeds=seeds,
-                            master_seed=master_seed, checkpoints=checkpoints,
-                            output=output, baseline_m=baseline_m)
+    try:
+        values = {}
+        for f in known.values():
+            if f.name in raw:
+                values[f.name] = _read(f.name, f.type, raw[f.name][0])
+            elif f.name in ("epsilons", "deltas"):  # private variants only
+                values[f.name] = ()
+            elif f.default is MISSING:
+                raise ConfigError(f"missing required key {f.name!r}", f.name)
+        if not values["output"]:
+            raise ConfigError("output must be nonempty", "output")
+        config = ExperimentConfig(**values)
+        config.cells()  # a file's private variants need epsilons and deltas
+        return config
+    except ConfigError as exc:
+        where = f"{path}:{raw[exc.key][1]}" if exc.key in raw else path
+        raise ConfigError(f"{where}: {exc}", exc.key) from None
 
 
 def engine_config(config: ExperimentConfig, variant: str,
@@ -214,12 +217,6 @@ def engine_config(config: ExperimentConfig, variant: str,
     if variant == VARIANT_VB:
         return EngineConfig(privacy=params)
     raise ValueError(f"unknown variant {variant!r}")
-
-
-def _cells(config: ExperimentConfig, variant: str):
-    if variant == VARIANT_BASELINE:
-        return [(None, None)]
-    return [(eps, delta) for eps in config.epsilons for delta in config.deltas]
 
 
 def _run_jobs(config: ExperimentConfig, keys: list, full_trace: bool) -> list:
@@ -248,8 +245,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1,
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    keys = [(variant, eps, delta, seed) for variant in config.variants
-            for eps, delta in _cells(config, variant)
+    keys = [(*cell, seed) for cell in config.cells()
             for seed in range(config.seeds)]
     tasks = min(threads, len(keys))
     if tasks > 1:
@@ -264,7 +260,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1,
         outcomes = _run_jobs(config, keys, full_trace)
 
     result = AggregateResult(rows=[])
-    # keys hold each cell's seeds in a row, and parse_config keeps cells unique
+    # keys hold each cell's seeds in a row, and ExperimentConfig keeps
+    # cells unique
     for (variant, eps, delta), group in groupby(zip(keys, outcomes),
                                                 key=lambda kv: kv[0][:3]):
         cell, violations = [], 0

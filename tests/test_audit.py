@@ -213,6 +213,23 @@ class TestWindow:
         assert noise_window(law) == (0, law.n, 0.0)
 
 
+class TestSubGaussianTail:
+    # the confidence radius relies on B - offset being sub-Gaussian with
+    # variance 1.5 tau; checked here with the exact binomial tails at the
+    # batch sizes the engines use, m = ceil(sigma) and 2^p up to 2^30
+    @pytest.mark.parametrize("eps", [1.0, 0.25])
+    def test_two_sided_tail_within_bound(self, eps):
+        params = derive_params(eps, 1e-5)
+        t = 0.25 * params.sigma * np.arange(1, 49)  # 0.25 to 12 sigma
+        bound = 2 * np.exp(-t**2 / (2 * 1.5 * params.tau))
+        for m in [math.ceil(params.sigma), *(2**p for p in range(31))]:
+            law = noise_law(m, params)
+            # P(B >= offset + t) + P(B <= offset - t)
+            tail = (binom.sf(np.ceil(law.offset + t) - 1, law.n, law.q)
+                    + binom.cdf(np.floor(law.offset - t), law.n, law.q))
+            assert np.all(tail <= bound), (m, np.max(tail / bound))
+
+
 class TestAuditGrid:
     def test_all_cells_pass(self):
         tau_cells = [math.ceil(derive_params(e, d).tau)

@@ -67,6 +67,17 @@ class TestAudit:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("flag,value", [("--m", ""), ("--eps", ","),
+                                            ("--delta", " , ")])
+    def test_empty_list_exits_one(self, capsys, flag, value):
+        flags = {"--m": "4", "--eps": "0.5", "--delta": "0.01", flag: value}
+        code, out, err = run_cli(
+            ["audit", *(arg for pair in flags.items() for arg in pair)],
+            capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {flag} needs at least one value\n"
+
     def test_invalid_epsilon_recorded_per_cell(self, capsys):
         code, out, _ = run_cli(
             ["audit", "--m", "4", "--eps", "1.5", "--delta", "0.01"], capsys)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from shufflebandit import harness
-from shufflebandit.harness import (RESULTS_HEADER, ConfigError, parse_config,
+from shufflebandit.harness import (RESULTS_HEADER, ConfigError,
+                                   ExperimentConfig, parse_config,
                                    run_experiment)
 
 MINIMAL = """\
@@ -136,7 +137,8 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=match):
             parse_config(path)
 
-    @pytest.mark.parametrize("key,lineno", [("variants", 5), ("output", 9)])
+    @pytest.mark.parametrize("key,lineno", [("variants", 5), ("output", 9),
+                                            ("checkpoints", 8)])
     def test_empty_value_reports_lineno(self, tmp_path, key, lineno):
         lines = [f"{key} =" if line.startswith(f"{key} =") else line
                  for line in MINIMAL.splitlines()]
@@ -146,9 +148,89 @@ class TestParseConfig:
             parse_config(path)
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,value,match", [
+        ("k", "two", r":2: k must be an integer, got 'two'$"),
+        ("means", "1.0, x", r":3: means entry 'x' is not a number$"),
+        ("checkpoints", "100, 2e2",
+         r":8: checkpoints must be an integer, got '2e2'$"),
+    ])
+    def test_bad_value_reports_lineno(self, tmp_path, key, value, match):
+        lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
+                 for line in MINIMAL.splitlines()]
+        path, _ = write_config(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=match) as info:
+            parse_config(path)
+        assert info.value.key == key
+
+    def test_empty_epsilons_of_private_variant_reports_lineno(self, tmp_path):
+        text = MINIMAL.replace("ae-baseline", "sdp-ae") + (
+            "epsilons =\ndeltas = 1e-5\n")
+        path, _ = write_config(tmp_path, text)
+        with pytest.raises(ConfigError, match=r":11: private variants "
+                           r"\['sdp-ae'\] need epsilons and deltas$"):
+            parse_config(path)
+
     def test_unreadable_config_is_a_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match=str(tmp_path)):
             parse_config(str(tmp_path))
+
+
+class TestCodeBuiltConfig:
+    """A config built in code meets the rules that a parsed one does."""
+
+    FIELDS = dict(k=2, means=(0.9, 0.1), horizon=300,
+                  variants=("sdp-ae", "vb-sdp-ae", "ae-baseline"),
+                  epsilons=(0.5,), deltas=(1e-3,), seeds=2, master_seed=99,
+                  checkpoints=(150, 300), baseline_m=5)
+
+    @pytest.fixture
+    def no_episodes(self, monkeypatch):
+        def run_episode(*args):
+            raise AssertionError("an episode ran")
+
+        monkeypatch.setattr(harness, "run_episode", run_episode)
+
+    def test_parsed_config_equals_code_built(self, tmp_path):
+        path, out = write_config(tmp_path, PRIVATE.replace(
+            "epsilons = 0.5, 0.9", "epsilons = 0.5").replace("seeds = 3",
+                                                              "seeds = 2"))
+        assert parse_config(path) == ExperimentConfig(**self.FIELDS,
+                                                      output=str(out))
+
+    # each would run: the repeated variant into one results.csv row over
+    # the doubled seeds, seeds = 0 and the unknown variant into a
+    # results.csv of no rows, the checkpoint until the first episode fails
+    @pytest.mark.parametrize("change,match", [
+        (dict(variants=("ae-baseline", "ae-baseline")),
+         r"^variants entry 'ae-baseline' is repeated$"),
+        (dict(seeds=0), r"^seeds must be >= 1$"),
+        (dict(variants=("thompson",), epsilons=(), deltas=()),
+         r"^unknown variant 'thompson' \(expected one of "),
+        (dict(checkpoints=(150, 301)),
+         r"^checkpoints must lie in \[1, horizon\]$"),
+        (dict(epsilons=(1.5,)), r"^epsilon 1.5 outside \(0, 1\]$"),
+    ])
+    def test_rejected_at_construction(self, tmp_path, no_episodes, change,
+                                      match):
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=match) as info:
+            run_experiment(ExperimentConfig(
+                **{**self.FIELDS, **change, "output": str(out)}))
+        assert info.value.key == next(iter(change))
+        assert not out.exists()
+
+    def test_private_variant_without_grid_runs_nothing(self, tmp_path,
+                                                       no_episodes):
+        # such a config may still pick a variant's batch size
+        out = tmp_path / "out"
+        config = ExperimentConfig(**{**self.FIELDS, "epsilons": (),
+                                     "output": str(out)})
+        assert harness.engine_config(config, "ae-baseline", None).m == 5
+        with pytest.raises(ConfigError,
+                           match=r"need epsilons and deltas$") as info:
+            run_experiment(config)
+        assert info.value.key == "epsilons"
+        assert not out.exists()
 
 
 class TestRunExperiment:
