@@ -21,7 +21,12 @@ from .mechanism import derive_params, private_sum
 
 def _parse_list(flag: str, text: str, parse) -> list:
     """The comma-separated values of an `audit` flag, at least one."""
-    values = [parse(v.strip()) for v in text.split(",") if v.strip()]
+    values = []
+    for entry in filter(None, (v.strip() for v in text.split(","))):
+        try:
+            values.append(parse(entry))
+        except ValueError:
+            raise ValueError(f"{flag} has an invalid entry {entry!r}") from None
     if not values:
         raise ValueError(f"{flag} needs at least one value")
     return values
@@ -93,6 +98,8 @@ def cmd_audit(args) -> int:
 def cmd_mechanism_sample(args) -> int:
     if args.m < 1 or args.n < 1:
         raise ValueError("--m and --n must be >= 1")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     params = derive_params(args.eps, args.delta)
     zeros = np.zeros(args.m, dtype=np.int8)
     rng = np.random.default_rng(args.seed)

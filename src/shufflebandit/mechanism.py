@@ -4,12 +4,13 @@ Each user sends their data bit plus noise bits; a shuffler uniformly permutes
 the flattened bit multiset; the analyzer popcounts and subtracts the expected
 noise.  Up to tau users each user sends several fair coins, above tau a
 single biased coin; `noise_law` is the one definition of both, and the
-encoder, the analyzer, `private_sum`, the sampler `noisy_sum`, the engine
-and the auditor all read it.  The explicit `encode -> shuffle -> analyze`
-path, which passes plain bit arrays, and `private_sum` are the executable
-specification.  The engine draws only the popcount that the analyzer reads,
-the noise count of `noise_law`, for many batches per call; `noisy_sum`
-draws it for one batch and is the reference the engine is tested against.
+encoder, the analyzer, the sampler `noisy_sum`, the engine and the auditor
+all read it.  `encode -> shuffle -> analyze` is the executable
+specification, and `private_sum` is that composition for one batch: only
+`encode` draws noise bits and only `shuffle` permutes them.  The engine
+draws only the popcount that the analyzer reads, the noise count of
+`noise_law`, for many batches per call; `noisy_sum` draws it for one batch
+and is the reference the engine is tested against.
 The additive error is B - E[B] with B binomial, so it is unbiased,
 independent of the input, and sub-Gaussian with variance 1.5 * tau.
 """
@@ -100,28 +101,27 @@ class SumEstimate:
         return float(self.popcount - true_sum) - self.offset
 
 
-def encode(x: int, m: int, params: PrivacyParams,
+def encode(bits, params: PrivacyParams,
            rng: np.random.Generator) -> np.ndarray:
-    """Local randomizer for one user: (x, y_1..y_p) or (x, y)."""
-    if x not in (0, 1):
-        raise ValueError(f"data bit must be 0 or 1, got {x}")
+    """Local randomizer of every user of one batch of m = len(bits) users.
+
+    Row i of the (m, 1 + p) result is user i's message (x_i, y_1..y_p).  The
+    noise bits are drawn as m one-user calls would draw them, in user order.
+    """
+    data = np.asarray(bits)
+    if data.ndim != 1 or not (data == data.astype(bool)).all():
+        raise ValueError("data must be a 1-D sequence of bits, each 0 or 1")
+    m = data.size
     law = noise_law(m, params)
-    noise = rng.random(law.n // m) < law.q
-    payload = np.empty(1 + noise.size, dtype=np.int8)
-    payload[0] = x
-    payload[1:] = noise
-    return payload
+    messages = np.empty((m, 1 + law.n // m), dtype=np.int8)
+    messages[:, 0] = data
+    messages[:, 1:] = rng.random((m, law.n // m)) < law.q
+    return messages
 
 
-def shuffle(messages: list[np.ndarray],
-            rng: np.random.Generator) -> np.ndarray:
-    """Flatten all payloads and permute uniformly, destroying sender order."""
-    if not messages:
-        return np.empty(0, dtype=np.int8)
-    lengths = {msg.size for msg in messages}
-    if len(lengths) != 1:
-        raise ValueError(f"mixed payload lengths in one batch: {sorted(lengths)}")
-    return rng.permutation(np.concatenate(messages))
+def shuffle(messages: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Flatten all messages and permute uniformly, destroying sender order."""
+    return rng.permutation(messages.ravel())
 
 
 def analyze(bits: np.ndarray, m: int, params: PrivacyParams) -> SumEstimate:
@@ -136,21 +136,8 @@ def analyze(bits: np.ndarray, m: int, params: PrivacyParams) -> SumEstimate:
 
 def private_sum(bits, params: PrivacyParams,
                 rng: np.random.Generator) -> SumEstimate:
-    """encode -> shuffle -> analyze for one batch, vectorized.
-
-    Draws randomness in exactly the same order as per-user `encode` calls
-    followed by `shuffle`, so it is bit-identical to the explicit composition
-    under the same generator state.
-    """
-    data = np.asarray(bits, dtype=np.int8)
-    m = int(data.size)
-    law = noise_law(m, params)
-    noise = rng.random((m, law.n // m)) < law.q
-    payload = np.empty((m, 1 + noise.shape[1]), dtype=np.int8)
-    payload[:, 0] = data
-    payload[:, 1:] = noise
-    shuffled = rng.permutation(payload.ravel())
-    return SumEstimate(popcount=int(shuffled.sum()), offset=law.offset)
+    """encode -> shuffle -> analyze for one batch of m = len(bits) users."""
+    return analyze(shuffle(encode(bits, params, rng), rng), len(bits), params)
 
 
 def noisy_sum(true_sum: int, m: int, params: PrivacyParams,

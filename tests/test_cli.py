@@ -78,6 +78,18 @@ class TestAudit:
         assert out == ""
         assert err == f"error: {flag} needs at least one value\n"
 
+    @pytest.mark.parametrize("flag,value,entry", [
+        ("--m", "4,1.5", "'1.5'"), ("--eps", "x", "'x'"),
+        ("--delta", "0.01, 1e-", "'1e-'")])
+    def test_bad_entry_names_flag(self, capsys, flag, value, entry):
+        flags = {"--m": "4", "--eps": "0.5", "--delta": "0.01", flag: value}
+        code, out, err = run_cli(
+            ["audit", *(arg for pair in flags.items() for arg in pair)],
+            capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {flag} has an invalid entry {entry}\n"
+
     def test_invalid_epsilon_recorded_per_cell(self, capsys):
         code, out, _ = run_cli(
             ["audit", "--m", "4", "--eps", "1.5", "--delta", "0.01"], capsys)
@@ -100,6 +112,14 @@ class TestMechanismSample:
              "--delta", "0.01", "--n", "5"], capsys)
         assert code == 1
         assert "error" in err
+
+    def test_negative_seed_exits_one(self, capsys):
+        code, out, err = run_cli(
+            ["mechanism", "sample", "--m", "3", "--eps", "0.8",
+             "--delta", "0.01", "--n", "5", "--seed", "-1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: --seed must be >= 0, got -1\n"
 
 
 class TestRun:

@@ -84,41 +84,42 @@ class TestNoiseLaw:
 class _Scripted:
     """Generator stub for one `encode` call that enumerates its outcomes.
 
-    `random(p)` returns the stub itself; encode's comparison `draws < t`
-    records the threshold t and yields the scripted noise pattern, which a
-    real uniform draw produces with probability t**ones * (1-t)**zeros.
+    `random(shape)` returns the stub itself; encode's comparison `draws < t`
+    records the threshold t and yields the scripted noise pattern of the
+    whole batch, which a real uniform draw produces with probability
+    t**ones * (1-t)**zeros.
     """
 
     def __init__(self, pattern=()):
         self.pattern = np.array(pattern, dtype=bool)
-        self.size = None
+        self.shape = None
         self.threshold = None
 
-    def random(self, size):
-        self.size = size
+    def random(self, shape):
+        self.shape = shape
         return self
 
     def __lt__(self, threshold):
         self.threshold = float(threshold)
         if self.pattern.size == 0:
-            return np.zeros(self.size, dtype=bool)
-        assert self.pattern.size == self.size
-        return self.pattern
+            return np.zeros(self.shape, dtype=bool)
+        return self.pattern.reshape(self.shape)
 
     def probability(self):
         ones = int(self.pattern.sum())
-        return self.threshold**ones * (1 - self.threshold)**(self.size - ones)
+        zeros = self.pattern.size - ones
+        return self.threshold**ones * (1 - self.threshold)**zeros
 
 
 def _encode_outcomes(m, params):
-    """{noise-bit count of one user's message: probability}, by enumeration."""
+    """{noise-bit count of a batch of m users: probability}, by enumeration."""
+    zeros = np.zeros(m, dtype=np.int8)
     probe = _Scripted()
-    encode(0, m, params, probe)
+    encode(zeros, params, probe)
     out = {}
-    for pattern in itertools.product((0, 1), repeat=probe.size):
+    for pattern in itertools.product((0, 1), repeat=math.prod(probe.shape)):
         rng = _Scripted(pattern)
-        msg = encode(0, m, params, rng)
-        ones = int(msg[1:].sum())
+        ones = int(encode(zeros, params, rng)[:, 1:].sum())
         out[ones] = out.get(ones, 0.0) + rng.probability()
     return out
 
@@ -150,14 +151,8 @@ class TestSingleLaw:
     def test_encode_enumeration_matches_pmf(self, m, tau):
         params = PrivacyParams(0.5, 0.01, tau=tau, sigma2=1.5 * tau)
         law = noise_law(m, params)
-        per_user = _encode_outcomes(m, params)
-        total = {0: 1.0}
-        for _ in range(m):
-            nxt = {}
-            for (a, pa), (b, pb) in itertools.product(total.items(),
-                                                      per_user.items()):
-                nxt[a + b] = nxt.get(a + b, 0.0) + pa * pb
-            total = nxt
+        assert law.n <= 8  # at most 2**8 noise patterns per batch
+        total = _encode_outcomes(m, params)
         assert max(total) == law.n
         pmf = binom.pmf(np.arange(law.n + 1), law.n, law.q)
         enumerated = np.array([total.get(b, 0.0) for b in range(law.n + 1)])
@@ -223,52 +218,54 @@ class TestSufficientStatistic:
 class TestEncode:
     def test_small_regime_payload_length(self):
         params = PrivacyParams(0.5, 0.01, tau=96.0, sigma2=144.0)
-        msg = encode(1, 4, params, np.random.default_rng(0))
-        assert msg.size == 1 + 24
-        assert msg[0] == 1
+        msgs = encode([1, 0, 0, 0], params, np.random.default_rng(0))
+        assert msgs.shape == (4, 1 + 24)
+        assert msgs[:, 0].tolist() == [1, 0, 0, 0]
 
     def test_large_regime_payload_length(self):
         params = PrivacyParams(0.5, 0.01, tau=96.0, sigma2=144.0)
-        msg = encode(0, 200, params, np.random.default_rng(0))
-        assert msg.size == 2
+        msgs = encode(np.zeros(200, dtype=np.int8), params,
+                      np.random.default_rng(0))
+        assert msgs.shape == (200, 2)
 
     def test_zero_noise_stub(self):
         params = PrivacyParams(0.5, 0.01, tau=96.0, sigma2=144.0)
-        msg = encode(0, 4, params, _ZeroNoise())
-        assert msg.tolist() == [0] * 25
+        msgs = encode([0] * 4, params, _ZeroNoise())
+        assert msgs.tolist() == [[0] * 25] * 4
+
+    def test_rows_are_users_in_draw_order(self):
+        # row i is bits[i], then the coins user i draws when the users draw
+        # one at a time, in order, from a generator with the same seed
+        params = derive_params(0.7, 1e-3)
+        for m in (3, 50, 5000):  # tau ~ 1489: fair coins, then one coin
+            law = noise_law(m, params)
+            bits = (np.arange(m) % 2).astype(np.int8)
+            msgs = encode(bits, params, np.random.default_rng(99))
+            rng = np.random.default_rng(99)
+            one_at_a_time = [[b, *(rng.random(law.n // m) < law.q)]
+                             for b in bits]
+            assert np.array_equal(msgs, np.array(one_at_a_time, np.int8))
 
 
 class TestShuffle:
-    def _messages(self, payloads):
-        params = PrivacyParams(0.5, 0.01, tau=96.0, sigma2=144.0)
-        rng = np.random.default_rng(7)
-        return [encode(x, 4, params, rng) for x in payloads]
-
     def test_popcount_preserved(self):
-        msgs = self._messages([1, 0, 1])
-        total = sum(int(m.sum()) for m in msgs)
+        params = PrivacyParams(0.5, 0.01, tau=96.0, sigma2=144.0)
+        msgs = encode([1, 0, 1], params, np.random.default_rng(7))
         bits = shuffle(msgs, np.random.default_rng(1))
-        assert bits.size == 75
-        assert int(bits.sum()) == total
+        assert bits.size == 99  # 3 users, 1 + 32 bits each
+        assert int(bits.sum()) == int(msgs.sum())
 
     def test_empty(self):
-        assert shuffle([], np.random.default_rng(1)).size == 0
-
-    def test_rejects_mixed_lengths(self):
-        params = PrivacyParams(0.5, 0.01, tau=96.0, sigma2=144.0)
-        rng = np.random.default_rng(0)
-        small = encode(0, 4, params, rng)
-        large = encode(0, 200, params, rng)
-        with pytest.raises(ValueError):
-            shuffle([small, large], rng)
+        empty = np.empty((0, 3), dtype=np.int8)
+        assert shuffle(empty, np.random.default_rng(1)).size == 0
 
     def test_uniform_position_marginals(self):
         # after shuffling, every position carries the global ones-fraction
         params = PrivacyParams(0.5, 0.01, tau=4.0, sigma2=6.0)
         rng = np.random.default_rng(3)
-        msgs = [encode(x, 4, params, rng) for x in (1, 1, 0, 0)]
+        msgs = encode([1, 1, 0, 0], params, rng)
         n_bits = 4 * 2
-        ones = sum(int(m.sum()) for m in msgs)
+        ones = int(msgs.sum())
         frac = ones / n_bits
         runs = 4000
         counts = np.zeros(n_bits)
@@ -307,17 +304,6 @@ class TestPrivateSum:
         # zero noise bits sit 48 below their expectation of 48/2 per bit
         assert est.value == -noise_law(4, params).offset
 
-    def test_matches_explicit_composition(self):
-        params = derive_params(0.7, 1e-3)
-        for m in (3, 50, 5000):
-            bits = (np.arange(m) % 2).astype(np.int8)
-            r1 = np.random.default_rng(99)
-            r2 = np.random.default_rng(99)
-            direct = private_sum(bits, params, r1).value
-            msgs = [encode(int(b), m, params, r2) for b in bits]
-            composed = analyze(shuffle(msgs, r2), m, params).value
-            assert direct == composed
-
     def test_monte_carlo_unbiased(self):
         params = derive_params(0.5, 0.01)
         runs = 20000
@@ -342,6 +328,21 @@ class TestPrivateSum:
         with pytest.raises(ValueError):
             private_sum([], derive_params(0.5, 0.01), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("bits", [
+        [2, 0, 0], [-1, 0, 0], np.array([0.5, 0, 0]), [[0, 1], [1, 0]],
+    ], ids=["two", "minus_one", "half", "2d"])
+    def test_rejects_non_binary(self, bits):
+        with pytest.raises(ValueError, match="each 0 or 1"):
+            private_sum(bits, derive_params(0.5, 0.01),
+                        np.random.default_rng(0))
+
+    def test_accepts_boolean_bits(self):
+        params = derive_params(0.5, 0.01)
+        flags = private_sum(np.array([True, False, True]), params,
+                            np.random.default_rng(0))
+        ints = private_sum([1, 0, 1], params, np.random.default_rng(0))
+        assert flags == ints
+
 
 class TestInvariants:
     @given(m=st.integers(1, 2000),
@@ -355,8 +356,8 @@ class TestInvariants:
         else:
             expected = 2 * m
         rng = np.random.default_rng(1)
-        msgs = [encode(0, m, params, rng) for _ in range(m)]
-        assert sum(msg.size for msg in msgs) == expected
+        msgs = encode(np.zeros(m, dtype=np.int8), params, rng)
+        assert msgs.size == expected
         assert shuffle(msgs, rng).size == expected
 
     def test_regime_boundary_unbiased(self):
