@@ -14,7 +14,6 @@ import os
 import shutil
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from itertools import groupby
 
@@ -49,8 +48,7 @@ class ExperimentConfig:
 
     Construction checks the config format's rules, raising ConfigError keyed
     by the field at fault, so a config built in code meets them as a parsed
-    one does.  An empty `output` is allowed, for configs never run, and a
-    private variant needs epsilons and deltas only once `cells` lists them.
+    one does.  A config never run may break the two rules `cells` checks.
     """
 
     k: int
@@ -109,12 +107,17 @@ class ExperimentConfig:
         return make_instance(self.k, list(self.means), self.horizon)
 
     def cells(self) -> list[tuple]:
-        """The (variant, epsilon, delta) cells, in run and output order."""
+        """The (variant, epsilon, delta) cells, in run and output order.
+
+        Checks the rules of a config to be run: private variants need
+        epsilons and deltas, and `output` must be nonempty."""
         private = [v for v in self.variants if v != VARIANT_BASELINE]
         if private and (not self.epsilons or not self.deltas):
             raise ConfigError(f"private variants {private} need epsilons and "
                               f"deltas", "deltas" if self.epsilons
                               else "epsilons")
+        if not self.output:
+            raise ConfigError("output must be nonempty", "output")
         grid = [(eps, delta) for eps in self.epsilons for delta in self.deltas]
         return [(v, *cell) for v in self.variants
                 for cell in ([(None, None)] if v == VARIANT_BASELINE else grid)]
@@ -195,10 +198,8 @@ def parse_config(path: str) -> ExperimentConfig:
                 values[f.name] = ()
             elif f.default is MISSING:
                 raise ConfigError(f"missing required key {f.name!r}", f.name)
-        if not values["output"]:
-            raise ConfigError("output must be nonempty", "output")
         config = ExperimentConfig(**values)
-        config.cells()  # a file's private variants need epsilons and deltas
+        config.cells()  # a file's config is one to be run
         return config
     except ConfigError as exc:
         where = f"{path}:{raw[exc.key][1]}" if exc.key in raw else path
@@ -247,6 +248,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1,
         raise ValueError(f"threads must be >= 1, got {threads}")
     keys = [(*cell, seed) for cell in config.cells()
             for seed in range(config.seeds)]
+    os.makedirs(config.output, exist_ok=True)  # fail before any episode
     tasks = min(threads, len(keys))
     if tasks > 1:
         strided = [keys[i::tasks] for i in range(tasks)]
@@ -294,92 +296,77 @@ def _fmt(value) -> str:
     return repr(value)
 
 
-@contextmanager
-def _replacing(path: str):
-    """Open a temporary file beside path for writing; on success it replaces
-    path, so readers see the old file or the new one, never a partial one."""
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):  # the write failed
-            os.remove(tmp)
-
-
-def _write_traces(directory: str, traces: list, result: AggregateResult,
-                  config: ExperimentConfig) -> None:
-    for key, checks in traces:
-        variant, eps, delta, seed = key
-        tag = f"{variant}_{_fmt(eps) or 'none'}_{_fmt(delta) or 'none'}_{seed}"
-        with open(os.path.join(directory, tag + ".csv"), "w") as fh:
-            if key in result.full_traces:
-                fh.write("user,cumulative_regret\n")
-                full = result.full_traces[key].cumulative_regret
-                for user, value in enumerate(full, 1):
-                    fh.write(f"{user},{float(value)!r}\n")
-            else:
-                fh.write("checkpoint,cumulative_regret\n")
-                for cp, value in zip(config.checkpoints, checks):
-                    fh.write(f"{cp},{float(value)!r}\n")
-
-
 def emit_outputs(result: AggregateResult, config: ExperimentConfig) -> None:
     """Write results.csv, per-episode traces, plotdata.csv, and manifest.json.
 
     An episode's trace holds every user when its key is in
     `result.full_traces`, and its checkpoints otherwise.
 
-    Each file is replaced whole.  `traces/` is built in a fresh directory
-    beside it and swapped in, so it never holds a previous run's files;
-    nothing else in the output directory is touched.
+    Every file is written into a fresh directory inside `config.output`.
+    Only then are the three top-level files moved into place and the rest
+    swapped in as `traces/`, so a failed write replaces nothing and
+    `traces/` never holds a previous run's files; nothing else in the
+    output directory is touched.
     """
     out = config.output
-    os.makedirs(out, exist_ok=True)
-
-    with _replacing(os.path.join(out, "results.csv")) as fh:
-        fh.write(RESULTS_HEADER + "\n")
-        for row in result.rows:
-            fh.write(",".join([
-                row.variant, _fmt(row.epsilon), _fmt(row.delta),
-                str(row.checkpoint), _fmt(row.mean_regret), _fmt(row.stderr),
-                _fmt(row.min), _fmt(row.max), str(row.clean_violations),
-            ]) + "\n")
-
-    # episodes in the str order of their keys, as traces/ lists them
-    ordered = sorted(result.traces.items(), key=lambda kv: str(kv[0]))
-    traces = os.path.join(out, "traces")
-    fresh = tempfile.mkdtemp(prefix=".traces-", dir=out)
+    stage = tempfile.mkdtemp(prefix=".staging-", dir=out)
     stale = None
     try:
-        os.chmod(fresh, os.stat(out).st_mode & 0o777)  # mkdtemp makes it 0700
-        _write_traces(fresh, ordered, result, config)
+        os.chmod(stage, os.stat(out).st_mode & 0o777)  # mkdtemp makes it 0700
+        with open(os.path.join(stage, "results.csv"), "w") as fh:
+            fh.write(RESULTS_HEADER + "\n")
+            for row in result.rows:
+                fh.write(",".join([
+                    row.variant, _fmt(row.epsilon), _fmt(row.delta),
+                    str(row.checkpoint), _fmt(row.mean_regret),
+                    _fmt(row.stderr), _fmt(row.min), _fmt(row.max),
+                    str(row.clean_violations),
+                ]) + "\n")
+
+        with open(os.path.join(stage, "plotdata.csv"), "w") as plot:
+            plot.write("variant,epsilon,delta,seed,checkpoint,"
+                       "cumulative_regret\n")
+            # episodes in the str order of their keys, as traces/ lists them
+            for key, checks in sorted(result.traces.items(),
+                                      key=lambda kv: str(kv[0])):
+                variant, eps, delta, seed = key
+                rows = [f"{cp},{float(value)!r}\n"
+                        for cp, value in zip(config.checkpoints, checks)]
+                cell = f"{variant},{_fmt(eps)},{_fmt(delta)},{seed},"
+                plot.writelines(cell + row for row in rows)
+                tag = (f"{variant}_{_fmt(eps) or 'none'}_"
+                       f"{_fmt(delta) or 'none'}_{seed}")
+                with open(os.path.join(stage, tag + ".csv"), "w") as fh:
+                    if key in result.full_traces:
+                        fh.write("user,cumulative_regret\n")
+                        full = result.full_traces[key].cumulative_regret
+                        for user, value in enumerate(full, 1):
+                            fh.write(f"{user},{float(value)!r}\n")
+                    else:
+                        fh.write("checkpoint,cumulative_regret\n")
+                        fh.writelines(rows)
+
+        settings = asdict(config)
+        del settings["output"], settings["master_seed"]
+        manifest = {
+            "package_version": __version__,
+            "numpy_version": np.__version__,
+            "master_seed": config.master_seed,
+            "config": settings,
+        }
+        with open(os.path.join(stage, "manifest.json"), "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+        for name in ("results.csv", "plotdata.csv", "manifest.json"):
+            os.replace(os.path.join(stage, name), os.path.join(out, name))
+        traces = os.path.join(out, "traces")
         if os.path.lexists(traces):
-            stale = fresh + ".old"
+            stale = stage + ".old"
             os.rename(traces, stale)
-        os.rename(fresh, traces)
+        os.rename(stage, traces)
     except BaseException:
-        shutil.rmtree(fresh, ignore_errors=True)
+        shutil.rmtree(stage, ignore_errors=True)
         raise
     if stale is not None:
         shutil.rmtree(stale)
-
-    with _replacing(os.path.join(out, "plotdata.csv")) as fh:
-        fh.write("variant,epsilon,delta,seed,checkpoint,cumulative_regret\n")
-        for (variant, eps, delta, seed), checks in ordered:
-            for cp, value in zip(config.checkpoints, checks):
-                fh.write(f"{variant},{_fmt(eps)},{_fmt(delta)},{seed},"
-                         f"{cp},{float(value)!r}\n")
-
-    settings = asdict(config)
-    del settings["output"], settings["master_seed"]
-    manifest = {
-        "package_version": __version__,
-        "numpy_version": np.__version__,
-        "master_seed": config.master_seed,
-        "config": settings,
-    }
-    with _replacing(os.path.join(out, "manifest.json")) as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")

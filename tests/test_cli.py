@@ -192,17 +192,6 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    def test_package_exports_audit_lazily(self):
-        import shufflebandit
-        from shufflebandit import audit
-
-        for name in ("AuditReport", "audit_grid", "hockey_stick",
-                     "noise_distribution"):
-            assert name in shufflebandit.__all__
-            assert getattr(shufflebandit, name) is getattr(audit, name)
-        with pytest.raises(AttributeError):
-            shufflebandit.no_such_name
-
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self, capsys):

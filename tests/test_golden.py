@@ -8,19 +8,15 @@ eliminate, so their outputs hardly depend on the noise; the two-arm private
 cells eliminate at a phase that the noise draws decide.
 """
 
-import numpy as np
 import pytest
 
 from shufflebandit.env import SeedSpec
 from shufflebandit.harness import ExperimentConfig, engine_config, run_episode
 from shufflebandit.mechanism import derive_params
 
-GOLDEN_NUMPY = "2.4.6"
+from golden_pins import needs_numpy
 
-pytestmark = pytest.mark.skipif(
-    np.__version__ != GOLDEN_NUMPY,
-    reason=f"golden values were drawn with numpy {GOLDEN_NUMPY}; numpy "
-           f"{np.__version__} may give a different binomial stream")
+pytestmark = needs_numpy
 
 CONFIGS = {
     # the instance of scripts/configs/desk.cfg

@@ -12,17 +12,13 @@ import hashlib
 import os
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from shufflebandit.harness import ExperimentConfig, run_experiment
 
-GOLDEN_NUMPY = "2.4.6"
+from golden_pins import needs_numpy
 
-pytestmark = pytest.mark.skipif(
-    np.__version__ != GOLDEN_NUMPY,
-    reason=f"golden values were drawn with numpy {GOLDEN_NUMPY}; numpy "
-           f"{np.__version__} may give a different binomial stream")
+pytestmark = needs_numpy
 
 CONFIG = ExperimentConfig(
     k=3, means=(1.0, 0.6, 0.0), horizon=20000,

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -232,6 +233,21 @@ class TestCodeBuiltConfig:
         assert info.value.key == "epsilons"
         assert not out.exists()
 
+    def test_empty_output_runs_nothing(self, no_episodes):
+        # allowed at construction, for configs never run
+        config = ExperimentConfig(**self.FIELDS, output="")
+        with pytest.raises(ConfigError,
+                           match=r"^output must be nonempty$") as info:
+            run_experiment(config)
+        assert info.value.key == "output"
+
+    def test_output_naming_a_file_runs_nothing(self, tmp_path, no_episodes):
+        out = tmp_path / "out"
+        out.write_text("mine")
+        with pytest.raises(FileExistsError):
+            run_experiment(ExperimentConfig(**self.FIELDS, output=str(out)))
+        assert out.read_text() == "mine"
+
 
 class TestRunExperiment:
     def test_single_seed_aggregate_equals_trace(self, tmp_path):
@@ -331,6 +347,48 @@ class TestRunExperiment:
             "manifest.json", "notes.txt", "plotdata.csv", "results.csv",
             "traces"]
         assert (out / "notes.txt").read_text() == "mine"
+
+    def test_output_modes(self, tmp_path):
+        # traces/ takes the output directory's bits, not mkdtemp's 0700;
+        # every file has the mode a plain open gives it
+        path, out = write_config(tmp_path, PRIVATE)
+        out.mkdir()
+        out.chmod(0o750)
+        run_experiment(parse_config(path))
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        file_mode = plain.stat().st_mode & 0o777
+        assert (out / "traces").stat().st_mode & 0o777 == 0o750
+        files = [p for p in out.rglob("*") if p.is_file()]
+        assert len(files) == 3 + 5 * 3
+        assert {p.stat().st_mode & 0o777 for p in files} == {file_mode}
+
+    def test_failed_rerun_replaces_nothing(self, tmp_path, monkeypatch):
+        path, out = write_config(tmp_path, PRIVATE)
+        run_experiment(parse_config(path))
+        before = {str(p.relative_to(out)): p.read_bytes()
+                  for p in out.rglob("*") if p.is_file()}
+        traces_opened = []
+
+        def failing_open(file, *args, **kwargs):
+            if "_" in os.path.basename(file):  # a trace file
+                traces_opened.append(file)
+                if len(traces_opened) == 2:
+                    raise OSError("injected write failure")
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "open", failing_open, raising=False)
+        # a rerun with other seeds would change every output file
+        path, _ = write_config(tmp_path, PRIVATE.replace("seeds = 3",
+                                                         "seeds = 1"))
+        with pytest.raises(OSError, match="injected write failure"):
+            run_experiment(parse_config(path))
+        assert len(traces_opened) == 2
+        after = {str(p.relative_to(out)): p.read_bytes()
+                 for p in out.rglob("*") if p.is_file()}
+        assert after == before
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "plotdata.csv", "results.csv", "traces"]
 
     def test_parallel_matches_serial(self, tmp_path):
         # 10 jobs: 3 threads split them 4, 3, 3; the 2-job config gets
