@@ -12,6 +12,21 @@ the window to each divergence.  The reports are thus certified upper bounds,
 within that mass of the full-support values, at a cost of O(sqrt(n))
 support points whatever the batch size.  `noise_distribution` keeps the
 full support as the specification the window is tested against.
+
+Within the window it reads the pmf only where a hinge term can be positive.
+The ratio p(t) / p(t-1) = (n-t+1) q / (t (1-q)) falls as t grows, so the
+forward term p(t) - e^eps p(t-1) is positive only below the crossing
+c_f = (n+1) q / (q + e^eps (1-q)), and the backward term p(t-1) - e^eps p(t)
+only above c_b = (n+1) q e^eps / (1 - q + q e^eps).  The forward divergence
+is read from lo..floor(c_f)+1 and the backward one from ceil(c_b)-2..hi:
+each range reaches one point past its crossing, in case rounding moves the
+computed crossing across an integer.  Each range is clamped to keep its
+window edge: the window treats p(lo-1) and p(hi+1) as 0, so p(lo) is always
+a forward term and p(hi) always a backward term.
+
+The binomial pmf, cdf and sf are the ufuncs `scipy.stats.binom` itself
+calls; taking them from `scipy.special` spares the audit the import of
+`scipy.stats`.
 """
 
 from __future__ import annotations
@@ -21,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
+from scipy.special._ufuncs import _binom_cdf, _binom_pmf, _binom_sf
 
 from .mechanism import NoiseLaw, PrivacyParams, derive_params, noise_law
 
@@ -65,7 +80,7 @@ def noise_distribution(m: int, params: PrivacyParams) -> np.ndarray:
     if law.n + 1 > DEFAULT_SUPPORT_CAP:
         raise ValueError(f"noise support of {law.n + 1} points exceeds cap "
                          f"{DEFAULT_SUPPORT_CAP}")
-    return binom.pmf(np.arange(law.n + 1), law.n, law.q)
+    return _binom_pmf(np.arange(law.n + 1), law.n, law.q)
 
 
 def shifted_hockey_stick(pmf: np.ndarray, epsilon: float) -> tuple[float, float]:
@@ -93,8 +108,21 @@ def noise_window(law: NoiseLaw) -> tuple[int, int, float]:
     spread = WINDOW_SDS * math.sqrt(mean * (1.0 - law.q))
     lo = max(0, math.floor(mean - spread))
     hi = min(law.n, math.ceil(mean + spread))
-    tail = binom.cdf(lo - 1, law.n, law.q) + binom.sf(hi, law.n, law.q)
-    return lo, hi, float(tail)
+    # _binom_cdf(-1, n, q) is nan where binom.cdf gives 0
+    below = _binom_cdf(lo - 1, law.n, law.q) if lo > 0 else 0.0
+    return lo, hi, float(below + _binom_sf(hi, law.n, law.q))
+
+
+def hinge_ranges(law: NoiseLaw, lo: int, hi: int,
+                 epsilon: float) -> tuple[int, int]:
+    """(fwd_hi, bwd_lo): the forward divergence of the window lo..hi is read
+    from lo..fwd_hi and the backward one from bwd_lo..hi (module docstring).
+    """
+    n, q, e_eps = law.n, law.q, math.exp(epsilon)
+    c_f = (n + 1) * q / (q + e_eps * (1.0 - q))
+    c_b = (n + 1) * q * e_eps / (1.0 - q + q * e_eps)
+    return (min(hi, max(lo, math.floor(c_f) + 1)),
+            max(lo, min(hi, math.ceil(c_b) - 2)))
 
 
 def hockey_stick(m: int, params: PrivacyParams) -> AuditReport:
@@ -103,12 +131,19 @@ def hockey_stick(m: int, params: PrivacyParams) -> AuditReport:
     With W the divergences of the pmf restricted to the window, each exact
     divergence lies in [W - e^eps * tail, W + tail]: the window's two edge
     terms and the terms outside it change by at most that mass.  The report
-    gives W + tail and passes when both are at most delta.
+    gives W + tail and passes when both are at most delta.  W is summed over
+    the hinge ranges only, which hold every window term that is positive in
+    exact arithmetic.
     """
     law = noise_law(m, params)
     lo, hi, tail = noise_window(law)
-    pmf = binom.pmf(np.arange(lo, hi + 1), law.n, law.q)
-    fwd, bwd = (w + tail for w in shifted_hockey_stick(pmf, params.epsilon))
+    fwd_hi, bwd_lo = hinge_ranges(law, lo, hi, params.epsilon)
+    fwd = shifted_hockey_stick(
+        _binom_pmf(np.arange(lo, fwd_hi + 1), law.n, law.q),
+        params.epsilon)[0] + tail
+    bwd = shifted_hockey_stick(
+        _binom_pmf(np.arange(bwd_lo, hi + 1), law.n, law.q),
+        params.epsilon)[1] + tail
     return AuditReport(m=m, epsilon=params.epsilon, delta=params.delta,
                        divergence_forward=fwd, divergence_backward=bwd,
                        passed=max(fwd, bwd) <= params.delta)

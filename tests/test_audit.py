@@ -5,9 +5,9 @@ import pytest
 from scipy.stats import binom
 
 from shufflebandit.audit import (DEFAULT_SUPPORT_CAP, GridCell, audit_grid,
-                                 brute_force_shuffle_divergence, hockey_stick,
-                                 noise_distribution, noise_window,
-                                 shifted_hockey_stick)
+                                 brute_force_shuffle_divergence, hinge_ranges,
+                                 hockey_stick, noise_distribution,
+                                 noise_window, shifted_hockey_stick)
 from shufflebandit.mechanism import PrivacyParams, derive_params, noise_law
 
 
@@ -131,6 +131,24 @@ SHRUNK += [(m, params) for m in (2, 3, 8) for _, params in SHRUNK[:2]]
 LARGE_MS = [2**20, 2**21, 2**22, 10**7, 10**9]
 
 
+def _random_cells(count, seed=20261019):
+    """Log-uniform eps in 0.01..1, tau in 0.3..3e5 and m in 1..1e9."""
+    rng = np.random.default_rng(seed)
+    cells = []
+    for _ in range(count):
+        eps, tau, m = 10 ** rng.uniform([-2, math.log10(0.3), 0],
+                                        [0, math.log10(3e5), 9])
+        cells.append((int(m), PrivacyParams(float(eps), 1e-5, tau=float(tau),
+                                            sigma2=1.5 * float(tau))))
+    return cells
+
+
+# 1 to 4 noise bits, where the two hinge ranges meet
+TINY = [(m, PrivacyParams(eps, 0.05, tau=tau, sigma2=1.5 * tau))
+        for m, tau in [(1, 0.6), (1, 3.2), (2, 3.2), (3, 0.9)]
+        for eps in (0.01, 0.8)]
+
+
 def _cells(cells):
     return pytest.mark.parametrize(
         "m,params", cells,
@@ -191,6 +209,49 @@ class TestWindow:
             assert want - slack <= upper <= want + (1 + e_eps) * tail + slack
         assert report.passed
         assert max(got) <= params.delta
+
+    def test_hinge_ranges_hold_every_positive_term(self):
+        # every window term hockey_stick leaves out is at most 0, so its
+        # report is the full window's divergences plus the tail
+        cells = _random_cells(300) + SHRUNK + TINY
+        seen = {"q=0.5": 0, "q<0.01": 0, "m>tau": 0, "m<=tau": 0,
+                "forward at lo": 0, "backward at hi": 0, "ranges meet": 0}
+        for m, params in cells:
+            law = noise_law(m, params)
+            lo, hi, tail = noise_window(law)
+            fwd_hi, bwd_lo = hinge_ranges(law, lo, hi, params.epsilon)
+            # p(lo) is always a forward term and p(hi) a backward one
+            assert lo <= fwd_hi <= hi and lo <= bwd_lo <= hi
+            pmf = binom.pmf(np.arange(lo, hi + 1), law.n, law.q)
+            p = np.concatenate([pmf, [0.0]])       # p(t), t = lo..hi+1
+            prev = np.concatenate([[0.0], pmf])    # p(t-1)
+            t = np.arange(lo, hi + 2)
+            e_eps = math.exp(params.epsilon)
+            # a range lo..fwd_hi sums the forward terms up to fwd_hi, a
+            # range bwd_lo..hi the backward terms from bwd_lo + 1
+            fwd_out, bwd_out = t > fwd_hi, t <= bwd_lo
+            left_out = np.concatenate([(p - e_eps * prev)[fwd_out],
+                                       (prev - e_eps * p)[bwd_out]])
+            # subnormal pmf values are multiples of 5e-324, whose rounding
+            # can make a term positive where the exact one is not
+            larger = np.maximum(p, prev)
+            larger_out = np.concatenate([larger[fwd_out], larger[bwd_out]])
+            assert np.all((left_out <= 0)
+                          | (larger_out < np.finfo(float).tiny)), (m, params)
+            report = hockey_stick(m, params)
+            got = (report.divergence_forward, report.divergence_backward)
+            for upper, window in zip(got, shifted_hockey_stick(
+                    pmf, params.epsilon)):
+                want = window + tail
+                assert abs(upper - want) <= 1e-14 * want + 1e-300, (m, params)
+            seen["q=0.5"] += law.q == 0.5
+            seen["q<0.01"] += law.q < 0.01
+            seen["m>tau"] += m > params.tau
+            seen["m<=tau"] += m <= params.tau
+            seen["forward at lo"] += fwd_hi == lo < hi
+            seen["backward at hi"] += bwd_lo == hi > lo
+            seen["ranges meet"] += fwd_hi >= bwd_lo
+        assert min(seen.values()) > 0, seen
 
     @pytest.mark.parametrize("m,eps,delta", [(1, 0.5, 1e-5),
                                              (2048, 1.0, 1e-2),

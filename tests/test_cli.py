@@ -179,7 +179,7 @@ class TestRun:
 
 class TestImports:
     def test_run_does_not_load_scipy(self, tmp_path):
-        # scipy.stats takes about a second to import; only `audit` needs it
+        # scipy.special takes about 0.2 s to import; only `audit` needs it
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(CONFIG.format(out=tmp_path / "out"))
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -187,6 +187,19 @@ class TestImports:
                 "from shufflebandit.cli import main\n"
                 f"assert main(['run', '--config', {str(cfg)!r}]) == 0\n"
                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_audit_does_not_load_scipy_stats(self):
+        # the audit takes the binomial ufuncs from scipy.special: importing
+        # scipy.stats would cost about 0.7 s more
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        code = ("import sys\n"
+                "import shufflebandit.audit\n"
+                "print(sorted(m for m in sys.modules\n"
+                "             if m.split('.')[:2] == ['scipy', 'stats']))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr

@@ -31,7 +31,7 @@ SAMPLE = ["mechanism", "sample", "--eps", "0.8", "--delta", "1e-3",
     pytest.param(
         ["audit", "--m", "1,2,42,1024,4096", "--eps", "0.25,0.5,1",
          "--delta", "1e-5"],
-        "b203e17b0515ccf2dc6201c4767638e9c3b4c246c6b4028859f54abcfeb7737f",
+        "be7e5f5cc9ea4240ccd8bc7b49ecafe40c0de99988b5bd81e9ea7c401456f78e",
         marks=[needs_numpy_stdout, needs_scipy], id="audit"),
 ])
 def test_stdout_digest(capsys, argv, digest):
