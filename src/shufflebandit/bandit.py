@@ -15,11 +15,11 @@ from functools import cache
 
 import numpy as np
 
-from .env import BanditInstance, SeedSpec, make_tapes
+from .env import BanditInstance, RewardTape, SeedSpec
 from .mechanism import PrivacyParams, noise_law
-# perfbench/tracer.py looks up bandit.private_sum; the engine draws noise
-# counts of `noise_law`, and private_sum stays the specification it is
-# tested against.
+# perfbench/tracer.py looks up bandit.private_sum; the engine's tapes draw
+# noise counts of `noise_law`, and private_sum stays the specification they
+# are tested against.
 from .mechanism import private_sum  # noqa: F401
 
 RUN_CAP = 1024  # phases drawn ahead in one vector call per stream, at most
@@ -122,15 +122,14 @@ def eliminate(active: list[bool], estimates: list[float],
     return out
 
 
-def run_phase(sums, active, tapes, counts, m, offset, instance, trace):
+def run_phase(sums, pulls, active, tapes, m, instance, trace):
     """Pull one batch of m users per active arm, in ascending arm order.
 
-    `sums` holds each arm's (noisy) reward sum.  `counts[a]` yields arm a's
-    noise count of each batch, whose law has mean `offset`; `counts` is None
-    for the noiseless engine and for the phase the horizon cuts short.
-    Returns the number of users consumed so far.  If the horizon is reached
-    the interrupted batch's pulls count toward regret but the mechanism is
-    not invoked and the arm's sum is left untouched.
+    Each batch adds its users to `pulls[a]` and the estimate that arm a's
+    tape drew ahead for it to `sums[a]`.  `tapes` is None for the phase the
+    horizon cuts short: its batches are charged up to the T-th pull and
+    draw nothing, since no elimination test reads that phase's sums.
+    Returns the number of users consumed so far.
     """
     gaps = instance.gaps
     horizon = instance.horizon
@@ -138,15 +137,13 @@ def run_phase(sums, active, tapes, counts, m, offset, instance, trace):
         if not active[a]:
             continue
         take = min(m, horizon - trace.users)
-        true_sum = tapes[a].draw(take)
         trace.charge(take, gaps[a])
+        pulls[a] += take
         if trace.users == horizon:
             # the T-th pull exits before the communication step
             break
-        if counts is None:
-            sums[a] += float(true_sum)
-        else:
-            sums[a] += float(true_sum + next(counts[a])) - offset
+        if tapes is not None:
+            sums[a] += tapes[a].draw(m)
     return trace.users
 
 
@@ -170,48 +167,35 @@ def run_episode(instance: BanditInstance, config: EngineConfig,
                 seeds: SeedSpec) -> RegretTrace:
     """One seeded run to the horizon; deterministic given (instance, config, seeds).
 
-    Before each run of phases that must complete, every active arm draws
-    the reward sums and noise counts of all of them in one vector call per
-    stream.  Such a call returns the values of one scalar call per batch
-    and leaves the generator in the same state, and each arm has its own
-    generators, so the streams are those of drawing batch by batch.  An arm
-    eliminated during a run drops its unread draws.  The phase the horizon
-    cuts short draws one reward sum per batch it reaches and no noise: no
-    elimination test reads its sums.
+    Before each run of phases that must complete, every active arm's tape
+    draws the estimates of all of them, in one vector call per generator,
+    and the phases read them in order.  Each arm has its own generators, so
+    the streams are those of drawing batch by batch.  An arm eliminated
+    during a run leaves its unread estimates unread.  The phase the horizon
+    cuts short draws nothing: no elimination test reads its sums.
     """
     k = instance.k
     means = instance.means
     horizon = instance.horizon
-    privacy = config.privacy
     sums = [0.0] * k
+    pulls = [0] * k
     active = [True] * k
-    tapes = make_tapes(instance, seeds)
-    noise = ([seeds.noise_rng(a) for a in range(k)]
-             if privacy is not None else None)
-    law = cache(lambda m: noise_law(m, privacy))  # once per batch size
+    law = (cache(lambda m: noise_law(m, config.privacy))  # once per batch size
+           if config.privacy is not None else None)
+    tapes = [RewardTape(a, means[a], seeds, law) for a in range(k)]
     trace = RegretTrace()
     sigma = config.sigma
     phase = 0
-    pulled = 0  # pulls of every active arm: each is pulled in every phase
     while sizes := _complete_phases(config.m, phase, trace.users,
                                     active.count(True), horizon):
-        arms = [a for a in range(k) if active[a]]
-        for a in arms:
-            tapes[a].draw_ahead(sizes)
-        counts, offsets = None, [0.0] * len(sizes)
-        if noise is not None:
-            laws = [law(m) for m in sizes]
-            n = [x.n for x in laws]
-            q = [x.q for x in laws]
-            offsets = [x.offset for x in laws]
-            counts = [None] * k
-            for a in arms:
-                counts[a] = iter(noise[a].binomial(n, q).tolist())
-        for m, offset in zip(sizes, offsets):
+        for a in range(k):
+            if active[a]:
+                tapes[a].draw_ahead(sizes)
+        for m in sizes:
             phase += 1
-            run_phase(sums, active, tapes, counts, m, offset, instance, trace)
-            pulled += m
-            # every active arm has `pulled` pulls, hence one radius
+            run_phase(sums, pulls, active, tapes, m, instance, trace)
+            # every active arm has as many pulls, hence one radius
+            pulled = pulls[active.index(True)]
             radius = confidence_radius(phase, pulled, horizon, sigma)
             estimates = [s / pulled for s in sums]
             for a in range(k):
@@ -221,7 +205,6 @@ def run_episode(instance: BanditInstance, config: EngineConfig,
                 trace.eliminations.append((a, phase))
     # the phase the horizon cuts short
     phase += 1
-    run_phase(sums, active, tapes, None, config.m or 2**phase, 0.0, instance,
-              trace)
-    trace.arm_pulls_total = [tape.cursor for tape in tapes]
+    run_phase(sums, pulls, active, None, config.m or 2**phase, instance, trace)
+    trace.arm_pulls_total = pulls
     return trace

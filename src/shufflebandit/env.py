@@ -1,8 +1,9 @@
-"""Bandit instances and reproducible Bernoulli reward streams.
+"""Bandit instances and reproducible per-arm streams of batch estimates.
 
-Rewards are generated lazily, one batch at a time, as the batch's reward
-sum drawn from one per-arm generator.  This keeps memory O(k) at any horizon
-and makes an arm's stream independent of every other arm's stream.
+A batch is drawn as the one statistic the analyzer reads, its reward sum
+plus its noise count, from the arm's own reward and noise generators.  This
+keeps memory O(k) at any horizon and makes an arm's stream independent of
+every other arm's stream.
 """
 
 from __future__ import annotations
@@ -75,49 +76,46 @@ def make_instance(k: int, means: list[float], horizon: int) -> BanditInstance:
 
 
 class RewardTape:
-    """Lazy per-arm stream of Bernoulli(mu) rewards, consumed batch by batch.
+    """One arm's stream of batch estimates, drawn ahead run by run.
 
-    A batch is only ever aggregated, so each draw returns the batch's reward
-    sum, Binomial(batch_size, mu), from the arm's one generator.  The sums
-    of known coming batches can be drawn ahead in one vector call.
+    A batch is only ever aggregated: the analyzer of the shuffle mechanism
+    reads its popcount S + B, the reward sum S ~ Binomial(m, mu) plus, when
+    `law` is given, the noise count B of `law(m)`, the batch's noise law.
+    The tape draws S from the arm's reward generator and B from its noise
+    generator, and `draw` returns the analyzer's estimate S + B - E[B], or S
+    without noise.
     """
 
-    def __init__(self, arm: int, mean: float, seeds: SeedSpec, horizon: int):
+    def __init__(self, arm: int, mean: float, seeds: SeedSpec, law=None):
         self.arm = arm
         self.mean = mean
-        self.horizon = horizon
-        self.cursor = 0
+        self.law = law
         self._rng = seeds.reward_rng(arm)
-        self._ahead = deque()  # (batch size, sum) drawn but not yet read
+        self._noise = seeds.noise_rng(arm) if law is not None else None
+        self._ahead = deque()  # (batch size, estimate) drawn but not yet read
 
     def draw_ahead(self, sizes: list[int]) -> None:
-        """Draw the sums of the next batches, of these sizes, in one call.
+        """Draw the estimates of the next batches, of these sizes.
 
-        `draw` returns them in order, then draws one scalar per batch again.
-        The vector call returns the values of one scalar call per batch and
-        leaves the generator in the same state, so the stream is unchanged.
+        Each generator makes one vector call, which returns the values of
+        one scalar call per batch and leaves the generator in the same
+        state, so the streams are those of drawing batch by batch.
         """
-        self._ahead.extend(zip(sizes,
-                               self._rng.binomial(sizes, self.mean).tolist()))
-
-    def draw(self, batch_size: int) -> int:
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if self.cursor + batch_size > self.horizon:
-            raise ValueError(
-                f"tape for arm {self.arm} exhausted: cursor={self.cursor}, "
-                f"requested {batch_size}, horizon={self.horizon}")
-        if self._ahead:
-            size, total = self._ahead.popleft()
-            if size != batch_size:
-                raise ValueError(f"tape for arm {self.arm} drew a batch of "
-                                 f"{size} ahead, requested {batch_size}")
+        sums = self._rng.binomial(sizes, self.mean).tolist()
+        if self.law is None:
+            estimates = [float(s) for s in sums]
         else:
-            total = int(self._rng.binomial(batch_size, self.mean))
-        self.cursor += batch_size
-        return total
+            laws = [self.law(m) for m in sizes]
+            counts = self._noise.binomial([x.n for x in laws],
+                                          [x.q for x in laws]).tolist()
+            estimates = [float(s + b) - x.offset
+                         for s, b, x in zip(sums, counts, laws)]
+        self._ahead.extend(zip(sizes, estimates))
 
-
-def make_tapes(instance: BanditInstance, seeds: SeedSpec) -> list[RewardTape]:
-    return [RewardTape(a, instance.means[a], seeds, instance.horizon)
-            for a in range(instance.k)]
+    def draw(self, batch_size: int) -> float:
+        """The estimate of the next batch drawn ahead, of batch_size users."""
+        size, estimate = self._ahead.popleft()
+        if size != batch_size:
+            raise ValueError(f"tape for arm {self.arm} drew a batch of "
+                             f"{size} ahead, requested {batch_size}")
+        return estimate

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import shutil
+import stat
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -168,11 +169,11 @@ def parse_config(path: str) -> ExperimentConfig:
     known = {f.name: f for f in fields(ExperimentConfig)}
     raw: dict[str, tuple[str, int]] = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read config: "
-                          f"{exc.strerror or exc}") from None
+                          f"{getattr(exc, 'strerror', None) or exc}") from None
     for lineno, line in enumerate(lines, 1):
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -306,7 +307,8 @@ def emit_outputs(result: AggregateResult, config: ExperimentConfig) -> None:
     Only then are the three top-level files moved into place and the rest
     swapped in as `traces/`, so a failed write replaces nothing and
     `traces/` never holds a previous run's files; nothing else in the
-    output directory is touched.
+    output directory is touched.  A `traces` that is a file or a symbolic
+    link is replaced too, and a link's target is never touched.
     """
     out = config.output
     stage = tempfile.mkdtemp(prefix=".staging-", dir=out)
@@ -369,4 +371,7 @@ def emit_outputs(result: AggregateResult, config: ExperimentConfig) -> None:
         shutil.rmtree(stage, ignore_errors=True)
         raise
     if stale is not None:
-        shutil.rmtree(stale)
+        if stat.S_ISDIR(os.lstat(stale).st_mode):
+            shutil.rmtree(stale)
+        else:  # a file or a link; a link's target is left as it is
+            os.unlink(stale)

@@ -8,9 +8,9 @@ encoder, the analyzer, the sampler `noisy_sum`, the engine and the auditor
 all read it.  `encode -> shuffle -> analyze` is the executable
 specification, and `private_sum` is that composition for one batch: only
 `encode` draws noise bits and only `shuffle` permutes them.  The engine
-draws only the popcount that the analyzer reads, the noise count of
-`noise_law`, for many batches per call; `noisy_sum` draws it for one batch
-and is the reference the engine is tested against.
+draws only the popcount that the analyzer reads: each arm's `RewardTape`
+draws reward sums and noise counts of many batches per call.  `noisy_sum`
+draws it for one batch and is the reference the tape is tested against.
 The additive error is B - E[B] with B binomial, so it is unbiased,
 independent of the input, and sub-Gaussian with variance 1.5 * tau.
 """

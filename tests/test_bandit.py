@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import math
 from dataclasses import replace
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from shufflebandit import bandit, harness
 from shufflebandit.bandit import (EngineConfig, RegretTrace, confidence_radius,
                                   eliminate, run_episode, run_phase)
-from shufflebandit.env import RewardTape, SeedSpec, make_instance, make_tapes
+from shufflebandit.env import RewardTape, SeedSpec, make_instance
 from shufflebandit.mechanism import derive_params, noise_law, noisy_sum
 
 I_4_30_12_1E5 = 8.553728421127085  # (2*2*12/30 + 1/sqrt(30)) * sqrt(2 ln 1e5)
@@ -49,72 +50,93 @@ class TestEliminate:
         assert eliminated == [1, 2]
 
 
+def _tapes(instance, seeds, law=None):
+    """Every arm's tape, as run_episode makes them."""
+    return [RewardTape(a, mu, seeds, law)
+            for a, mu in enumerate(instance.means)]
+
+
 class TestRunPhase:
     def test_bookkeeping_constant(self):
         inst = make_instance(2, [1.0, 0.0], 1000)
-        sums, active = [0.0, 0.0], [True, True]
-        tapes = make_tapes(inst, SeedSpec(0))
-        consumed = run_phase(sums, active, tapes, None, 10, 0.0, inst,
+        sums, pulls, active = [0.0, 0.0], [0, 0], [True, True]
+        tapes = _tapes(inst, SeedSpec(0))
+        for tape in tapes:
+            tape.draw_ahead([10])
+        consumed = run_phase(sums, pulls, active, tapes, 10, inst,
                              RegretTrace())
         assert consumed == 20
-        assert [tape.cursor for tape in tapes] == [10, 10]
+        assert pulls == [10, 10]
 
     def test_noiseless_exact_sum(self):
         inst = make_instance(1, [1.0], 100)
-        sums = [0.0]
-        tapes = make_tapes(inst, SeedSpec(0))
-        run_phase(sums, [True], tapes, None, 5, 0.0, inst, RegretTrace())
+        sums, pulls = [0.0], [0]
+        tapes = _tapes(inst, SeedSpec(0))
+        tapes[0].draw_ahead([5])
+        run_phase(sums, pulls, [True], tapes, 5, inst, RegretTrace())
         assert sums[0] == 5.0
-        assert sums[0] / tapes[0].cursor == 1.0
+        assert sums[0] / pulls[0] == 1.0
 
     def test_doubling_pull_counts(self):
         inst = make_instance(2, [0.5, 0.5], 10**4)
-        sums, active = [0.0, 0.0], [True, True]
-        tapes = make_tapes(inst, SeedSpec(0))
+        sums, pulls, active = [0.0, 0.0], [0, 0], [True, True]
+        tapes = _tapes(inst, SeedSpec(0))
+        for tape in tapes:
+            tape.draw_ahead([2, 4, 8])
         trace = RegretTrace()
         for t in (1, 2, 3):
-            run_phase(sums, active, tapes, None, 2**t, 0.0, inst, trace)
-        assert all(tape.cursor == 2**4 - 2 for tape in tapes)
+            run_phase(sums, pulls, active, tapes, 2**t, inst, trace)
+        assert pulls == [2**4 - 2] * 2
 
     def test_horizon_exit_skips_mechanism(self):
         # the batch reaching the T-th pull is charged but never aggregated
         inst = make_instance(2, [1.0, 1.0], 15)
-        sums, active = [0.0, 0.0], [True, True]
-        tapes = make_tapes(inst, SeedSpec(0))
-        consumed = run_phase(sums, active, tapes, None, 10, 0.0, inst,
-                             RegretTrace())
-        assert consumed == 15
-        assert sums[0] == 10.0
-        assert sums[1] == 0.0  # interrupted batch, no state update
-        assert tapes[1].cursor == 5
+        sums, pulls, active = [0.0, 0.0], [0, 0], [True, True]
+        tapes = _tapes(inst, SeedSpec(0))
+        for tape in tapes:
+            tape.draw_ahead([10])
+        trace = RegretTrace()
+        assert run_phase(sums, pulls, active, tapes, 10, inst, trace) == 15
+        assert sums == [10.0, 0.0]  # interrupted batch, no state update
+        assert pulls == [10, 5]
+        assert trace.users == 15
+
+    def test_cut_phase_charges_without_tapes(self):
+        # the phase the horizon cuts short gets no tapes: its batches are
+        # charged up to the T-th pull and leave every sum untouched
+        inst = make_instance(3, [1.0, 0.5, 0.0], 25)
+        sums, pulls, active = [0.0] * 3, [0] * 3, [True] * 3
+        trace = RegretTrace()
+        assert run_phase(sums, pulls, active, None, 10, inst, trace) == 25
+        assert sums == [0.0] * 3
+        assert pulls == [10, 10, 5]
+        assert trace.regret == 0.5 * 10 + 1.0 * 5
 
     @pytest.mark.parametrize("m", [8, 300])  # below and above tau ~ 133
     def test_commits_values_drawn_ahead(self, m):
-        # the sums and noise counts drawn ahead are read in order, once per
-        # batch, and equal drawing them batch by batch
+        # the estimates drawn ahead are read in order, once per batch, and
+        # equal drawing each batch's reward sum and noisy_sum by scalar calls
         params = derive_params(1.0, 0.5)
-        law = noise_law(m, params)
         inst = make_instance(2, [0.3, 0.6], 6 * m + 1)
         seeds = SeedSpec(5)
-        tapes = make_tapes(inst, seeds)
-        noise = [seeds.noise_rng(a) for a in range(2)]
-        counts = []
-        for tape, rng in zip(tapes, noise):
+        law = functools.partial(noise_law, params=params)
+        tapes = _tapes(inst, seeds, law)
+        for tape in tapes:
             tape.draw_ahead([m] * 3)
-            counts.append(iter(rng.binomial(law.n, law.q, size=3).tolist()))
-        sums, active = [0.0, 0.0], [True, True]
+        sums, pulls, active = [0.0, 0.0], [0, 0], [True, True]
         trace = RegretTrace()
         for _ in range(3):
-            run_phase(sums, active, tapes, counts, m, law.offset, inst, trace)
-        fresh = make_tapes(inst, seeds)
+            run_phase(sums, pulls, active, tapes, m, inst, trace)
         for a in range(2):
-            rng = seeds.noise_rng(a)
+            rewards, noise = seeds.reward_rng(a), seeds.noise_rng(a)
             expected = 0.0
             for _ in range(3):
-                expected += noisy_sum(fresh[a].draw(m), m, params, rng).value
+                true_sum = int(rewards.binomial(m, inst.means[a]))
+                expected += noisy_sum(true_sum, m, params, noise).value
             assert sums[a] == expected
-            assert next(counts[a], None) is None
-        assert [tape.cursor for tape in tapes] == [3 * m] * 2
+            with pytest.raises(IndexError):  # every batch was read
+                tapes[a].draw(m)
+        assert pulls == [3 * m] * 2
 
 
 class TestRunEpisode:
@@ -166,15 +188,15 @@ class TestRunEpisode:
         config = EngineConfig(m=25, privacy=params)
         seen = {}  # the arguments of the last run_phase call
 
-        def phase_spy(sums, active, tapes, *args):
-            seen.update(sums=sums, tapes=tapes)
-            return run_phase(sums, active, tapes, *args)
+        def phase_spy(sums, pulls, *args):
+            seen.update(sums=sums, pulls=pulls)
+            return run_phase(sums, pulls, *args)
 
         phases = []
 
         def eliminate_spy(active, estimates, radius):
             t = len(phases) + 1
-            pulls = [tape.cursor for tape in seen["tapes"]]
+            pulls = seen["pulls"]
             arms = [a for a, on in enumerate(active) if on]
             assert len({pulls[a] for a in arms}) == 1
             for a in arms:
@@ -227,6 +249,30 @@ class TestRunEpisode:
         for a, seq in enumerate(draws):
             assert len(seq) == 8  # phases 1 to 8, which complete
             _assert_scalar_noise_draws(seq, a, seeds, params)
+
+    def test_cut_phase_draws_nothing(self, monkeypatch):
+        # the same cut as above: phase 9's batch of arm 0 and 258 pulls of
+        # arm 1's are counted, and no tape draws or reads anything for them
+        ahead, read = [], []
+        draw_ahead, draw = RewardTape.draw_ahead, RewardTape.draw
+
+        def recording_draw_ahead(tape, sizes):
+            ahead.append((tape.arm, list(sizes)))
+            return draw_ahead(tape, sizes)
+
+        def recording_draw(tape, batch_size):
+            read.append((tape.arm, batch_size))
+            return draw(tape, batch_size)
+
+        monkeypatch.setattr(RewardTape, "draw_ahead", recording_draw_ahead)
+        monkeypatch.setattr(RewardTape, "draw", recording_draw)
+        inst = make_instance(3, [0.5, 0.5, 0.5], 2300)
+        config = EngineConfig(privacy=derive_params(0.5, 1e-2))
+        trace = run_episode(inst, config, SeedSpec(4))
+        assert trace.arm_pulls_total == [510 + 512, 510 + 258, 510]
+        complete = [2**phase for phase in range(1, 9)]
+        assert ahead == [(a, complete) for a in range(3)]
+        assert read == [(a, m) for m in complete for a in range(3)]
 
     def test_optimal_arm_safe_in_clean_runs(self):
         inst = make_instance(3, [0.9, 0.5, 0.1], 4000)
@@ -282,17 +328,17 @@ def _assert_scalar_noise_draws(seq, arm, seeds, params):
         [int(rng.binomial(law.n, law.q)) for law in laws]
 
 
-def _reference_fill(batches, gaps, horizon):
+def _reference_fill(batches, horizon):
     """Per-user cumulative regret filled batch by batch, as the engine once
     kept it: the reference the segment trace must reproduce exactly."""
     cum = np.empty(horizon, dtype=np.float64)
     consumed = 0
-    for arm, take in batches:
+    for take, gap in batches:
         base = cum[consumed - 1] if consumed > 0 else 0.0
-        if gaps[arm] == 0.0:
+        if gap == 0.0:
             cum[consumed:consumed + take] = base
         else:
-            cum[consumed:consumed + take] = base + gaps[arm] * np.arange(1, take + 1)
+            cum[consumed:consumed + take] = base + gap * np.arange(1, take + 1)
         consumed += take
     assert consumed == horizon
     return cum
@@ -310,19 +356,19 @@ class TestRegretSegments:
     @pytest.mark.parametrize("horizon", [1, 997, 5001])
     def test_segments_equal_per_user_fill(self, monkeypatch, schedule,
                                           private, horizon):
-        batches = []
-        draw = RewardTape.draw
+        batches = []  # (pulls, gap) of every batch charged
+        charge = RegretTrace.charge
 
-        def recording_draw(tape, batch_size):
-            batches.append((tape.arm, batch_size))
-            return draw(tape, batch_size)
+        def recording_charge(trace, pulls, gap):
+            batches.append((pulls, gap))
+            return charge(trace, pulls, gap)
 
-        monkeypatch.setattr(RewardTape, "draw", recording_draw)
+        monkeypatch.setattr(RegretTrace, "charge", recording_charge)
         inst = make_instance(4, self.MEANS, horizon)
         config = replace(schedule, privacy=derive_params(0.9, 1e-2) if private
                          else None)
         trace = run_episode(inst, config, SeedSpec(31))
-        reference = _reference_fill(batches, inst.gaps, horizon)
+        reference = _reference_fill(batches, horizon)
         users = np.arange(1, horizon + 1)
         np.testing.assert_array_equal(trace.cumulative_regret, reference)
         np.testing.assert_array_equal(trace.at(users), reference)
@@ -332,7 +378,7 @@ class TestRegretSegments:
         assert trace.regret == reference[-1]
         # every case ends on a batch cut short by the horizon
         full_sizes = {schedule.m or 2**phase for phase in range(1, 30)}
-        assert batches[-1][1] not in full_sizes
+        assert batches[-1][0] not in full_sizes
 
     def test_at_rejects_users_outside_trace(self):
         trace = RegretTrace()
@@ -395,16 +441,26 @@ class TestTracerHooks:
 
 class TestEngineConfig:
     def test_doubling_sizes(self, monkeypatch):
-        sizes = []
-        draw = RewardTape.draw
+        # batches of 2, 4 and 8 users fill T = 14; the last is cut short by
+        # the horizon, so only the first two are read
+        sizes, read = [], []
+        charge, draw = RegretTrace.charge, RewardTape.draw
+
+        def recording_charge(trace, pulls, gap):
+            sizes.append(pulls)
+            return charge(trace, pulls, gap)
 
         def recording_draw(tape, batch_size):
-            sizes.append(batch_size)
+            read.append(batch_size)
             return draw(tape, batch_size)
 
+        monkeypatch.setattr(RegretTrace, "charge", recording_charge)
         monkeypatch.setattr(RewardTape, "draw", recording_draw)
-        run_episode(make_instance(1, [0.5], 14), EngineConfig(), SeedSpec(3))
+        trace = run_episode(make_instance(1, [0.5], 14), EngineConfig(),
+                            SeedSpec(3))
         assert sizes == [2, 4, 8]
+        assert read == [2, 4]
+        assert trace.arm_pulls_total == [14]
 
     @pytest.mark.parametrize("m", [0, -3])
     def test_rejects_m_below_one(self, m):

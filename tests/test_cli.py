@@ -170,6 +170,15 @@ class TestRun:
         code, _, _ = run_cli(["run", "--config", "/nonexistent.cfg"], capsys)
         assert code == 1
 
+    def test_config_not_utf8_exits_one_naming_the_file(self, tmp_path,
+                                                        capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes(b"\xff" + CONFIG.format(out=tmp_path / "out").encode())
+        code, _, err = run_cli(["run", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert err.startswith(f"error: {cfg}: cannot read config: 'utf-8' "
+                              "codec can't decode byte 0xff")
+
     def test_directory_config_exits_one(self, tmp_path, capsys):
         # a config that cannot be opened is bad input, like a missing one
         code, _, err = run_cli(["run", "--config", str(tmp_path)], capsys)

@@ -1,10 +1,11 @@
 """The engine against a reference that draws every batch by scalar calls.
 
 `reference_episode` is the engine as it was before it drew runs of phases
-ahead: per-arm pull counts, one `noisy_sum` and one radius per arm and
-batch, and its own copy of the elimination rule over per-arm radii.  The
-engine must reproduce its outputs exactly, for any instance, batch size,
-privacy and horizon.
+ahead: per-arm pull counts, one reward sum by a scalar call on the arm's
+`SeedSpec.reward_rng`, one `noisy_sum` and one radius per arm and batch,
+and its own copy of the elimination rule over per-arm radii.  It shares no
+code with `RewardTape`.  The engine must reproduce its outputs exactly, for
+any instance, batch size, privacy and horizon.
 """
 
 import math
@@ -15,11 +16,11 @@ from hypothesis import strategies as st
 
 from shufflebandit.bandit import (EngineConfig, RegretTrace, confidence_radius,
                                   run_episode)
-from shufflebandit.env import SeedSpec, make_instance, make_tapes
+from shufflebandit.env import SeedSpec, make_instance
 from shufflebandit.mechanism import derive_params, noisy_sum
 
 
-def reference_phase(sums, pulls, active, tapes, noise, phase, config,
+def reference_phase(sums, pulls, active, rewards, noise, phase, config,
                     instance, trace):
     m = config.m if config.m is not None else 2**phase
     gaps = instance.gaps
@@ -31,16 +32,16 @@ def reference_phase(sums, pulls, active, tapes, noise, phase, config,
         if remaining == 0:
             break
         take = min(m, remaining)
-        true_sum = tapes[a].draw(take)
         trace.charge(take, gaps[a])
+        pulls[a] += take
         if trace.users == horizon:
             break
+        true_sum = int(rewards[a].binomial(m, instance.means[a]))
         if config.privacy is None:
             z = float(true_sum)
         else:
             z = noisy_sum(true_sum, m, config.privacy, noise[a]).value
         sums[a] += z
-        pulls[a] += m
     return trace.users
 
 
@@ -50,7 +51,7 @@ def reference_episode(instance, config, seeds):
     sums = [0.0] * k
     pulls = [0] * k
     active = [True] * k
-    tapes = make_tapes(instance, seeds)
+    rewards = [seeds.reward_rng(a) for a in range(k)]
     noise = ([seeds.noise_rng(a) for a in range(k)]
              if config.privacy is not None else None)
     trace = RegretTrace()
@@ -59,7 +60,7 @@ def reference_episode(instance, config, seeds):
     phase = 0
     while consumed < horizon:
         phase += 1
-        consumed = reference_phase(sums, pulls, active, tapes, noise, phase,
+        consumed = reference_phase(sums, pulls, active, rewards, noise, phase,
                                    config, instance, trace)
         if consumed >= horizon:
             break
@@ -78,7 +79,7 @@ def reference_episode(instance, config, seeds):
             if estimates[a] + radii[a] < best_lcb:
                 active[a] = False
                 trace.eliminations.append((a, phase))
-    trace.arm_pulls_total = [tape.cursor for tape in tapes]
+    trace.arm_pulls_total = pulls
     return trace
 
 

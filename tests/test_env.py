@@ -1,10 +1,12 @@
+import functools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shufflebandit.env import RewardTape, SeedSpec, make_instance, make_tapes
+from shufflebandit.env import RewardTape, SeedSpec, make_instance
+from shufflebandit.mechanism import derive_params, noise_law, noisy_sum
 
 
 class TestMakeInstance:
@@ -45,44 +47,61 @@ class TestMakeInstance:
         assert inst.gaps[inst.best_arm] == 0.0
 
 
+def _draws(tape, sizes):
+    """Draw the batches of these sizes ahead, then read their estimates."""
+    tape.draw_ahead(sizes)
+    return [tape.draw(n) for n in sizes]
+
+
 class TestRewardTape:
-    def _tape(self, mean, horizon=10**6, arm=0, seed=123):
-        return RewardTape(arm, mean, SeedSpec(seed), horizon)
+    def _tape(self, mean, arm=0, seed=123, law=None):
+        return RewardTape(arm, mean, SeedSpec(seed), law)
 
     def test_deterministic_arm_all_ones(self):
-        assert self._tape(1.0).draw(5) == 5
+        assert _draws(self._tape(1.0), [5]) == [5.0]
 
     def test_deterministic_arm_all_zeros(self):
-        assert self._tape(0.0).draw(3) == 0
+        assert _draws(self._tape(0.0), [3]) == [0.0]
 
     def test_law_of_large_numbers(self):
         # Hoeffding at 6 sigma: for n = 1e5 fair coins, 0.01 > 6 * 0.5/sqrt(n)
-        total = self._tape(0.5).draw(10**5)
+        [total] = _draws(self._tape(0.5), [10**5])
         assert abs(total / 10**5 - 0.5) < 0.01
 
     def test_replay_determinism(self):
-        a = self._tape(0.3)
-        b = self._tape(0.3)
-        for size in (7, 13, 1):
-            assert a.draw(size) == b.draw(size)
+        sizes = [7, 13, 1]
+        assert _draws(self._tape(0.3), sizes) == _draws(self._tape(0.3), sizes)
 
-    def test_cursor_advances_and_caps_at_horizon(self):
-        tape = self._tape(0.5, horizon=10)
-        tape.draw(7)
-        assert tape.cursor == 7
-        with pytest.raises(ValueError):
-            tape.draw(4)
+    def test_reads_only_batches_drawn_ahead(self):
+        # the engine counts the pulls; a tape hands out each batch it drew
+        # ahead once, and nothing else
+        tape = self._tape(0.5)
+        with pytest.raises(IndexError):
+            tape.draw(7)
+        _draws(tape, [7])
+        with pytest.raises(IndexError):
+            tape.draw(7)
 
     def test_draw_ahead_equals_scalar_draws(self):
-        # sums drawn ahead are returned in order, then scalar draws resume
-        # on the same stream
-        ahead = self._tape(0.3)
-        scalar = self._tape(0.3)
-        ahead.draw_ahead([5, 5, 40])
-        sizes = (5, 5, 40, 7, 1)
-        assert [ahead.draw(n) for n in sizes] == \
-            [scalar.draw(n) for n in sizes]
-        assert ahead.cursor == scalar.cursor == sum(sizes)
+        # runs drawn ahead read, in order, the sums that scalar calls on the
+        # arm's reward generator return
+        tape = self._tape(0.3)
+        got = _draws(tape, [5, 5, 40]) + _draws(tape, [7, 1])
+        rng = SeedSpec(123).reward_rng(0)
+        assert got == [float(rng.binomial(n, 0.3)) for n in (5, 5, 40, 7, 1)]
+
+    @pytest.mark.parametrize("m", [8, 300])  # below and above tau ~ 133
+    def test_private_estimates_equal_noisy_sum(self, m):
+        # each estimate is the batch's reward sum through noisy_sum, both
+        # drawn by scalar calls on the arm's own generators
+        params = derive_params(1.0, 0.5)
+        tape = self._tape(0.3, law=functools.partial(noise_law, params=params))
+        got = _draws(tape, [m] * 3) + _draws(tape, [2 * m, m])
+        seeds = SeedSpec(123)
+        rewards, noise = seeds.reward_rng(0), seeds.noise_rng(0)
+        assert got == [
+            noisy_sum(int(rewards.binomial(n, 0.3)), n, params, noise).value
+            for n in (m, m, m, 2 * m, m)]
 
     def test_draw_ahead_rejects_another_batch_size(self):
         tape = self._tape(0.5)
@@ -93,28 +112,23 @@ class TestRewardTape:
     def test_arm_streams_differ(self):
         # single Binomial(2000, .5) sums collide about 1.8 % of the time
         spec = SeedSpec(5)
-        a = RewardTape(0, 0.5, spec, 10**4)
-        b = RewardTape(1, 0.5, spec, 10**4)
-        assert [a.draw(2000) for _ in range(5)] != \
-            [b.draw(2000) for _ in range(5)]
+        assert _draws(RewardTape(0, 0.5, spec), [2000] * 5) != \
+            _draws(RewardTape(1, 0.5, spec), [2000] * 5)
 
     def test_other_arms_unperturbed_by_arm_set(self):
-        # stream of arm 1 does not depend on whether arm 0 was consumed
+        # the streams of arm 1 do not depend on whether arm 0 was consumed
         spec = SeedSpec(5)
-        lone = RewardTape(1, 0.5, spec, 10**4)
-        alone = [lone.draw(100) for _ in range(3)]
-        inst = make_instance(3, [0.2, 0.5, 0.9], 10**4)
-        tapes = make_tapes(inst, spec)
-        tapes[0].draw(50)
-        assert [tapes[1].draw(100) for _ in range(3)] == alone
+        law = functools.partial(noise_law, params=derive_params(0.5, 1e-2))
+        alone = _draws(RewardTape(1, 0.5, spec, law), [100] * 3)
+        _draws(RewardTape(0, 0.2, spec, law), [50])
+        assert _draws(RewardTape(1, 0.5, spec, law), [100] * 3) == alone
 
     @given(seed=st.integers(0, 2**63 - 1), run=st.integers(0, 100))
     @settings(max_examples=25)
     def test_seed_spec_replay(self, seed, run):
         spec = SeedSpec(seed, run)
-        x = RewardTape(2, 0.4, spec, 1000)
-        y = RewardTape(2, 0.4, spec, 1000)
-        assert [x.draw(64) for _ in range(3)] == [y.draw(64) for _ in range(3)]
+        assert _draws(RewardTape(2, 0.4, spec), [64] * 3) == \
+            _draws(RewardTape(2, 0.4, spec), [64] * 3)
 
     def test_hoeffding_deviation_frequency(self):
         # P(|mean - mu| > sqrt(ln(2/alpha) / (2n))) <= alpha over seeds
@@ -122,7 +136,7 @@ class TestRewardTape:
         bound = math.sqrt(math.log(2 / alpha) / (2 * n))
         exceed = 0
         for seed in range(runs):
-            total = RewardTape(0, 0.5, SeedSpec(seed), n).draw(n)
+            [total] = _draws(RewardTape(0, 0.5, SeedSpec(seed)), [n])
             if abs(total / n - 0.5) > bound:
                 exceed += 1
         # 3-sigma slack on the binomial count at frequency alpha

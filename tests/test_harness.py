@@ -175,6 +175,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=str(tmp_path)):
             parse_config(str(tmp_path))
 
+    def test_config_that_is_not_utf8_names_the_file(self, tmp_path):
+        path, _ = write_config(tmp_path, MINIMAL)
+        with open(path, "ab") as fh:
+            fh.write("# r\u00e9sum\u00e9\n".encode("latin-1"))
+        with pytest.raises(ConfigError) as info:
+            parse_config(path)
+        assert str(info.value).startswith(
+            f"{path}: cannot read config: 'utf-8' codec can't decode byte "
+            "0xe9")
+
+    def test_utf8_comment_is_read(self, tmp_path):
+        path, _ = write_config(tmp_path, "# r\u00e9sum\u00e9\n" + MINIMAL)
+        assert parse_config(path).k == 2
+
 
 class TestCodeBuiltConfig:
     """A config built in code meets the rules that a parsed one does."""
@@ -347,6 +361,27 @@ class TestRunExperiment:
             "manifest.json", "notes.txt", "plotdata.csv", "results.csv",
             "traces"]
         assert (out / "notes.txt").read_text() == "mine"
+
+    @pytest.mark.parametrize("kind", ["file", "symlink"])
+    def test_traces_that_is_no_directory_is_replaced(self, tmp_path, kind):
+        # a file or a link named traces goes; a link's target stays as it was
+        path, out = write_config(tmp_path, PRIVATE)
+        out.mkdir()
+        target = tmp_path / "elsewhere"
+        target.mkdir()
+        (target / "keep.csv").write_text("mine")
+        if kind == "file":
+            (out / "traces").write_text("not a directory")
+        else:
+            (out / "traces").symlink_to(target, target_is_directory=True)
+        run_experiment(parse_config(path))
+        traces = out / "traces"
+        assert traces.is_dir() and not traces.is_symlink()
+        assert len(list(traces.iterdir())) == 5 * 3
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "plotdata.csv", "results.csv", "traces"]
+        assert [p.name for p in target.iterdir()] == ["keep.csv"]
+        assert (target / "keep.csv").read_text() == "mine"
 
     def test_output_modes(self, tmp_path):
         # traces/ takes the output directory's bits, not mkdtemp's 0700;

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -173,11 +174,12 @@ class TestSingleLaw:
 
 
 def _engine_popcounts(m, mu, params, draws):
-    """Popcounts of the engine's batches: a tape's reward sum through noisy_sum."""
-    tape = RewardTape(0, mu, SeedSpec(77), draws * m)
-    rng = SeedSpec(77).noise_rng(0)
-    return [noisy_sum(tape.draw(m), m, params, rng).popcount
-            for _ in range(draws)]
+    """Popcounts of the engine's batches: tape estimates plus the offset."""
+    tape = RewardTape(0, mu, SeedSpec(77),
+                      functools.partial(noise_law, params=params))
+    tape.draw_ahead([m] * draws)
+    offset = noise_law(m, params).offset
+    return [round(tape.draw(m) + offset) for _ in range(draws)]
 
 
 def _specification_popcounts(m, mu, params, draws):
