@@ -164,7 +164,7 @@ def audit_grid(ms: list[int | str], epsilons: list[float],
                 m = TAU_MULTIPLES[m] * math.ceil(params.tau)
             report = hockey_stick(m, params)
             cells.append(GridCell(m, eps, delta, report, None))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # m too big for a float
             cells.append(GridCell(m, eps, delta, None, str(exc)))
     return cells
 

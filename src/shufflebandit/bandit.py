@@ -22,8 +22,6 @@ from .mechanism import PrivacyParams, noise_law
 # are tested against.
 from .mechanism import private_sum  # noqa: F401
 
-RUN_CAP = 1024  # phases drawn ahead in one vector call per stream, at most
-
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -126,7 +124,7 @@ def run_phase(sums, pulls, active, tapes, m, instance, trace):
     """Pull one batch of m users per active arm, in ascending arm order.
 
     Each batch adds its users to `pulls[a]` and the estimate that arm a's
-    tape drew ahead for it to `sums[a]`.  `tapes` is None for the phase the
+    tape draws for it to `sums[a]`.  `tapes` is None for the phase the
     horizon cuts short: its batches are charged up to the T-th pull and
     draw nothing, since no elimination test reads that phase's sums.
     Returns the number of users consumed so far.
@@ -147,32 +145,16 @@ def run_phase(sums, pulls, active, tapes, m, instance, trace):
     return trace.users
 
 
-def _complete_phases(m, phase, users, n_active, horizon) -> list[int]:
-    """Batch sizes of the next phases that must complete, at most RUN_CAP.
-
-    Phase j completes when users + n_active * m_j < horizon at its start;
-    eliminations only lower the users, so no later elimination undoes it.
-    """
-    sizes = []
-    while len(sizes) < RUN_CAP:
-        size = m or 2 ** (phase + len(sizes) + 1)
-        users += n_active * size
-        if users >= horizon:
-            break
-        sizes.append(size)
-    return sizes
-
-
 def run_episode(instance: BanditInstance, config: EngineConfig,
                 seeds: SeedSpec) -> RegretTrace:
     """One seeded run to the horizon; deterministic given (instance, config, seeds).
 
-    Before each run of phases that must complete, every active arm's tape
-    draws the estimates of all of them, in one vector call per generator,
-    and the phases read them in order.  Each arm has its own generators, so
-    the streams are those of drawing batch by batch.  An arm eliminated
-    during a run leaves its unread estimates unread.  The phase the horizon
-    cuts short draws nothing: no elimination test reads its sums.
+    Each loop iteration runs one phase: a batch of every active arm, the
+    clean-event check and an elimination test.  A phase runs in full while
+    its users stay below the horizon.  The phase the horizon cuts short is
+    only charged and draws nothing: no elimination test reads its sums.
+    Each arm's tape draws its estimates from the arm's own generators, so
+    the streams are those of drawing batch by batch.
     """
     k = instance.k
     means = instance.means
@@ -186,25 +168,22 @@ def run_episode(instance: BanditInstance, config: EngineConfig,
     trace = RegretTrace()
     sigma = config.sigma
     phase = 0
-    while sizes := _complete_phases(config.m, phase, trace.users,
-                                    active.count(True), horizon):
+    while True:
+        phase += 1
+        m = config.m or 2**phase
+        if trace.users + active.count(True) * m >= horizon:
+            break
+        run_phase(sums, pulls, active, tapes, m, instance, trace)
+        # every active arm has as many pulls, hence one radius
+        pulled = pulls[active.index(True)]
+        radius = confidence_radius(phase, pulled, horizon, sigma)
+        estimates = [s / pulled for s in sums]
         for a in range(k):
-            if active[a]:
-                tapes[a].draw_ahead(sizes)
-        for m in sizes:
-            phase += 1
-            run_phase(sums, pulls, active, tapes, m, instance, trace)
-            # every active arm has as many pulls, hence one radius
-            pulled = pulls[active.index(True)]
-            radius = confidence_radius(phase, pulled, horizon, sigma)
-            estimates = [s / pulled for s in sums]
-            for a in range(k):
-                if active[a] and abs(estimates[a] - means[a]) > radius:
-                    trace.clean_event_violated = True
-            for a in eliminate(active, estimates, radius):
-                trace.eliminations.append((a, phase))
+            if active[a] and abs(estimates[a] - means[a]) > radius:
+                trace.clean_event_violated = True
+        for a in eliminate(active, estimates, radius):
+            trace.eliminations.append((a, phase))
     # the phase the horizon cuts short
-    phase += 1
-    run_phase(sums, pulls, active, None, config.m or 2**phase, instance, trace)
+    run_phase(sums, pulls, active, None, m, instance, trace)
     trace.arm_pulls_total = pulls
     return trace

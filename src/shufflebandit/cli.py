@@ -32,8 +32,16 @@ def _parse_list(flag: str, text: str, parse) -> list:
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit 1, as bad input does."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="shufflebandit")
+    parser = _Parser(prog="shufflebandit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a regret experiment")
@@ -122,7 +130,3 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

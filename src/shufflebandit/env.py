@@ -3,7 +3,8 @@
 A batch is drawn as the one statistic the analyzer reads, its reward sum
 plus its noise count, from the arm's own reward and noise generators.  This
 keeps memory O(k) at any horizon and makes an arm's stream independent of
-every other arm's stream.
+every other arm's stream.  How many batches to draw per generator call is
+the tape's own decision; the engine only asks for the next batch.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import numpy.random  # numpy loads it lazily, on the first draw otherwise
 # Stream labels keep reward randomness disjoint from mechanism randomness.
 _REWARD_STREAM = 0
 _NOISE_STREAM = 1
+
+RUN_CAP = 1024  # batches of one size drawn in one call per generator, at most
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,7 @@ def make_instance(k: int, means: list[float], horizon: int) -> BanditInstance:
 
 
 class RewardTape:
-    """One arm's stream of batch estimates, drawn ahead run by run.
+    """One arm's stream of batch estimates; it alone decides what to draw.
 
     A batch is only ever aggregated: the analyzer of the shuffle mechanism
     reads its popcount S + B, the reward sum S ~ Binomial(m, mu) plus, when
@@ -84,6 +87,14 @@ class RewardTape:
     The tape draws S from the arm's reward generator and B from its noise
     generator, and `draw` returns the analyzer's estimate S + B - E[B], or S
     without noise.
+
+    The first batch of a size takes one scalar call per generator.  When the
+    size repeats with nothing queued, one sized call per generator draws
+    twice as many batches as the last call, at most RUN_CAP, and queues
+    them.  A sized call returns the values of that many scalar calls and
+    leaves the generator in the same state, so the streams are those of
+    drawing batch by batch; the batches still queued when the engine stops
+    reading the arm are never read.
     """
 
     def __init__(self, arm: int, mean: float, seeds: SeedSpec, law=None):
@@ -92,30 +103,26 @@ class RewardTape:
         self.law = law
         self._rng = seeds.reward_rng(arm)
         self._noise = seeds.noise_rng(arm) if law is not None else None
-        self._ahead = deque()  # (batch size, estimate) drawn but not yet read
+        self._size = None  # batch size of the last call
+        self._count = 0    # batches the last call drew
+        self._ahead = deque()  # estimates of batches of _size not yet read
 
-    def draw_ahead(self, sizes: list[int]) -> None:
-        """Draw the estimates of the next batches, of these sizes.
-
-        Each generator makes one vector call, which returns the values of
-        one scalar call per batch and leaves the generator in the same
-        state, so the streams are those of drawing batch by batch.
-        """
-        sums = self._rng.binomial(sizes, self.mean).tolist()
-        if self.law is None:
-            estimates = [float(s) for s in sums]
-        else:
-            laws = [self.law(m) for m in sizes]
-            counts = self._noise.binomial([x.n for x in laws],
-                                          [x.q for x in laws]).tolist()
-            estimates = [float(s + b) - x.offset
-                         for s, b, x in zip(sums, counts, laws)]
-        self._ahead.extend(zip(sizes, estimates))
-
-    def draw(self, batch_size: int) -> float:
-        """The estimate of the next batch drawn ahead, of batch_size users."""
-        size, estimate = self._ahead.popleft()
-        if size != batch_size:
-            raise ValueError(f"tape for arm {self.arm} drew a batch of "
-                             f"{size} ahead, requested {batch_size}")
-        return estimate
+    def draw(self, m: int) -> float:
+        """The estimate of the arm's next batch, of m users."""
+        if self._ahead:
+            if m != self._size:
+                raise ValueError(f"tape for arm {self.arm} drew batches of "
+                                 f"{self._size} ahead, requested {m}")
+            return self._ahead.popleft()
+        count = min(2 * self._count, RUN_CAP) if m == self._size else 1
+        self._size, self._count = m, count
+        size = count if count > 1 else None  # None: a scalar call
+        estimates = self._rng.binomial(m, self.mean, size)
+        if self.law is not None:
+            law = self.law(m)
+            estimates = (estimates + self._noise.binomial(law.n, law.q, size)
+                         - law.offset)
+        if size is None:
+            return float(estimates)
+        self._ahead.extend(map(float, estimates.tolist()))
+        return self._ahead.popleft()

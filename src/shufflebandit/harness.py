@@ -56,12 +56,12 @@ class ExperimentConfig:
     means: tuple[float, ...]
     horizon: int
     variants: tuple[str, ...]
-    epsilons: tuple[float, ...]
-    deltas: tuple[float, ...]
     seeds: int
     master_seed: int
     checkpoints: tuple[int, ...]
     output: str
+    epsilons: tuple[float, ...] = ()  # private variants only
+    deltas: tuple[float, ...] = ()
     baseline_m: int = 1
 
     def __post_init__(self):
@@ -169,7 +169,7 @@ def parse_config(path: str) -> ExperimentConfig:
     known = {f.name: f for f in fields(ExperimentConfig)}
     raw: dict[str, tuple[str, int]] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a BOM is no key
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read config: "
@@ -195,8 +195,6 @@ def parse_config(path: str) -> ExperimentConfig:
         for f in known.values():
             if f.name in raw:
                 values[f.name] = _read(f.name, f.type, raw[f.name][0])
-            elif f.name in ("epsilons", "deltas"):  # private variants only
-                values[f.name] = ()
             elif f.default is MISSING:
                 raise ConfigError(f"missing required key {f.name!r}", f.name)
         config = ExperimentConfig(**values)

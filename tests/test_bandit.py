@@ -61,8 +61,6 @@ class TestRunPhase:
         inst = make_instance(2, [1.0, 0.0], 1000)
         sums, pulls, active = [0.0, 0.0], [0, 0], [True, True]
         tapes = _tapes(inst, SeedSpec(0))
-        for tape in tapes:
-            tape.draw_ahead([10])
         consumed = run_phase(sums, pulls, active, tapes, 10, inst,
                              RegretTrace())
         assert consumed == 20
@@ -72,7 +70,6 @@ class TestRunPhase:
         inst = make_instance(1, [1.0], 100)
         sums, pulls = [0.0], [0]
         tapes = _tapes(inst, SeedSpec(0))
-        tapes[0].draw_ahead([5])
         run_phase(sums, pulls, [True], tapes, 5, inst, RegretTrace())
         assert sums[0] == 5.0
         assert sums[0] / pulls[0] == 1.0
@@ -81,8 +78,6 @@ class TestRunPhase:
         inst = make_instance(2, [0.5, 0.5], 10**4)
         sums, pulls, active = [0.0, 0.0], [0, 0], [True, True]
         tapes = _tapes(inst, SeedSpec(0))
-        for tape in tapes:
-            tape.draw_ahead([2, 4, 8])
         trace = RegretTrace()
         for t in (1, 2, 3):
             run_phase(sums, pulls, active, tapes, 2**t, inst, trace)
@@ -93,8 +88,6 @@ class TestRunPhase:
         inst = make_instance(2, [1.0, 1.0], 15)
         sums, pulls, active = [0.0, 0.0], [0, 0], [True, True]
         tapes = _tapes(inst, SeedSpec(0))
-        for tape in tapes:
-            tape.draw_ahead([10])
         trace = RegretTrace()
         assert run_phase(sums, pulls, active, tapes, 10, inst, trace) == 15
         assert sums == [10.0, 0.0]  # interrupted batch, no state update
@@ -114,28 +107,25 @@ class TestRunPhase:
 
     @pytest.mark.parametrize("m", [8, 300])  # below and above tau ~ 133
     def test_commits_values_drawn_ahead(self, m):
-        # the estimates drawn ahead are read in order, once per batch, and
-        # equal drawing each batch's reward sum and noisy_sum by scalar calls
+        # the estimates the tapes draw are read in order, once per batch,
+        # and equal drawing each batch's reward sum and noisy_sum by scalar
+        # calls
         params = derive_params(1.0, 0.5)
         inst = make_instance(2, [0.3, 0.6], 6 * m + 1)
         seeds = SeedSpec(5)
         law = functools.partial(noise_law, params=params)
         tapes = _tapes(inst, seeds, law)
-        for tape in tapes:
-            tape.draw_ahead([m] * 3)
         sums, pulls, active = [0.0, 0.0], [0, 0], [True, True]
         trace = RegretTrace()
         for _ in range(3):
             run_phase(sums, pulls, active, tapes, m, inst, trace)
         for a in range(2):
             rewards, noise = seeds.reward_rng(a), seeds.noise_rng(a)
-            expected = 0.0
-            for _ in range(3):
-                true_sum = int(rewards.binomial(m, inst.means[a]))
-                expected += noisy_sum(true_sum, m, params, noise).value
-            assert sums[a] == expected
-            with pytest.raises(IndexError):  # every batch was read
-                tapes[a].draw(m)
+            estimates = [
+                noisy_sum(int(rewards.binomial(m, inst.means[a])), m, params,
+                          noise).value for _ in range(4)]
+            assert sums[a] == sum(estimates[:3], 0.0)
+            assert tapes[a].draw(m) == estimates[3]  # each batch read once
         assert pulls == [3 * m] * 2
 
 
@@ -252,26 +242,22 @@ class TestRunEpisode:
 
     def test_cut_phase_draws_nothing(self, monkeypatch):
         # the same cut as above: phase 9's batch of arm 0 and 258 pulls of
-        # arm 1's are counted, and no tape draws or reads anything for them
-        ahead, read = [], []
-        draw_ahead, draw = RewardTape.draw_ahead, RewardTape.draw
+        # arm 1's are counted, and no tape reads anything for them; as
+        # every phase has its own batch size, each read is one scalar call
+        # per generator, so no tape draws anything for them either
+        read = []
+        draw = RewardTape.draw
 
-        def recording_draw_ahead(tape, sizes):
-            ahead.append((tape.arm, list(sizes)))
-            return draw_ahead(tape, sizes)
+        def recording_draw(tape, m):
+            read.append((tape.arm, m))
+            return draw(tape, m)
 
-        def recording_draw(tape, batch_size):
-            read.append((tape.arm, batch_size))
-            return draw(tape, batch_size)
-
-        monkeypatch.setattr(RewardTape, "draw_ahead", recording_draw_ahead)
         monkeypatch.setattr(RewardTape, "draw", recording_draw)
         inst = make_instance(3, [0.5, 0.5, 0.5], 2300)
         config = EngineConfig(privacy=derive_params(0.5, 1e-2))
         trace = run_episode(inst, config, SeedSpec(4))
         assert trace.arm_pulls_total == [510 + 512, 510 + 258, 510]
         complete = [2**phase for phase in range(1, 9)]
-        assert ahead == [(a, complete) for a in range(3)]
         assert read == [(a, m) for m in complete for a in range(3)]
 
     def test_optimal_arm_safe_in_clean_runs(self):

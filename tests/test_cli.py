@@ -96,6 +96,19 @@ class TestAudit:
         assert code == 0
         assert "error" in out
 
+    def test_batch_size_too_large_for_a_float_is_an_error_row(self, capsys):
+        # a 400-digit batch size overflows the float noise probability
+        m = "1" + "0" * 400
+        code, out, err = run_cli(
+            ["audit", "--m", f"4,{m}", "--eps", "0.5", "--delta", "0.01"],
+            capsys)
+        assert code == 0
+        assert err == ""
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [row["m"] for row in rows] == ["4", m]
+        assert rows[0]["pass"] == "true"
+        assert rows[1]["pass"] == "error: int too large to convert to float"
+
 
 class TestMechanismSample:
     def test_emits_n_lines(self, capsys):
@@ -186,6 +199,40 @@ class TestRun:
         assert err.startswith(f"error: {tmp_path}: cannot read config")
 
 
+class TestUsage:
+    """A command line that does not parse is bad input: exit 1, not 2."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "--threads", "abc", "--config", "x.cfg"],
+         "shufflebandit run: error: argument --threads: invalid int value: "
+         "'abc'"),
+        (["run"], "shufflebandit run: error: the following arguments are "
+                  "required: --config"),
+        (["mechanism", "sample", "--eps", "x"],
+         "shufflebandit mechanism sample: error: argument --eps: invalid "
+         "float value: 'x'"),
+        (["bogus"], "shufflebandit: error: argument command: invalid choice: "
+                    "'bogus'"),
+    ], ids=["threads-not-int", "run-without-config", "eps-not-float",
+            "unknown-subcommand"])
+    def test_usage_error_exits_one(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert info.value.code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("usage: shufflebandit")
+        assert message in captured.err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"],
+                                      ["mechanism", "sample", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: shufflebandit")
+
+
 class TestImports:
     def test_run_does_not_load_scipy(self, tmp_path):
         # scipy.special takes about 0.2 s to import; only `audit` needs it
@@ -228,3 +275,11 @@ class TestModuleEntryPoint:
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
         assert proc.stdout == out and len(out.splitlines()) == 1
+
+    def test_usage_error_exits_one(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        proc = subprocess.run([sys.executable, "-m", "shufflebandit", "bogus"],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 1
+        assert "invalid choice: 'bogus'" in proc.stderr

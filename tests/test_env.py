@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shufflebandit.env import RewardTape, SeedSpec, make_instance
+from shufflebandit.env import RUN_CAP, RewardTape, SeedSpec, make_instance
 from shufflebandit.mechanism import derive_params, noise_law, noisy_sum
 
 
@@ -48,9 +48,20 @@ class TestMakeInstance:
 
 
 def _draws(tape, sizes):
-    """Draw the batches of these sizes ahead, then read their estimates."""
-    tape.draw_ahead(sizes)
+    """The estimates of the tape's next batches, of these sizes, in order."""
     return [tape.draw(n) for n in sizes]
+
+
+class _Recorder:
+    """A generator that records the `size` of each binomial call."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.sizes = []
+
+    def binomial(self, n, p, size=None):
+        self.sizes.append(size)
+        return self.rng.binomial(n, p, size)
 
 
 class TestRewardTape:
@@ -72,23 +83,32 @@ class TestRewardTape:
         sizes = [7, 13, 1]
         assert _draws(self._tape(0.3), sizes) == _draws(self._tape(0.3), sizes)
 
-    def test_reads_only_batches_drawn_ahead(self):
-        # the engine counts the pulls; a tape hands out each batch it drew
-        # ahead once, and nothing else
-        tape = self._tape(0.5)
-        with pytest.raises(IndexError):
-            tape.draw(7)
-        _draws(tape, [7])
-        with pytest.raises(IndexError):
-            tape.draw(7)
+    def test_draws_twice_as_many_batches_per_call(self, monkeypatch):
+        # the first batch of a size takes a scalar call (size None); each
+        # repeat with nothing queued draws twice as many as the last call,
+        # at most RUN_CAP; 3 * RUN_CAP - 1 reads leave nothing queued, so
+        # 9 and then 7 start again with a scalar call
+        recorders = []
+        for name in ("reward_rng", "noise_rng"):
+            def derive(spec, arm, _derive=getattr(SeedSpec, name)):
+                recorders.append(_Recorder(_derive(spec, arm)))
+                return recorders[-1]
+            monkeypatch.setattr(SeedSpec, name, derive)
+        law = functools.partial(noise_law, params=derive_params(1.0, 0.5))
+        _draws(self._tape(0.5, law=law), [7] * (3 * RUN_CAP - 1) + [9, 7, 7])
+        doubling = [2**i for i in range(1, RUN_CAP.bit_length())]
+        assert doubling[-1] == RUN_CAP
+        calls = [None, *doubling, RUN_CAP, None, None, 2]
+        assert [r.sizes for r in recorders] == [calls, calls]
 
     def test_draw_ahead_equals_scalar_draws(self):
-        # runs drawn ahead read, in order, the sums that scalar calls on the
-        # arm's reward generator return
+        # batches drawn ahead read, in order, the sums that scalar calls on
+        # the arm's reward generator return
         tape = self._tape(0.3)
-        got = _draws(tape, [5, 5, 40]) + _draws(tape, [7, 1])
+        got = _draws(tape, [5, 5, 5, 40]) + _draws(tape, [7, 1])
         rng = SeedSpec(123).reward_rng(0)
-        assert got == [float(rng.binomial(n, 0.3)) for n in (5, 5, 40, 7, 1)]
+        assert got == [float(rng.binomial(n, 0.3))
+                       for n in (5, 5, 5, 40, 7, 1)]
 
     @pytest.mark.parametrize("m", [8, 300])  # below and above tau ~ 133
     def test_private_estimates_equal_noisy_sum(self, m):
@@ -105,9 +125,49 @@ class TestRewardTape:
 
     def test_draw_ahead_rejects_another_batch_size(self):
         tape = self._tape(0.5)
-        tape.draw_ahead([8])
-        with pytest.raises(ValueError, match="drew a batch of 8 ahead"):
+        _draws(tape, [8, 8])  # the second call draws two, one stays queued
+        with pytest.raises(ValueError, match="drew batches of 8 ahead, "
+                                             "requested 4"):
             tape.draw(4)
+
+    @pytest.mark.parametrize("reads", range(1, 9))
+    def test_another_size_raises_while_batches_are_queued(self, reads):
+        # calls of 1, 2 and 4 batches of 8: after 1, 3 or 7 reads nothing
+        # is queued and a batch of 4 is drawn; otherwise the read is
+        # refused and draws nothing, so the batches of 8 go on unchanged
+        eights = _draws(self._tape(0.5), [8] * 16)
+        tape = self._tape(0.5)
+        assert _draws(tape, [8] * reads) == eights[:reads]
+        if reads in (1, 3, 7):
+            tape.draw(4)
+        else:
+            with pytest.raises(ValueError, match="requested 4"):
+                tape.draw(4)
+            assert _draws(tape, [8] * (16 - reads)) == eights[reads:]
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_sizes_with_repeats_equal_scalar_draws(self, noisy):
+        # repeats, changes of size and more than RUN_CAP reads of one size
+        # read, in order, the estimates that scalar calls on the arm's own
+        # generators give; each run of one size is 2**j - 1 reads long, so
+        # the size changes only with nothing queued
+        params = derive_params(0.5, 1e-2)
+        law = functools.partial(noise_law, params=params) if noisy else None
+        sizes = ([5] * 3 + [40] + [7] * 7 + [5] + [300] * (3 * RUN_CAP - 1)
+                 + [1, 2, 2, 2, 300] + [3000] * 3)  # tau ~ 2034
+        got = _draws(self._tape(0.3, arm=2, law=law), sizes)
+        seeds = SeedSpec(123)
+        rewards, noise = seeds.reward_rng(2), seeds.noise_rng(2)
+        expected = []
+        for m in sizes:
+            s = int(rewards.binomial(m, 0.3))
+            if noisy:
+                x = noise_law(m, params)
+                expected.append(float(s + int(noise.binomial(x.n, x.q)))
+                                - x.offset)
+            else:
+                expected.append(float(s))
+        assert got == expected
 
     def test_arm_streams_differ(self):
         # single Binomial(2000, .5) sums collide about 1.8 % of the time

@@ -189,6 +189,22 @@ class TestParseConfig:
         path, _ = write_config(tmp_path, "# r\u00e9sum\u00e9\n" + MINIMAL)
         assert parse_config(path).k == 2
 
+    @pytest.mark.parametrize("text,k_line", [
+        (MINIMAL, 2), (MINIMAL.split("\n", 1)[1], 1)],
+        ids=["comment-first", "key-first"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, text, k_line):
+        # a file saved as "UTF-8 with BOM" starts with U+FEFF, before a
+        # comment or before the first key
+        plain, _ = write_config(tmp_path, text)
+        marked, _ = write_config(tmp_path, "\ufeff" + text, name="bom.cfg")
+        assert parse_config(marked) == parse_config(plain)
+        bad, _ = write_config(tmp_path, "\ufeff" + text.replace("k = 2",
+                                                                "k = x"),
+                              name="bad.cfg")
+        with pytest.raises(ConfigError,
+                           match=f"bad.cfg:{k_line}: k must be an integer"):
+            parse_config(bad)
+
 
 class TestCodeBuiltConfig:
     """A config built in code meets the rules that a parsed one does."""

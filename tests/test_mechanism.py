@@ -177,7 +177,6 @@ def _engine_popcounts(m, mu, params, draws):
     """Popcounts of the engine's batches: tape estimates plus the offset."""
     tape = RewardTape(0, mu, SeedSpec(77),
                       functools.partial(noise_law, params=params))
-    tape.draw_ahead([m] * draws)
     offset = noise_law(m, params).offset
     return [round(tape.draw(m) + offset) for _ in range(draws)]
 
