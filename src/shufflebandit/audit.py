@@ -38,14 +38,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special._ufuncs import _binom_cdf, _binom_pmf, _binom_sf
 
-from .mechanism import NoiseLaw, PrivacyParams, derive_params, noise_law
+from .mechanism import NoiseLaw, PrivacyParams, noise_law
 
 DEFAULT_SUPPORT_CAP = 10**6
 # Half-width of the audited window in standard deviations of B.  With the
 # paper's tau and delta <= 1e-2 the mass outside it measured below 1e-200 at
 # every batch size from 1 to 1e9; whatever it is, the audit adds it.
 WINDOW_SDS = 40
-TAU_MULTIPLES = {"tau": 1, "4tau": 4}
+# the brute force enumerates at most 2**MAX_NOISE_BITS noise outcomes
+MAX_NOISE_BITS = 20
 
 
 @dataclass(frozen=True)
@@ -56,15 +57,6 @@ class AuditReport:
     divergence_forward: float
     divergence_backward: float
     passed: bool
-
-
-@dataclass(frozen=True)
-class GridCell:
-    m: int | str
-    epsilon: float
-    delta: float
-    report: AuditReport | None
-    error: str | None
 
 
 def noise_distribution(m: int, params: PrivacyParams) -> np.ndarray:
@@ -149,28 +141,7 @@ def hockey_stick(m: int, params: PrivacyParams) -> AuditReport:
                        passed=max(fwd, bwd) <= params.delta)
 
 
-def audit_grid(ms: list[int | str], epsilons: list[float],
-               deltas: list[float]) -> list[GridCell]:
-    """Cartesian sweep; per-cell failures are recorded, not raised.
-
-    A batch size may also be a key of TAU_MULTIPLES, which resolves to that
-    multiple of ceil(tau) in each (epsilon, delta) cell.
-    """
-    cells = []
-    for m, eps, delta in itertools.product(ms, epsilons, deltas):
-        try:
-            params = derive_params(eps, delta)
-            if m in TAU_MULTIPLES:
-                m = TAU_MULTIPLES[m] * math.ceil(params.tau)
-            report = hockey_stick(m, params)
-            cells.append(GridCell(m, eps, delta, report, None))
-        except (ValueError, OverflowError) as exc:  # m too big for a float
-            cells.append(GridCell(m, eps, delta, None, str(exc)))
-    return cells
-
-
-def brute_force_shuffle_divergence(params: PrivacyParams,
-                                   max_noise_bits: int = 20) -> tuple[float, float]:
+def brute_force_shuffle_divergence(params: PrivacyParams) -> tuple[float, float]:
     """Audit the raw shuffled multiset for m = 1 by exhaustive enumeration.
 
     Enumerates every noise-bit outcome, accumulates the probability of each
@@ -180,7 +151,7 @@ def brute_force_shuffle_divergence(params: PrivacyParams,
     """
     law = noise_law(1, params)
     p = law.n
-    if p > max_noise_bits:
+    if p > MAX_NOISE_BITS:
         raise ValueError(f"{p} noise bits is too many to enumerate")
     dist = {0: {}, 1: {}}  # input bit -> {multiset key: probability}
     for noise in itertools.product((0, 1), repeat=p):

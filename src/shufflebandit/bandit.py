@@ -106,13 +106,12 @@ def eliminate(active: list[bool], estimates: list[float],
               radius: float) -> list[int]:
     """Deactivate active arms whose UCB is strictly below the best LCB.
 
-    Every active arm has the same pulls, hence the same `radius`.
+    Every active arm has the same pulls, hence the same `radius`, and at
+    least one arm is active, as the best-LCB arm is never deactivated.
     `estimates` is indexed by arm; entries of inactive arms are not read.
     Returns the deactivated arms in ascending order.
     """
     arms = [a for a, on in enumerate(active) if on]
-    if not arms:
-        return []
     best_lcb = max(estimates[a] for a in arms) - radius
     out = [a for a in arms if estimates[a] + radius < best_lcb]
     for a in out:

@@ -11,12 +11,17 @@ Exit codes: 0 success, 1 validation error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import itertools
+import math
 import sys
 
 import numpy as np
 
 from .harness import parse_config, run_experiment
 from .mechanism import derive_params, private_sum
+
+# `audit --m` tokens: that multiple of ceil(tau) in each (epsilon, delta) cell
+TAU_MULTIPLES = {"tau": 1, "4tau": 4}
 
 
 def _parse_list(flag: str, text: str, parse) -> list:
@@ -83,23 +88,25 @@ def cmd_run(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    from .audit import TAU_MULTIPLES, audit_grid  # scipy loads only here
+    from .audit import hockey_stick  # scipy loads only here
 
-    cells = audit_grid(
+    cells = itertools.product(
         _parse_list("--m", args.m,
                     lambda v: v if v in TAU_MULTIPLES else int(v)),
         _parse_list("--eps", args.eps, float),
         _parse_list("--delta", args.delta, float))
     print("m,epsilon,delta,div_forward,div_backward,pass")
-    for cell in cells:
-        if cell.report is None:
-            print(f"{cell.m},{cell.epsilon!r},{cell.delta!r},,,"
-                  f"error: {cell.error}")
-        else:
-            r = cell.report
-            print(f"{r.m},{r.epsilon!r},{r.delta!r},"
-                  f"{r.divergence_forward!r},{r.divergence_backward!r},"
-                  f"{'true' if r.passed else 'false'}")
+    for m, eps, delta in cells:  # each row printed once it is audited
+        try:
+            params = derive_params(eps, delta)
+            if m in TAU_MULTIPLES:
+                m = TAU_MULTIPLES[m] * math.ceil(params.tau)
+            r = hockey_stick(m, params)
+            audited = (f"{r.divergence_forward!r},{r.divergence_backward!r},"
+                       f"{'true' if r.passed else 'false'}")
+        except (ValueError, OverflowError) as exc:  # m too big for a float
+            audited = f",,error: {exc}"  # m: the token if params failed
+        print(f"{m},{eps!r},{delta!r},{audited}")
     return 0
 
 

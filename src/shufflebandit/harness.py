@@ -238,17 +238,17 @@ def run_experiment(config: ExperimentConfig, threads: int = 1,
                    full_trace: bool = False) -> AggregateResult:
     """Run every (cell, seed) episode, aggregate, and emit the outputs.
 
-    With threads > 1 each pool worker gets one task: the config and every
-    threads-th key, so each sees a similar mix of cheap and expensive
-    cells.  Outcomes are put back in key order, so the bytes written do not
-    depend on threads.
+    With threads > 1, each of min(threads, CPUs, keys) pool workers gets
+    one task: the config and every tasks-th key, so each sees a similar mix
+    of cheap and expensive cells.  Outcomes are put back in key order, so
+    the bytes written do not depend on threads.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     keys = [(*cell, seed) for cell in config.cells()
             for seed in range(config.seeds)]
     os.makedirs(config.output, exist_ok=True)  # fail before any episode
-    tasks = min(threads, len(keys))
+    tasks = min(threads, len(keys), os.cpu_count() or 1)
     if tasks > 1:
         strided = [keys[i::tasks] for i in range(tasks)]
         with ProcessPoolExecutor(max_workers=tasks) as pool:

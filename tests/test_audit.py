@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from shufflebandit.audit import (DEFAULT_SUPPORT_CAP, GridCell, audit_grid,
+from shufflebandit.audit import (DEFAULT_SUPPORT_CAP, MAX_NOISE_BITS,
                                  brute_force_shuffle_divergence, hinge_ranges,
                                  hockey_stick, noise_distribution,
                                  noise_window, shifted_hockey_stick)
@@ -105,6 +105,12 @@ class TestHockeyStick:
         fwd, bwd = brute_force_shuffle_divergence(params)
         assert fwd == pytest.approx(report.divergence_forward, abs=1e-12)
         assert bwd == pytest.approx(report.divergence_backward, abs=1e-12)
+
+    def test_brute_force_refuses_too_many_noise_bits(self):
+        tau = MAX_NOISE_BITS + 0.5  # m = 1 sends ceil(tau) noise bits
+        params = PrivacyParams(0.8, 0.05, tau=tau, sigma2=1.5 * tau)
+        with pytest.raises(ValueError, match="21 noise bits is too many"):
+            brute_force_shuffle_divergence(params)
 
 
 def _paper_cells(sizes):
@@ -290,22 +296,3 @@ class TestSubGaussianTail:
                     + binom.cdf(np.floor(law.offset - t), law.n, law.q))
             assert np.all(tail <= bound), (m, np.max(tail / bound))
 
-
-class TestAuditGrid:
-    def test_all_cells_pass(self):
-        tau_cells = [math.ceil(derive_params(e, d).tau)
-                     for e in (0.3, 0.9) for d in (1e-2, 1e-5)]
-        ms = sorted({1, 10, *tau_cells})
-        cells = audit_grid(ms, [0.3, 0.9], [1e-2, 1e-5])
-        assert len(cells) == len(ms) * 4
-        assert all(cell.report is not None and cell.report.passed
-                   for cell in cells)
-
-    def test_empty_grid(self):
-        assert audit_grid([], [0.5], [0.01]) == []
-
-    def test_invalid_cell_recorded(self):
-        cells = audit_grid([4], [1.5], [0.01])
-        assert len(cells) == 1
-        assert cells[0].report is None
-        assert "epsilon" in cells[0].error

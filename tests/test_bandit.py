@@ -201,6 +201,22 @@ class TestRunEpisode:
         run_episode(inst, config, SeedSpec(21))
         assert len(phases) > 1
 
+    def test_estimates_outside_the_radius_violate_the_clean_event(
+            self, monkeypatch):
+        # two arms of mean 0.5 in batches of 100: the radius is 0.37 at the
+        # first phase, 7 standard deviations of an estimate
+        inst = make_instance(2, [0.5, 0.5], 1000)
+        config = EngineConfig(m=100)
+        assert not run_episode(inst, config, SeedSpec(8)).clean_event_violated
+        draw = RewardTape.draw
+
+        def shifted_draw(tape, m):
+            # arm 1's estimates read 0.5 above its mean
+            return draw(tape, m) + (0.5 * m if tape.arm == 1 else 0.0)
+
+        monkeypatch.setattr(RewardTape, "draw", shifted_draw)
+        assert run_episode(inst, config, SeedSpec(8)).clean_event_violated
+
     def test_determinism(self):
         inst = make_instance(3, [0.7, 0.5, 0.3], 3000)
         params = derive_params(0.6, 1e-4)
@@ -467,6 +483,12 @@ class TestEngineConfig:
             EngineConfig(m=None, privacy=params)
         assert harness.engine_config(self.EXPERIMENT, "ae-baseline", None) == \
             EngineConfig(m=7, privacy=None)
+
+    @pytest.mark.parametrize("variant", ["sdp-ae", "vb-sdp-ae"])
+    def test_private_variant_needs_params(self, variant):
+        with pytest.raises(ValueError, match=f"^variant {variant} needs "
+                           "privacy parameters$"):
+            harness.engine_config(self.EXPERIMENT, variant, None)
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="thompson"):

@@ -40,6 +40,20 @@ class TestAudit:
         assert {row["pass"] for row in rows} == {"true"}
         assert float(rows[0]["div_forward"]) <= 0.01
 
+    def test_all_cells_pass(self, capsys):
+        # every cell's ceil(tau) audited in every (eps, delta) cell
+        taus = [math.ceil(96 * math.log(2 / d) / e**2)
+                for e in (0.3, 0.9) for d in (1e-2, 1e-5)]
+        ms = sorted({1, 10, *taus})
+        code, out, _ = run_cli(
+            ["audit", "--m", ",".join(map(str, ms)), "--eps", "0.3,0.9",
+             "--delta", "1e-2,1e-5"], capsys)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [int(row["m"]) for row in rows] == \
+            [m for m in ms for _ in range(4)]
+        assert {row["pass"] for row in rows} == {"true"}
+
     def test_tau_tokens_resolve_per_cell(self, capsys):
         code, out, _ = run_cli(
             ["audit", "--m", "7,tau,4tau", "--eps", "0.3,0.9",
@@ -256,6 +270,22 @@ class TestImports:
                 "import shufflebandit.audit\n"
                 "print(sorted(m for m in sys.modules\n"
                 "             if m.split('.')[:2] == ['scipy', 'stats']))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_audit_loads_neither_engine_nor_pool(self):
+        # the package root re-exports nothing, so the audit loads only the
+        # mechanism beside itself
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        code = ("import sys\n"
+                "import shufflebandit.audit\n"
+                "print(sorted(m for m in ('shufflebandit.harness',\n"
+                "                         'shufflebandit.bandit',\n"
+                "                         'shufflebandit.env',\n"
+                "                         'concurrent.futures.process')\n"
+                "             if m in sys.modules))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from shufflebandit import harness
+from shufflebandit.env import RewardTape
 from shufflebandit.harness import (RESULTS_HEADER, ConfigError,
                                    ExperimentConfig, parse_config,
                                    run_experiment)
@@ -240,6 +241,8 @@ class TestCodeBuiltConfig:
         (dict(checkpoints=(150, 301)),
          r"^checkpoints must lie in \[1, horizon\]$"),
         (dict(epsilons=(1.5,)), r"^epsilon 1.5 outside \(0, 1\]$"),
+        (dict(means=(0.9,)), r"^got 1 means for k=2$"),
+        (dict(deltas=(1.0,)), r"^delta 1.0 outside \(0, 1\)$"),
     ])
     def test_rejected_at_construction(self, tmp_path, no_episodes, change,
                                       match):
@@ -261,6 +264,16 @@ class TestCodeBuiltConfig:
                            match=r"need epsilons and deltas$") as info:
             run_experiment(config)
         assert info.value.key == "epsilons"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_threads_below_one_runs_nothing(self, tmp_path, no_episodes,
+                                            threads):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError,
+                           match=f"^threads must be >= 1, got {threads}$"):
+            run_experiment(ExperimentConfig(**self.FIELDS, output=str(out)),
+                           threads=threads)
         assert not out.exists()
 
     def test_empty_output_runs_nothing(self, no_episodes):
@@ -441,6 +454,29 @@ class TestRunExperiment:
         assert sorted(p.name for p in out.iterdir()) == [
             "manifest.json", "plotdata.csv", "results.csv", "traces"]
 
+    def test_clean_violations_count_the_seeds(self, tmp_path, monkeypatch):
+        # as in test_bandit: arm 1's estimates, moved 0.5 above its mean,
+        # leave the radius in every seed
+        draw = RewardTape.draw
+
+        def shifted_draw(tape, m):
+            return draw(tape, m) + (0.5 * m if tape.arm == 1 else 0.0)
+
+        text = (MINIMAL.replace("1.0, 0.0", "0.5, 0.5")
+                .replace("horizon = 200", "horizon = 1000")
+                .replace("seeds = 1", "seeds = 3")
+                .replace("baseline_m = 10", "baseline_m = 100"))
+        path, out = write_config(tmp_path, text)
+        run_experiment(parse_config(path))
+        with open(out / "results.csv") as fh:
+            assert [row["clean_violations"]
+                    for row in csv.DictReader(fh)] == ["0", "0"]
+        monkeypatch.setattr(RewardTape, "draw", shifted_draw)
+        run_experiment(parse_config(path))
+        with open(out / "results.csv") as fh:
+            assert [row["clean_violations"]
+                    for row in csv.DictReader(fh)] == ["3", "3"]
+
     def test_parallel_matches_serial(self, tmp_path):
         # 10 jobs: 3 threads split them 4, 3, 3; the 2-job config gets
         # more threads than jobs
@@ -475,12 +511,17 @@ class TestRunExperiment:
                                                       parallel.traces[key])
                     assert serial_files == parallel_files
 
-    @pytest.mark.parametrize("threads,jobs,tasks", [
-        (1, 15, 0), (2, 15, 2), (3, 15, 3), (16, 15, 15), (4, 1, 0)])
+    # the ids name (threads, jobs, tasks)
+    POOL_CASES = [(1, 15, 0, 64), (2, 15, 2, 64), (3, 15, 3, 64),
+                  (16, 15, 15, 64), (4, 1, 0, 64), (16, 15, 2, 2)]
+
+    @pytest.mark.parametrize("threads,jobs,tasks,cpus", POOL_CASES,
+                             ids=[f"{t}-{j}-{n}" for t, j, n, _ in POOL_CASES])
     def test_one_pool_task_per_worker(self, tmp_path, monkeypatch, threads,
-                                      jobs, tasks):
-        # each worker gets one task of strided keys; threads = 1, or a
-        # single job, starts no pool
+                                      jobs, tasks, cpus):
+        # each worker gets one task of strided keys, and there are at most
+        # as many workers as CPUs; threads = 1, or a single job, starts no
+        # pool
         pools = []
 
         class InlinePool:
@@ -503,6 +544,7 @@ class TestRunExperiment:
                 return [fn(*args) for args in tasks]
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         text = PRIVATE if jobs == 15 else MINIMAL
         path, _ = write_config(tmp_path, text)
         result = run_experiment(parse_config(path), threads=threads)

@@ -51,6 +51,16 @@ class TestDeriveParams:
     def test_epsilon_one_endpoint_allowed(self):
         derive_params(1.0, 1e-5)
 
+    @pytest.mark.parametrize("eps,delta,tau,match", [
+        (0.0, 0.1, 96.0, "epsilon"), (1.1, 0.1, 96.0, "epsilon"),
+        (0.5, 0.0, 96.0, "delta"), (0.5, 1.0, 96.0, "delta"),
+        (0.5, 0.1, 0.0, "tau"),
+    ])
+    def test_params_built_in_code_reject_out_of_range(self, eps, delta, tau,
+                                                      match):
+        with pytest.raises(ValueError, match=f"^{match} must be"):
+            PrivacyParams(eps, delta, tau=tau, sigma2=1.5 * tau)
+
 
 class TestNoiseLaw:
     def test_small_regime(self):
