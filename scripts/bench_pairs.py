@@ -11,13 +11,16 @@ first seed, the head first for the second, and so on, so that a slow drift
 of the machine falls on both sides alike.  The report holds every
 run's end-to-end metrics, each side's median and quartiles of each metric,
 and the number of pairs the head wins (better in the direction BENCHMARK.json
-gives).  It is never written to the root of this repository or of either
-checkout.
+gives).  It names each side by its commit and, where the side is not a
+clean git checkout, by a sha256 of its `src/**/*.py`.  The report is never
+written to the root of this repository or of either checkout.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
+import hashlib
 import json
 import os
 import platform
@@ -84,14 +87,31 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
 
 
 def describe(tree: str) -> dict:
-    """The checkout's commit and whether it has local changes."""
+    """The checkout's commit and whether it has local changes; for a tree
+    that is not a git checkout, or has local changes, also a sha256 of its
+    source, since the commit alone does not name the code measured."""
     def git(*args):
         proc = subprocess.run(["git", "-C", tree, *args], capture_output=True,
                               text=True, check=False)
         return proc.stdout.strip() if proc.returncode == 0 else None
     status = git("status", "--porcelain", "--untracked-files=no")
-    return {"commit": git("rev-parse", "HEAD"),
-            "dirty": bool(status) if status is not None else None}
+    out = {"commit": git("rev-parse", "HEAD"),
+           "dirty": bool(status) if status is not None else None}
+    if out["commit"] is None or out["dirty"]:
+        out["src_sha256"] = source_digest(tree)
+    return out
+
+
+def source_digest(tree: str) -> str:
+    """sha256 over each src/**/*.py of `tree` in sorted path order: its path
+    relative to `tree`, a NUL byte and its bytes."""
+    digest = hashlib.sha256()
+    paths = glob.glob(os.path.join(tree, "src", "**", "*.py"), recursive=True)
+    for path in sorted(os.path.relpath(p, tree) for p in paths):
+        digest.update(path.replace(os.sep, "/").encode() + b"\0")
+        with open(os.path.join(tree, path), "rb") as fh:
+            digest.update(fh.read())
+    return digest.hexdigest()
 
 
 def parse_args(argv):

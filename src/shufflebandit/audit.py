@@ -6,23 +6,24 @@ binomial noise totals.  The constant shift k cancels, so the hockey-stick
 divergence between the two output distributions reduces to a divergence
 between the noise pmf and its unit shift, computable exactly.
 
-`hockey_stick` evaluates that pmf only on a window of WINDOW_SDS standard
-deviations around the mean of B and adds the exact binomial mass outside
-the window to each divergence.  The reports are thus certified upper bounds,
-within that mass of the full-support values, at a cost of O(sqrt(n))
-support points whatever the batch size.  `noise_distribution` keeps the
-full support as the specification the window is tested against.
-
-Within the window it reads the pmf only where a hinge term can be positive.
+`hockey_stick` reads that pmf only where a hinge term can be positive.
 The ratio p(t) / p(t-1) = (n-t+1) q / (t (1-q)) falls as t grows, so the
 forward term p(t) - e^eps p(t-1) is positive only below the crossing
 c_f = (n+1) q / (q + e^eps (1-q)), and the backward term p(t-1) - e^eps p(t)
 only above c_b = (n+1) q e^eps / (1 - q + q e^eps).  The forward divergence
-is read from lo..floor(c_f)+1 and the backward one from ceil(c_b)-2..hi:
-each range reaches one point past its crossing, in case rounding moves the
-computed crossing across an integer.  Each range is clamped to keep its
-window edge: the window treats p(lo-1) and p(hi+1) as 0, so p(lo) is always
-a forward term and p(hi) always a backward term.
+is read up to fwd_hi = floor(c_f)+1 and the backward one from
+bwd_lo = ceil(c_b)-2: each range reaches one point past its crossing, in
+case rounding moves the computed crossing across an integer.
+
+Below c_f each step down divides the pmf by more than e^eps, and above c_b
+each step up does, so K = ceil(64 ln 2 / eps) + 2 points from a crossing
+it has fallen by at least 2^-64: 47 points at eps = 1, 91 at 0.5 and 180
+at 0.25, whatever the batch size.  Each range is cut there, to
+lo_f..fwd_hi and bwd_lo..hi_b, and each divergence adds the exact binomial
+mass beyond its cut, the cdf below lo_f or the sf above hi_b.  The reports
+are thus certified upper bounds, within that tail of the full-support
+values.  `noise_distribution` keeps the full support as the specification
+the cut ranges are tested against.
 
 The binomial pmf, cdf and sf are the ufuncs `scipy.stats.binom` itself
 calls; taking them from `scipy.special` spares the audit the import of
@@ -41,10 +42,6 @@ from scipy.special._ufuncs import _binom_cdf, _binom_pmf, _binom_sf
 from .mechanism import NoiseLaw, PrivacyParams, noise_law
 
 DEFAULT_SUPPORT_CAP = 10**6
-# Half-width of the audited window in standard deviations of B.  With the
-# paper's tau and delta <= 1e-2 the mass outside it measured below 1e-200 at
-# every batch size from 1 to 1e9; whatever it is, the audit adds it.
-WINDOW_SDS = 40
 # the brute force enumerates at most 2**MAX_NOISE_BITS noise outcomes
 MAX_NOISE_BITS = 20
 
@@ -62,11 +59,11 @@ class AuditReport:
 def noise_distribution(m: int, params: PrivacyParams) -> np.ndarray:
     """Exact pmf of B over its full support 0..n.
 
-    The specification the windowed audit is tested against; `hockey_stick`
-    does not call it.  Supports above DEFAULT_SUPPORT_CAP points are refused.
-    scipy's direct pmf evaluation is used rather than exponentiating logpmf:
-    it is underflow-safe over this support and keeps the total mass within
-    1e-12 of 1 even for supports of ~1e5 points.
+    The specification the cut ranges of `hockey_stick` are tested against;
+    `hockey_stick` does not call it.  Supports above DEFAULT_SUPPORT_CAP
+    points are refused.  scipy's direct pmf evaluation is used rather than
+    exponentiating logpmf: it is underflow-safe over this support and keeps
+    the total mass within 1e-12 of 1 even for supports of ~1e5 points.
     """
     law = noise_law(m, params)
     if law.n + 1 > DEFAULT_SUPPORT_CAP:
@@ -90,52 +87,44 @@ def shifted_hockey_stick(pmf: np.ndarray, epsilon: float) -> tuple[float, float]
     return forward, backward
 
 
-def noise_window(law: NoiseLaw) -> tuple[int, int, float]:
-    """(lo, hi, tail): the audited window lo..hi of B and the mass outside it.
-
-    The window is mean +- WINDOW_SDS standard deviations, clipped to 0..n;
-    the tail is exact, from the binomial cdf and survival function.
-    """
-    mean = law.n * law.q
-    spread = WINDOW_SDS * math.sqrt(mean * (1.0 - law.q))
-    lo = max(0, math.floor(mean - spread))
-    hi = min(law.n, math.ceil(mean + spread))
-    # _binom_cdf(-1, n, q) is nan where binom.cdf gives 0
-    below = _binom_cdf(lo - 1, law.n, law.q) if lo > 0 else 0.0
-    return lo, hi, float(below + _binom_sf(hi, law.n, law.q))
-
-
-def hinge_ranges(law: NoiseLaw, lo: int, hi: int,
-                 epsilon: float) -> tuple[int, int]:
-    """(fwd_hi, bwd_lo): the forward divergence of the window lo..hi is read
-    from lo..fwd_hi and the backward one from bwd_lo..hi (module docstring).
+def hinge_ranges(law: NoiseLaw, epsilon: float
+                 ) -> tuple[tuple[int, int, float], tuple[int, int, float]]:
+    """((lo_f, fwd_hi, tail_f), (bwd_lo, hi_b, tail_b)): the forward
+    divergence is read from lo_f..fwd_hi and the backward one from
+    bwd_lo..hi_b, each cut K points from its crossing (module docstring);
+    tail_f is the exact mass below lo_f and tail_b the mass above hi_b.
     """
     n, q, e_eps = law.n, law.q, math.exp(epsilon)
     c_f = (n + 1) * q / (q + e_eps * (1.0 - q))
     c_b = (n + 1) * q * e_eps / (1.0 - q + q * e_eps)
-    return (min(hi, max(lo, math.floor(c_f) + 1)),
-            max(lo, min(hi, math.ceil(c_b) - 2)))
+    fwd_hi = min(n, math.floor(c_f) + 1)
+    bwd_lo = max(0, math.ceil(c_b) - 2)
+    k = math.ceil(64 * math.log(2) / epsilon) + 2
+    lo_f, hi_b = max(0, fwd_hi - k), min(n, bwd_lo + k)
+    # _binom_cdf(-1, n, q) is nan where binom.cdf gives 0
+    tail_f = float(_binom_cdf(lo_f - 1, n, q)) if lo_f > 0 else 0.0
+    return (lo_f, fwd_hi, tail_f), (bwd_lo, hi_b, float(_binom_sf(hi_b, n, q)))
 
 
 def hockey_stick(m: int, params: PrivacyParams) -> AuditReport:
     """Certified (epsilon, delta) audit of one batch size.
 
-    With W the divergences of the pmf restricted to the window, each exact
-    divergence lies in [W - e^eps * tail, W + tail]: the window's two edge
-    terms and the terms outside it change by at most that mass.  The report
-    gives W + tail and passes when both are at most delta.  W is summed over
-    the hinge ranges only, which hold every window term that is positive in
-    exact arithmetic.
+    With W a divergence of the pmf restricted to its hinge range and tail
+    the mass beyond the range's cut, the exact divergence lies in
+    [W - e^eps * tail, W + tail]: the term at the cut and the terms beyond
+    it change by at most that mass, and the terms past the crossing are at
+    most 0.  The report gives W + tail and passes when both are at most
+    delta.
     """
     law = noise_law(m, params)
-    lo, hi, tail = noise_window(law)
-    fwd_hi, bwd_lo = hinge_ranges(law, lo, hi, params.epsilon)
+    (lo_f, fwd_hi, tail_f), (bwd_lo, hi_b, tail_b) = hinge_ranges(
+        law, params.epsilon)
     fwd = shifted_hockey_stick(
-        _binom_pmf(np.arange(lo, fwd_hi + 1), law.n, law.q),
-        params.epsilon)[0] + tail
+        _binom_pmf(np.arange(lo_f, fwd_hi + 1), law.n, law.q),
+        params.epsilon)[0] + tail_f
     bwd = shifted_hockey_stick(
-        _binom_pmf(np.arange(bwd_lo, hi + 1), law.n, law.q),
-        params.epsilon)[1] + tail
+        _binom_pmf(np.arange(bwd_lo, hi_b + 1), law.n, law.q),
+        params.epsilon)[1] + tail_b
     return AuditReport(m=m, epsilon=params.epsilon, delta=params.delta,
                        divergence_forward=fwd, divergence_backward=bwd,
                        passed=max(fwd, bwd) <= params.delta)

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .harness import parse_config, run_experiment
+from .harness import ConfigError, parse_config, run_experiment
 from .mechanism import derive_params, private_sum
 
 # `audit --m` tokens: that multiple of ceil(tau) in each (epsilon, delta) cell
@@ -77,17 +77,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_run(args) -> int:
     config = parse_config(args.config)
-    if args.threads < 1:
-        raise ValueError(f"threads must be >= 1, got {args.threads}")
     try:
         run_experiment(config, threads=args.threads,
                        full_trace=args.full_trace)
+    except ConfigError:  # bad input
+        raise
     except ValueError as exc:  # the input was checked: a runtime failure
         raise RuntimeError(exc) from exc
     return 0
 
 
 def cmd_audit(args) -> int:
+    import csv  # kept off the `run` path, as scipy is
+
     from .audit import hockey_stick  # scipy loads only here
 
     cells = itertools.product(
@@ -95,18 +97,21 @@ def cmd_audit(args) -> int:
                     lambda v: v if v in TAU_MULTIPLES else int(v)),
         _parse_list("--eps", args.eps, float),
         _parse_list("--delta", args.delta, float))
-    print("m,epsilon,delta,div_forward,div_backward,pass")
+    rows = csv.writer(sys.stdout, lineterminator="\n")  # quotes any comma
+    rows.writerow(["m", "epsilon", "delta", "div_forward", "div_backward",
+                   "pass"])
     for m, eps, delta in cells:  # each row printed once it is audited
         try:
             params = derive_params(eps, delta)
             if m in TAU_MULTIPLES:
                 m = TAU_MULTIPLES[m] * math.ceil(params.tau)
             r = hockey_stick(m, params)
-            audited = (f"{r.divergence_forward!r},{r.divergence_backward!r},"
-                       f"{'true' if r.passed else 'false'}")
+            audited = [repr(r.divergence_forward),
+                       repr(r.divergence_backward),
+                       "true" if r.passed else "false"]
         except (ValueError, OverflowError) as exc:  # m too big for a float
-            audited = f",,error: {exc}"  # m: the token if params failed
-        print(f"{m},{eps!r},{delta!r},{audited}")
+            audited = ["", "", f"error: {exc}"]  # m: the token if params failed
+        rows.writerow([m, repr(eps), repr(delta), *audited])
     return 0
 
 

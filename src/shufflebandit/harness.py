@@ -244,7 +244,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1,
     the bytes written do not depend on threads.
     """
     if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+        raise ConfigError(f"threads must be >= 1, got {threads}", "threads")
     keys = [(*cell, seed) for cell in config.cells()
             for seed in range(config.seeds)]
     os.makedirs(config.output, exist_ok=True)  # fail before any episode

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.stats import binom
 from shufflebandit.audit import (DEFAULT_SUPPORT_CAP, MAX_NOISE_BITS,
                                  brute_force_shuffle_divergence, hinge_ranges,
                                  hockey_stick, noise_distribution,
-                                 noise_window, shifted_hockey_stick)
+                                 shifted_hockey_stick)
 from shufflebandit.mechanism import PrivacyParams, derive_params, noise_law
 
 
@@ -179,20 +180,39 @@ def _two_tail_reference(m, params):
     return [(x - y, x + y) for x, y in (fwd, bwd)]
 
 
+def _cut_points(params):
+    """K: each hinge range is cut K points from its guard point, fwd_hi or
+    bwd_lo."""
+    return math.ceil(64 * math.log(2) / params.epsilon) + 2
+
+
+def _exact_divergences(n, e_eps):
+    """Both divergences of B ~ Binomial(n, 1/2) against B + 1 as fractions,
+    with e^eps the double e_eps that the audit multiplies by."""
+    e = Fraction(e_eps)
+    a, b = e.numerator, e.denominator
+    comb = [math.comb(n, t) for t in range(n + 1)]
+    cur, prev = comb + [0], [0] + comb   # 2^n p(t) and 2^n p(t-1)
+    fwd = sum(max(0, b * x - a * y) for x, y in zip(cur, prev))
+    bwd = sum(max(0, b * y - a * x) for x, y in zip(cur, prev))
+    return Fraction(fwd, b * 2**n), Fraction(bwd, b * 2**n)
+
+
 class TestWindow:
     @_cells(_paper_cells(_full_support_ms) + SHRUNK)
     def test_brackets_full_support(self, m, params):
-        # the window of hockey_stick against the specification's full support
+        # the cut ranges of hockey_stick against the specification's full
+        # support
         law = noise_law(m, params)
         assert law.n + 1 <= DEFAULT_SUPPORT_CAP
         report = hockey_stick(m, params)
         exact = shifted_hockey_stick(noise_distribution(m, params),
                                      params.epsilon)
-        tail = noise_window(law)[2]
-        assert tail <= 1e-12 * params.delta
+        tails = [r[2] for r in hinge_ranges(law, params.epsilon)]
         e_eps = math.exp(params.epsilon)
         got = (report.divergence_forward, report.divergence_backward)
-        for upper, want in zip(got, exact):
+        for upper, want, tail in zip(got, exact, tails):
+            assert tail <= 1e-12 * params.delta
             rounding = 1e-12 * want
             assert upper - (1 + e_eps) * tail - rounding <= want
             assert want <= upper + rounding
@@ -203,12 +223,12 @@ class TestWindow:
         law = noise_law(m, params)
         assert law.n + 1 > DEFAULT_SUPPORT_CAP
         report = hockey_stick(m, params)
-        tail = noise_window(law)[2]
-        assert tail <= 1e-12 * params.delta
+        tails = [r[2] for r in hinge_ranges(law, params.epsilon)]
         e_eps = math.exp(params.epsilon)
         got = (report.divergence_forward, report.divergence_backward)
-        for upper, (want, subtracted) in zip(got,
-                                             _two_tail_reference(m, params)):
+        for upper, (want, subtracted), tail in zip(
+                got, _two_tail_reference(m, params), tails):
+            assert tail <= 1e-12 * params.delta
             # the reference cancels about four digits of the tails it
             # subtracts, whose rounding is below 1e-12 of their sum
             slack = 1e-9 * want + 1e-12 * subtracted
@@ -216,68 +236,148 @@ class TestWindow:
         assert report.passed
         assert max(got) <= params.delta
 
+    # scipy's pmf of the paper-tau cell, 1172 coins deep in the tail, is
+    # itself off by up to 7e-12 of each exact value (the full support as
+    # much as the cut ranges); the shrunk cells by at most 3e-14
+    @pytest.mark.parametrize("tau,eps,slack", [(62.0, 1.0, 1e-12),
+                                               (203.0, 0.5, 1e-12),
+                                               (712.0, 0.25, 1e-12),
+                                               (None, 1.0, 1e-11)])
+    def test_matches_exact_fractions(self, tau, eps, slack):
+        # m = 1 sends ceil(tau) fair coins, so every pmf value is
+        # comb(n, t) / 2^n; tau None is the paper's tau, 1172 coins
+        params = (derive_params(eps, 1e-5) if tau is None else
+                  PrivacyParams(eps, 1e-5, tau=tau, sigma2=1.5 * tau))
+        law = noise_law(1, params)
+        assert law.q == 0.5
+        report = hockey_stick(1, params)
+        e_eps = math.exp(eps)
+        tails = [r[2] for r in hinge_ranges(law, eps)]
+        got = (report.divergence_forward, report.divergence_backward)
+        slack = Fraction(slack)
+        for upper, exact, tail in zip(got, _exact_divergences(law.n, e_eps),
+                                      tails):
+            assert exact > 0
+            assert exact * (1 - slack) <= Fraction(upper)
+            assert Fraction(upper) <= (exact + Fraction((1 + e_eps) * tail)
+                                       ) * (1 + slack)
+        assert tau is not None or min(tails) > 0, tails
+
     def test_hinge_ranges_hold_every_positive_term(self):
-        # every window term hockey_stick leaves out is at most 0, so its
-        # report is the full window's divergences plus the tail
+        # every term hockey_stick leaves out is at most 0, or lies beyond
+        # a range's cut, where that range's tail covers it
         cells = _random_cells(300) + SHRUNK + TINY
         seen = {"q=0.5": 0, "q<0.01": 0, "m>tau": 0, "m<=tau": 0,
-                "forward at lo": 0, "backward at hi": 0, "ranges meet": 0}
+                "forward cut": 0, "backward cut": 0, "ranges meet": 0,
+                "tail of a positive divergence": 0}
         for m, params in cells:
             law = noise_law(m, params)
-            lo, hi, tail = noise_window(law)
-            fwd_hi, bwd_lo = hinge_ranges(law, lo, hi, params.epsilon)
-            # p(lo) is always a forward term and p(hi) a backward one
-            assert lo <= fwd_hi <= hi and lo <= bwd_lo <= hi
-            pmf = binom.pmf(np.arange(lo, hi + 1), law.n, law.q)
-            p = np.concatenate([pmf, [0.0]])       # p(t), t = lo..hi+1
-            prev = np.concatenate([[0.0], pmf])    # p(t-1)
-            t = np.arange(lo, hi + 2)
+            k = _cut_points(params)
+            (lo_f, fwd_hi, tail_f), (bwd_lo, hi_b, tail_b) = hinge_ranges(
+                law, params.epsilon)
+            assert 0 <= lo_f <= fwd_hi <= law.n, (m, params)
+            assert 0 <= bwd_lo <= hi_b <= law.n, (m, params)
+            # no range is longer than K + 2 points
+            assert fwd_hi - lo_f + 1 <= k + 2 and hi_b - bwd_lo + 1 <= k + 2
+            # the terms t = a..b+1, reaching 2K points past each cut
+            a = max(0, min(lo_f, bwd_lo) - 2 * k)
+            b = min(law.n, max(fwd_hi, hi_b) + 2 * k)
+            pmf = binom.pmf(np.arange(a - 1, b + 2), law.n, law.q)
+            p, prev = pmf[1:], pmf[:-1]            # p(t) and p(t-1)
+            t = np.arange(a, b + 2)
             e_eps = math.exp(params.epsilon)
-            # a range lo..fwd_hi sums the forward terms up to fwd_hi, a
-            # range bwd_lo..hi the backward terms from bwd_lo + 1
-            fwd_out, bwd_out = t > fwd_hi, t <= bwd_lo
-            left_out = np.concatenate([(p - e_eps * prev)[fwd_out],
-                                       (prev - e_eps * p)[bwd_out]])
+            fwd_terms, bwd_terms = p - e_eps * prev, prev - e_eps * p
+            # a range lo_f..fwd_hi sums the forward terms lo_f..fwd_hi, a
+            # range bwd_lo..hi_b the backward terms bwd_lo + 1..hi_b + 1;
+            # the terms on the crossing's side of a range are at most 0
+            near = np.concatenate([fwd_terms[t > fwd_hi],
+                                   bwd_terms[t <= bwd_lo]])
             # subnormal pmf values are multiples of 5e-324, whose rounding
             # can make a term positive where the exact one is not
             larger = np.maximum(p, prev)
-            larger_out = np.concatenate([larger[fwd_out], larger[bwd_out]])
-            assert np.all((left_out <= 0)
-                          | (larger_out < np.finfo(float).tiny)), (m, params)
+            larger_near = np.concatenate([larger[t > fwd_hi],
+                                          larger[t <= bwd_lo]])
+            assert np.all((near <= 0)
+                          | (larger_near < np.finfo(float).tiny)), (m, params)
+            # the positive terms beyond a cut are each at most the pmf mass
+            # beyond it, so together at most the tail
+            beyond = [(fwd_terms[t < lo_f], tail_f),
+                      (bwd_terms[t > hi_b + 1], tail_b)]
+            for terms, tail in beyond:
+                assert (np.maximum(terms, 0.0).sum()
+                        <= tail * (1 + 1e-9) + 1e-300), (m, params)
             report = hockey_stick(m, params)
             got = (report.divergence_forward, report.divergence_backward)
-            for upper, window in zip(got, shifted_hockey_stick(
-                    pmf, params.epsilon)):
-                want = window + tail
-                assert abs(upper - want) <= 1e-14 * want + 1e-300, (m, params)
+            stretch = (np.maximum(fwd_terms, 0.0).sum(),
+                       np.maximum(bwd_terms, 0.0).sum())
+            for upper, want, tail in zip(got, stretch, (tail_f, tail_b)):
+                rounding = 1e-12 * want + 1e-300
+                assert want - rounding <= upper, (m, params)
+                assert upper <= want + (1 + e_eps) * tail + rounding, (m,
+                                                                      params)
+                # each tail is below 2^-40 of a positive divergence
+                if upper > 0:
+                    assert tail <= 2.0**-40 * upper, (m, params, tail, upper)
+                    seen["tail of a positive divergence"] += tail > 0
             seen["q=0.5"] += law.q == 0.5
             seen["q<0.01"] += law.q < 0.01
             seen["m>tau"] += m > params.tau
             seen["m<=tau"] += m <= params.tau
-            seen["forward at lo"] += fwd_hi == lo < hi
-            seen["backward at hi"] += bwd_lo == hi > lo
+            seen["forward cut"] += lo_f > 0
+            seen["backward cut"] += hi_b < law.n
             seen["ranges meet"] += fwd_hi >= bwd_lo
         assert min(seen.values()) > 0, seen
+
+    def test_tail_is_the_mass_beyond_its_range(self):
+        # below lo_f and above hi_b the pmf falls by more than e^eps a
+        # step, so the 2K points next to a cut hold all but 2^-128 of
+        # the mass beyond it
+        cells = _random_cells(300) + SHRUNK + TINY
+        compared = 0
+        for m, params in cells:
+            law = noise_law(m, params)
+            k = _cut_points(params)
+            (lo_f, _, tail_f), (_, hi_b, tail_b) = hinge_ranges(
+                law, params.epsilon)
+            below = binom.pmf(np.arange(max(0, lo_f - 2 * k), lo_f),
+                              law.n, law.q).sum()
+            above = binom.pmf(np.arange(hi_b + 1, min(law.n, hi_b + 2 * k) + 1),
+                              law.n, law.q).sum()
+            assert tail_f == pytest.approx(below, rel=1e-9, abs=1e-300), (
+                m, params)
+            assert tail_b == pytest.approx(above, rel=1e-9, abs=1e-300), (
+                m, params)
+            compared += (tail_f > 1e-300) + (tail_b > 1e-300)
+        assert compared > 0
 
     @pytest.mark.parametrize("m,eps,delta", [(1, 0.5, 1e-5),
                                              (2048, 1.0, 1e-2),
                                              (4096, 1.0, 1e-5)])
     def test_tail_is_the_mass_outside_the_window(self, m, eps, delta):
+        # on the full support: each range is cut on both sides of the
+        # support, and its tail is all the mass beyond its cut
         params = derive_params(eps, delta)
         law = noise_law(m, params)
-        lo, hi, tail = noise_window(law)
-        mean = law.n * law.q
-        sd = math.sqrt(mean * (1 - law.q))
-        # mean +- 40 sd, widened to whole points and clipped to 0..n
-        assert lo <= max(0, mean - 40 * sd) < lo + 1
-        assert hi - 1 < min(law.n, mean + 40 * sd) <= hi < law.n
+        (lo_f, _, tail_f), (_, hi_b, tail_b) = hinge_ranges(law, eps)
+        assert 0 < lo_f and hi_b < law.n
         pmf = noise_distribution(m, params)
-        assert tail == pytest.approx(pmf[:lo].sum() + pmf[hi + 1:].sum(),
-                                     rel=1e-9, abs=0.0)
+        assert tail_f == pytest.approx(pmf[:lo_f].sum(), rel=1e-9, abs=0.0)
+        assert tail_b == pytest.approx(pmf[hi_b + 1:].sum(), rel=1e-9,
+                                       abs=0.0)
 
-    def test_window_covering_the_support_has_no_tail(self):
-        law = noise_law(1, PrivacyParams(0.8, 0.05, tau=3.2, sigma2=4.8))
-        assert noise_window(law) == (0, law.n, 0.0)
+    def test_ranges_reaching_both_ends_have_no_tail(self):
+        cells = _random_cells(300) + SHRUNK + TINY
+        both = 0
+        for m, params in cells:
+            law = noise_law(m, params)
+            (lo_f, _, tail_f), (_, hi_b, tail_b) = hinge_ranges(
+                law, params.epsilon)
+            if lo_f == 0:
+                assert tail_f == 0.0, (m, params)
+            if hi_b == law.n:
+                assert tail_b == 0.0, (m, params)
+            both += lo_f == 0 and hi_b == law.n
+        assert both > 0
 
 
 class TestSubGaussianTail:

@@ -105,10 +105,22 @@ class TestAudit:
         assert err == f"error: {flag} has an invalid entry {entry}\n"
 
     def test_invalid_epsilon_recorded_per_cell(self, capsys):
-        code, out, _ = run_cli(
-            ["audit", "--m", "4", "--eps", "1.5", "--delta", "0.01"], capsys)
+        code, out, err = run_cli(
+            ["audit", "--m", "4", "--eps", "1.5,0.5", "--delta", "0.01"],
+            capsys)
         assert code == 0
-        assert "error" in out
+        assert err == ""
+        bad, good = csv.DictReader(io.StringIO(out))
+        assert (bad["m"], bad["epsilon"], bad["delta"]) == ("4", "1.5", "0.01")
+        assert bad["div_forward"] == bad["div_backward"] == ""
+        # the message holds a comma, so the row quotes it
+        assert bad["pass"] == "error: epsilon must be in (0, 1], got 1.5"
+        # the grid goes on past the bad cell
+        assert (good["m"], good["epsilon"], good["delta"]) == ("4", "0.5",
+                                                               "0.01")
+        assert float(good["div_forward"]) <= 0.01
+        assert float(good["div_backward"]) <= 0.01
+        assert good["pass"] == "true"
 
     def test_batch_size_too_large_for_a_float_is_an_error_row(self, capsys):
         # a 400-digit batch size overflows the float noise probability
