@@ -3,17 +3,29 @@
     python3 scripts/bench_pairs.py --base ../parent --head . \\
         --workload audit --seeds 101,102,103 --label audit-pairs \\
         --report-dir bench
+    python3 scripts/bench_pairs.py --base ../parent --head . \\
+        --workload desk --rounds 30 --label desk-rounds --report-dir bench
 
-For each seed, `perfbench/run.py --workload W --seed S --seconds T --trace 0`
-runs once in each checkout, from that checkout's root, with T the
-`run_seconds` of the head's BENCHMARK.json.  The base runs first for the
-first seed, the head first for the second, and so on, so that a slow drift
-of the machine falls on both sides alike.  The report holds every
-run's end-to-end metrics, each side's median and quartiles of each metric,
-and the number of pairs the head wins (better in the direction BENCHMARK.json
-gives).  It names each side by its commit and, where the side is not a
-clean git checkout, by a sha256 of its `src/**/*.py`.  The report is never
-written to the root of this repository or of either checkout.
+With --seeds, for each seed `perfbench/run.py --workload W --seed S
+--seconds T --trace 0` runs once in each checkout, from that checkout's
+root, with T the `run_seconds` of the head's BENCHMARK.json.  The base runs
+first for the first seed, the head first for the second, and so on, so
+that a slow drift of the machine falls on both sides alike.
+
+With --rounds N, each pair is instead one single round of each checkout,
+as `perfbench/run.py` runs it: one fresh `perfbench/worker.py` interpreter
+running the workload once (desk with --threads 2), its outputs checked by
+that checkout's `perfbench/checks.py`.  The N pairs run in ABBA order (A B
+B A A B ...), all with the seed of --seeds or 1.  Rounds last about a
+tenth of a second, so they follow the machine's drift much more closely
+than whole runs do.
+
+The report holds every run's or round's end-to-end metrics, each side's
+median and quartiles of each metric, and the number of pairs the head
+wins (better in the direction BENCHMARK.json gives).  It names each side by
+its commit and, where the side is not a clean git checkout, by a sha256 of
+its `src/**/*.py`.  The report is never written to the root of this
+repository or of either checkout, and never replaces an earlier report.
 """
 
 from __future__ import annotations
@@ -25,9 +37,11 @@ import json
 import os
 import platform
 import re
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from importlib import metadata
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -50,6 +64,47 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
             "attempted": out["attempted"], "failed": out["failed"],
             "metrics": {k: m["value"] for k, m in out["metrics"].items()},
             "stderr": proc.stderr.strip()[-2000:]}
+
+
+# One round, run by a fresh interpreter from the root of a checkout with
+# that checkout's perfbench/run.py; prints its result as one JSON line.
+ROUND = """
+import json, shutil, sys, tempfile, time
+sys.path.insert(0, "perfbench")
+import run as bench
+workload, seed, tmp_root = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+tmp = tempfile.mkdtemp(prefix="round-", dir=tmp_root)
+try:
+    r = bench.Run(workload, seed, tmp, time.monotonic() + bench.DEADLINE_S)
+    out = r.round("plain", 2 if workload == "desk" else 1)
+finally:
+    shutil.rmtree(tmp, ignore_errors=True)
+print(json.dumps({"ops": out["ops"], "run_s": out.get("run_s"),
+                  "setup_s": out["setup_s"],
+                  "peak_rss_kb": out["peak_rss_kb"],
+                  "attempted": r.attempted, "failed": r.failed,
+                  "errors": r.errors}))
+"""
+
+
+def round_once(tree: str, workload: str, seed: int, tmp_root: str) -> dict:
+    """One worker round of the workload in `tree`, with its metrics."""
+    proc = subprocess.run(
+        [sys.executable, "-c", ROUND, workload, str(seed), tmp_root],
+        cwd=tree, capture_output=True, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        return {"returncode": proc.returncode,
+                "stderr": proc.stderr.strip()[-2000:]}
+    out = json.loads(lines[-1])
+    ok = out["ops"] > 0 and out["setup_s"] is not None
+    return {"returncode": 0, "correct": not out["errors"],
+            "attempted": out["attempted"], "failed": out["failed"],
+            "errors": out["errors"][:20],
+            **({"metrics": {"ops_per_s": out["ops"] / out["run_s"],
+                            "setup_s": out["setup_s"],
+                            "peak_rss_mb": out["peak_rss_kb"] / 1024}}
+               if ok else {})}
 
 
 def spread(values: list[float]) -> dict:
@@ -122,15 +177,24 @@ def parse_args(argv):
                         "the head (the change)")
     parser.add_argument("--workload", required=True,
                         choices=["desk", "long-horizon", "audit"])
-    parser.add_argument("--seeds", required=True,
-                        help="comma-separated seeds, one pair each")
+    parser.add_argument("--seeds", help="comma-separated seeds: one pair of "
+                        "whole runs each, or with --rounds the one seed of "
+                        "every round (default 1)")
+    parser.add_argument("--rounds", type=int, help="pairs of single worker "
+                        "rounds, in ABBA order")
     parser.add_argument("--label", required=True)
     parser.add_argument("--report-dir", required=True)
     args = parser.parse_args(argv)
+    if args.rounds is None and args.seeds is None:
+        parser.error("give --seeds or --rounds")
+    if args.rounds is not None and args.rounds < 1:
+        parser.error("--rounds must be >= 1")
     try:
-        args.seeds = [int(s) for s in args.seeds.split(",")]
+        args.seeds = [int(s) for s in (args.seeds or "1").split(",")]
     except ValueError:
         parser.error("--seeds takes comma-separated integers")
+    if args.rounds is not None and len(args.seeds) != 1:
+        parser.error("--rounds takes one seed")
     if not re.fullmatch(r"[A-Za-z0-9_.-]+", args.label):
         parser.error("--label may hold only letters, digits, _, . and -")
     args.base, args.head = (os.path.abspath(d) for d in (args.base, args.head))
@@ -141,6 +205,9 @@ def parse_args(argv):
     if report_dir in {os.path.realpath(d)
                       for d in (REPO, args.base, args.head)}:
         parser.error("the report is never written to a repository root")
+    args.path = os.path.join(args.report_dir, f"BENCH_{args.label}.json")
+    if os.path.lexists(args.path):
+        parser.error(f"{args.path} exists; a report is never replaced")
     return args
 
 
@@ -151,19 +218,31 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     runs = []
-    for pair, seed in enumerate(args.seeds):
-        order = SIDES if pair % 2 == 0 else SIDES[::-1]
-        for position, side in enumerate(order):
-            tree = args.base if side == "base" else args.head
-            r = run_once(tree, args.workload, seed, seconds)
-            runs.append(dict(r, pair=pair, seed=seed, side=side,
-                             position=position))
-            print(json.dumps({k: runs[-1][k] for k in
-                              ("pair", "seed", "side", "metrics")
-                              if k in runs[-1]}), file=sys.stderr)
+    if args.rounds is None:
+        pairs = list(enumerate(args.seeds))
+    else:
+        pairs = [(pair, args.seeds[0]) for pair in range(args.rounds)]
+        tmp_root = tempfile.mkdtemp(prefix="bench-rounds-")
+    try:
+        for pair, seed in pairs:
+            order = SIDES if pair % 2 == 0 else SIDES[::-1]
+            for position, side in enumerate(order):
+                tree = args.base if side == "base" else args.head
+                r = (run_once(tree, args.workload, seed, seconds)
+                     if args.rounds is None else
+                     round_once(tree, args.workload, seed, tmp_root))
+                runs.append(dict(r, pair=pair, seed=seed, side=side,
+                                 position=position))
+                print(json.dumps({k: runs[-1][k] for k in
+                                  ("pair", "seed", "side", "metrics")
+                                  if k in runs[-1]}), file=sys.stderr)
+    finally:
+        if args.rounds is not None:
+            shutil.rmtree(tmp_root, ignore_errors=True)
     report = {
-        "workload": args.workload, "seconds": seconds,
-        "seeds": args.seeds,
+        "workload": args.workload, "seeds": args.seeds,
+        **({"seconds": seconds} if args.rounds is None
+           else {"rounds": args.rounds}),
         "base": describe(args.base), "head": describe(args.head),
         "machine": {"nproc": os.cpu_count(),
                     "python": platform.python_version(),
@@ -174,11 +253,10 @@ def main(argv=None) -> int:
         "summary": summarize(runs, better),
     }
     os.makedirs(args.report_dir, exist_ok=True)
-    path = os.path.join(args.report_dir, f"BENCH_{args.label}.json")
-    with open(path, "w") as fh:
+    with open(args.path, "x") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(path)
+    print(args.path)
     ok = all(r["returncode"] == 0 and r["correct"] and r["failed"] == 0
              for r in runs)
     return 0 if ok else 1

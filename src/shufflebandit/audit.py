@@ -21,8 +21,10 @@ it has fallen by at least 2^-64: 47 points at eps = 1, 91 at 0.5 and 180
 at 0.25, whatever the batch size.  Each range is cut there, to
 lo_f..fwd_hi and bwd_lo..hi_b, and each divergence adds the exact binomial
 mass beyond its cut, the cdf below lo_f or the sf above hi_b.  The reports
-are thus certified upper bounds, within that tail of the full-support
-values.  `noise_distribution` keeps the full support as the specification
+are thus upper bounds, within that tail of the full-support values, up to
+scipy's rounding of the pmf: against exact `Fraction` divergences that
+rounding was measured at up to 6.9e-11 relative, in either direction
+(`test_matches_exact_fractions`).  `noise_distribution` keeps the full support as the specification
 the cut ranges are tested against.
 
 The binomial pmf, cdf and sf are the ufuncs `scipy.stats.binom` itself
@@ -107,14 +109,18 @@ def hinge_ranges(law: NoiseLaw, epsilon: float
 
 
 def hockey_stick(m: int, params: PrivacyParams) -> AuditReport:
-    """Certified (epsilon, delta) audit of one batch size.
+    """(epsilon, delta) audit of one batch size, certified up to scipy's
+    rounding of the pmf.
 
     With W a divergence of the pmf restricted to its hinge range and tail
     the mass beyond the range's cut, the exact divergence lies in
     [W - e^eps * tail, W + tail]: the term at the cut and the terms beyond
     it change by at most that mass, and the terms past the crossing are at
     most 0.  The report gives W + tail and passes when both are at most
-    delta.
+    delta.  The bound holds for the pmf values scipy computes; against
+    exact `Fraction` values their rounding was measured at up to 6.9e-11
+    relative (`test_matches_exact_fractions`), so a report within that of
+    delta is not certified.
     """
     law = noise_law(m, params)
     (lo_f, fwd_hi, tail_f), (bwd_lo, hi_b, tail_b) = hinge_ranges(

@@ -22,6 +22,8 @@ from .mechanism import PrivacyParams, noise_law
 # are tested against.
 from .mechanism import private_sum  # noqa: F401
 
+RUN_CAP = 1024  # phases of one block, at most
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -70,6 +72,21 @@ class RegretTrace:
             self.gaps.append(gap)
         self.users += pulls
         self.regret += gap * pulls
+
+    def charge_phases(self, pulls: int, gaps: list[float], count: int) -> None:
+        """Charge `count` phases, each one batch of `pulls` pulls per gap in
+        `gaps`, in order: the segments and regret of as many `charge` calls,
+        as the cumulative sum adds the same floats in the same order."""
+        g = np.array(gaps * count)
+        regret = np.add.accumulate(np.concatenate(([self.regret], g * pulls)))
+        last = self.gaps[-1] if self.gaps else 1.0  # 1.0: no segment yet
+        new = np.flatnonzero((g != 0.0)
+                             | (np.concatenate(([last], g[:-1])) != 0.0))
+        self.starts.frombytes((self.users + pulls * new).tobytes())
+        self.bases.frombytes(regret[new].tobytes())
+        self.gaps.frombytes(g[new].tobytes())
+        self.users += pulls * g.size
+        self.regret = float(regret[-1])
 
     def at(self, users) -> np.ndarray:
         """Cumulative regret after each of the given (1-based) users."""
@@ -144,12 +161,68 @@ def run_phase(sums, pulls, active, tapes, m, instance, trace):
     return trace.users
 
 
+def run_block(sums, pulls, active, tapes, ahead, m, phases, phase, sigma,
+              instance, trace):
+    """Run `phases` complete phases after `phase` as one numpy block.
+
+    Each active arm's tape draws the block's estimates by one sized call per
+    generator, after the `ahead` estimates (one row per active arm, or None)
+    that the last block drew and did not run.  The sums, radii, clean-event
+    checks and elimination tests of every phase are computed at once, with
+    the float operations of the phase loop, `confidence_radius` and
+    `eliminate` in their order.  The block is committed up to its first
+    eliminating phase, whose eliminations `eliminate` applies.  Returns the
+    last phase run and the surviving arms' estimates for the phases not
+    run, or None.
+    """
+    arms = [a for a in range(instance.k) if active[a]]
+    # row i: arm arms[i]'s sum so far, then its estimates of the block
+    block = np.empty((len(arms), phases + 1))
+    block[:, 0] = [sums[a] for a in arms]
+    drawn = 0
+    if ahead is not None:
+        drawn = ahead.shape[1]
+        block[:, 1:drawn + 1] = ahead
+    for row, a in enumerate(arms):
+        block[row, drawn + 1:] = tapes[a].draw(m, phases - drawn)
+    running = np.add.accumulate(block, axis=1)  # the sums, in phase order
+    pulled = pulls[arms[0]] + m * np.arange(1, phases + 1)
+    t = np.arange(phase + 1, phase + phases + 1)
+    radius = ((2.0 * np.sqrt(t) * sigma / pulled + 1.0 / np.sqrt(pulled))
+              * math.sqrt(2.0 * math.log(instance.horizon)))
+    estimates = running[:, 1:] / pulled
+    best_lcb = estimates.max(axis=0) - radius
+    eliminating = np.flatnonzero(((estimates + radius) < best_lcb).any(axis=0))
+    run = int(eliminating[0]) + 1 if eliminating.size else phases
+    means = [[instance.means[a]] for a in arms]
+    if (np.abs(estimates[:, :run] - means) > radius[:run]).any():
+        trace.clean_event_violated = True
+    trace.charge_phases(m, [instance.gaps[a] for a in arms], run)
+    for a, total in zip(arms, running[:, run].tolist()):
+        sums[a] = total
+        pulls[a] += run * m
+    phase += run
+    if eliminating.size:
+        last = [0.0] * instance.k
+        for a, estimate in zip(arms, estimates[:, run - 1].tolist()):
+            last[a] = estimate
+        for a in eliminate(active, last, float(radius[run - 1])):
+            trace.eliminations.append((a, phase))
+    if run == phases:
+        return phase, None
+    return phase, block[[active[a] for a in arms], run + 1:]
+
+
 def run_episode(instance: BanditInstance, config: EngineConfig,
                 seeds: SeedSpec) -> RegretTrace:
     """One seeded run to the horizon; deterministic given (instance, config, seeds).
 
     Each loop iteration runs one phase: a batch of every active arm, the
-    clean-event check and an elimination test.  A phase runs in full while
+    clean-event check and an elimination test.  With a constant batch size,
+    an iteration instead runs every complete phase left with the active
+    arms, at most RUN_CAP, as one block (`run_block`), up to and including
+    its first elimination; the one-phase list path is faster for a single
+    phase, and so runs every doubling phase.  A phase runs in full while
     its users stay below the horizon.  The phase the horizon cuts short is
     only charged and draws nothing: no elimination test reads its sums.
     Each arm's tape draws its estimates from the arm's own generators, so
@@ -166,12 +239,20 @@ def run_episode(instance: BanditInstance, config: EngineConfig,
     tapes = [RewardTape(a, means[a], seeds, law) for a in range(k)]
     trace = RegretTrace()
     sigma = config.sigma
+    ahead = None  # estimates a block drew for phases it did not run
     phase = 0
     while True:
-        phase += 1
-        m = config.m or 2**phase
-        if trace.users + active.count(True) * m >= horizon:
+        m = config.m or 2**(phase + 1)
+        # complete phases left with these arms: users + phases * n * m < T
+        phases = (horizon - trace.users - 1) // (active.count(True) * m)
+        if phases == 0:
             break
+        if config.m is not None and (phases > 1 or ahead is not None):
+            phase, ahead = run_block(sums, pulls, active, tapes, ahead, m,
+                                     min(phases, RUN_CAP), phase, sigma,
+                                     instance, trace)
+            continue
+        phase += 1
         run_phase(sums, pulls, active, tapes, m, instance, trace)
         # every active arm has as many pulls, hence one radius
         pulled = pulls[active.index(True)]

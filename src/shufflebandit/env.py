@@ -3,13 +3,12 @@
 A batch is drawn as the one statistic the analyzer reads, its reward sum
 plus its noise count, from the arm's own reward and noise generators.  This
 keeps memory O(k) at any horizon and makes an arm's stream independent of
-every other arm's stream.  How many batches to draw per generator call is
-the tape's own decision; the engine only asks for the next batch.
+every other arm's stream.  The engine asks for the next batch, or for the
+next run of batches of one size, and the tape draws exactly those.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,8 +18,6 @@ import numpy.random  # numpy loads it lazily, on the first draw otherwise
 # Stream labels keep reward randomness disjoint from mechanism randomness.
 _REWARD_STREAM = 0
 _NOISE_STREAM = 1
-
-RUN_CAP = 1024  # batches of one size drawn in one call per generator, at most
 
 
 @dataclass(frozen=True)
@@ -79,7 +76,7 @@ def make_instance(k: int, means: list[float], horizon: int) -> BanditInstance:
 
 
 class RewardTape:
-    """One arm's stream of batch estimates; it alone decides what to draw.
+    """One arm's stream of batch estimates.
 
     A batch is only ever aggregated: the analyzer of the shuffle mechanism
     reads its popcount S + B, the reward sum S ~ Binomial(m, mu) plus, when
@@ -88,13 +85,11 @@ class RewardTape:
     generator, and `draw` returns the analyzer's estimate S + B - E[B], or S
     without noise.
 
-    The first batch of a size takes one scalar call per generator.  When the
-    size repeats with nothing queued, one sized call per generator draws
-    twice as many batches as the last call, at most RUN_CAP, and queues
-    them.  A sized call returns the values of that many scalar calls and
-    leaves the generator in the same state, so the streams are those of
-    drawing batch by batch; the batches still queued when the engine stops
-    reading the arm are never read.
+    `draw(m)` draws one batch by one scalar call per generator;
+    `draw(m, count)` draws the next `count` batches of m by one sized call
+    per generator.  A sized call returns the values of that many scalar
+    calls and leaves the generator in the same state, so the stream is that
+    of drawing batch by batch, however the batches are grouped into calls.
     """
 
     def __init__(self, arm: int, mean: float, seeds: SeedSpec, law=None):
@@ -103,26 +98,15 @@ class RewardTape:
         self.law = law
         self._rng = seeds.reward_rng(arm)
         self._noise = seeds.noise_rng(arm) if law is not None else None
-        self._size = None  # batch size of the last call
-        self._count = 0    # batches the last call drew
-        self._ahead = deque()  # estimates of batches of _size not yet read
 
-    def draw(self, m: int) -> float:
-        """The estimate of the arm's next batch, of m users."""
-        if self._ahead:
-            if m != self._size:
-                raise ValueError(f"tape for arm {self.arm} drew batches of "
-                                 f"{self._size} ahead, requested {m}")
-            return self._ahead.popleft()
-        count = min(2 * self._count, RUN_CAP) if m == self._size else 1
-        self._size, self._count = m, count
-        size = count if count > 1 else None  # None: a scalar call
-        estimates = self._rng.binomial(m, self.mean, size)
+    def draw(self, m: int, count: int | None = None):
+        """The estimate of the arm's next batch of m users, or a float array
+        of the estimates of its next `count` batches of m users."""
+        estimates = self._rng.binomial(m, self.mean, count)
         if self.law is not None:
             law = self.law(m)
-            estimates = (estimates + self._noise.binomial(law.n, law.q, size)
+            estimates = (estimates + self._noise.binomial(law.n, law.q, count)
                          - law.offset)
-        if size is None:
+        if count is None:
             return float(estimates)
-        self._ahead.extend(map(float, estimates.tolist()))
-        return self._ahead.popleft()
+        return estimates.astype(float, copy=False)

@@ -142,8 +142,6 @@ class AggregateResult:
     rows: list[ResultRow]
     # (variant, epsilon, delta, seed) -> checkpointed regret array
     traces: dict = field(default_factory=dict)
-    # same keys -> the run's RegretTrace, with --full-trace only
-    full_traces: dict = field(default_factory=dict)
 
 
 def _read(key: str, kind: str, text: str):
@@ -219,59 +217,61 @@ def engine_config(config: ExperimentConfig, variant: str,
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def _run_jobs(config: ExperimentConfig, keys: list, full_trace: bool) -> list:
-    """Run the episodes of these (variant, eps, delta, seed) keys in order."""
+def _run_jobs(config: ExperimentConfig, keys: list, stage: str,
+              full_trace: bool, pooled: bool) -> list:
+    """Run the episodes of these (variant, eps, delta, seed) keys in order.
+
+    Each episode's trace file is written into `stage`: in a pool worker as
+    soon as the episode has run, so that the file creations overlap the
+    other workers' episodes, and otherwise after the last episode, since
+    creating the files back to back costs about half as much per file as
+    creating each between two episodes.
+    """
     instance = config.instance()
-    out = []
-    for variant, eps, delta, seed in keys:
+    out, held = [], []
+    for key in keys:
+        variant, eps, delta, seed = key
         params = None if eps is None else derive_params(eps, delta)
         econf = engine_config(config, variant, params)
         trace = run_episode(instance, econf, SeedSpec(config.master_seed, seed))
-        # the segments are expanded to one value per user only when written
-        out.append((trace.at(config.checkpoints),
-                    bool(trace.clean_event_violated),
-                    trace if full_trace else None))
+        checks = trace.at(config.checkpoints)
+        if pooled:
+            _write_trace(config, stage, key, trace, checks, full_trace)
+        else:
+            held.append((key, trace, checks))
+        out.append((checks, bool(trace.clean_event_violated)))
+    for key, trace, checks in held:
+        _write_trace(config, stage, key, trace, checks, full_trace)
     return out
 
 
-def run_experiment(config: ExperimentConfig, threads: int = 1,
-                   full_trace: bool = False) -> AggregateResult:
-    """Run every (cell, seed) episode, aggregate, and emit the outputs.
+def _write_trace(config: ExperimentConfig, stage: str, key, trace, checks,
+                 full_trace: bool) -> None:
+    """An episode's regret at the checkpoints, or with `full_trace` after
+    every user, expanded from its segments only here."""
+    with open(os.path.join(stage, _trace_name(key)), "w") as fh:
+        if full_trace:
+            fh.write("user,cumulative_regret\n")
+            for user, value in enumerate(trace.cumulative_regret, 1):
+                fh.write(f"{user},{float(value)!r}\n")
+        else:
+            fh.write("checkpoint,cumulative_regret\n")
+            fh.writelines(_checkpoint_rows(config, checks))
 
-    With threads > 1, each of min(threads, CPUs, keys) pool workers gets
-    one task: the config and every tasks-th key, so each sees a similar mix
-    of cheap and expensive cells.  Outcomes are put back in key order, so
-    the bytes written do not depend on threads.
-    """
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}", "threads")
-    keys = [(*cell, seed) for cell in config.cells()
-            for seed in range(config.seeds)]
-    os.makedirs(config.output, exist_ok=True)  # fail before any episode
-    tasks = min(threads, len(keys), os.cpu_count() or 1)
-    if tasks > 1:
-        strided = [keys[i::tasks] for i in range(tasks)]
-        with ProcessPoolExecutor(max_workers=tasks) as pool:
-            parts = pool.map(_run_jobs, [config] * tasks, strided,
-                             [full_trace] * tasks)
-            outcomes = [None] * len(keys)
-            for i, part in enumerate(parts):
-                outcomes[i::tasks] = part
-    else:
-        outcomes = _run_jobs(config, keys, full_trace)
 
+def _aggregate(config: ExperimentConfig, keys: list,
+               outcomes: list) -> AggregateResult:
+    """Each cell's rows of results.csv from its episodes' outcomes."""
     result = AggregateResult(rows=[])
     # keys hold each cell's seeds in a row, and ExperimentConfig keeps
     # cells unique
     for (variant, eps, delta), group in groupby(zip(keys, outcomes),
                                                 key=lambda kv: kv[0][:3]):
         cell, violations = [], 0
-        for key, (checks, violated, full) in group:
+        for key, (checks, violated) in group:
             cell.append(checks)
             violations += int(violated)
             result.traces[key] = checks
-            if full is not None:
-                result.full_traces[key] = full
         data = np.vstack(cell)
         n = data.shape[0]
         means = data.mean(axis=0)
@@ -285,7 +285,46 @@ def run_experiment(config: ExperimentConfig, threads: int = 1,
                 mean_regret=float(means[j]), stderr=float(stderrs[j]),
                 min=float(data[:, j].min()), max=float(data[:, j].max()),
                 clean_violations=violations))
-    emit_outputs(result, config)
+    return result
+
+
+def run_experiment(config: ExperimentConfig, threads: int = 1,
+                   full_trace: bool = False) -> AggregateResult:
+    """Run every (cell, seed) episode, aggregate, and emit the outputs.
+
+    With threads > 1, each of min(threads, CPUs, keys) pool workers gets
+    one task: the config and every tasks-th key, so each sees a similar mix
+    of cheap and expensive cells.  Outcomes are put back in key order, so
+    the bytes written do not depend on threads.  Each worker writes the
+    trace files of its own episodes into the staging directory (see
+    `emit_outputs`), which any failure deletes.
+    """
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}", "threads")
+    keys = [(*cell, seed) for cell in config.cells()
+            for seed in range(config.seeds)]
+    out = config.output
+    os.makedirs(out, exist_ok=True)  # fail before any episode
+    stage = tempfile.mkdtemp(prefix=".staging-", dir=out)
+    try:
+        os.chmod(stage, os.stat(out).st_mode & 0o777)  # mkdtemp makes it 0700
+        tasks = min(threads, len(keys), os.cpu_count() or 1)
+        if tasks > 1:
+            strided = [keys[i::tasks] for i in range(tasks)]
+            with ProcessPoolExecutor(max_workers=tasks) as pool:
+                parts = pool.map(_run_jobs, [config] * tasks, strided,
+                                 [stage] * tasks, [full_trace] * tasks,
+                                 [True] * tasks)
+                outcomes = [None] * len(keys)
+                for i, part in enumerate(parts):
+                    outcomes[i::tasks] = part
+        else:
+            outcomes = _run_jobs(config, keys, stage, full_trace, False)
+        result = _aggregate(config, keys, outcomes)
+        emit_outputs(result, config, stage)
+    except BaseException:
+        shutil.rmtree(stage, ignore_errors=True)
+        raise
     return result
 
 
@@ -295,79 +334,71 @@ def _fmt(value) -> str:
     return repr(value)
 
 
-def emit_outputs(result: AggregateResult, config: ExperimentConfig) -> None:
-    """Write results.csv, per-episode traces, plotdata.csv, and manifest.json.
+def _trace_name(key) -> str:
+    variant, eps, delta, seed = key
+    return (f"{variant}_{_fmt(eps) or 'none'}_{_fmt(delta) or 'none'}_"
+            f"{seed}.csv")
 
-    An episode's trace holds every user when its key is in
-    `result.full_traces`, and its checkpoints otherwise.
 
-    Every file is written into a fresh directory inside `config.output`.
-    Only then are the three top-level files moved into place and the rest
-    swapped in as `traces/`, so a failed write replaces nothing and
-    `traces/` never holds a previous run's files; nothing else in the
-    output directory is touched.  A `traces` that is a file or a symbolic
-    link is replaced too, and a link's target is never touched.
+def _checkpoint_rows(config: ExperimentConfig, checks) -> list[str]:
+    return [f"{cp},{float(value)!r}\n"
+            for cp, value in zip(config.checkpoints, checks)]
+
+
+def emit_outputs(result: AggregateResult, config: ExperimentConfig,
+                 stage: str) -> None:
+    """Write results.csv, plotdata.csv and manifest.json, and put them and
+    the episodes' trace files in place.
+
+    `stage` is a fresh directory inside `config.output` that already holds
+    every trace file.  The three top-level files are written into it too;
+    only then are they moved into place and the rest swapped in as
+    `traces/`, so `traces/` never holds a previous run's files, and nothing
+    else in the output directory is touched.  A `traces` that is a file or
+    a symbolic link is replaced too, and a link's target is never touched.
     """
     out = config.output
-    stage = tempfile.mkdtemp(prefix=".staging-", dir=out)
+    with open(os.path.join(stage, "results.csv"), "w") as fh:
+        fh.write(RESULTS_HEADER + "\n")
+        for row in result.rows:
+            fh.write(",".join([
+                row.variant, _fmt(row.epsilon), _fmt(row.delta),
+                str(row.checkpoint), _fmt(row.mean_regret),
+                _fmt(row.stderr), _fmt(row.min), _fmt(row.max),
+                str(row.clean_violations),
+            ]) + "\n")
+
+    with open(os.path.join(stage, "plotdata.csv"), "w") as plot:
+        plot.write("variant,epsilon,delta,seed,checkpoint,"
+                   "cumulative_regret\n")
+        # episodes in the str order of their keys, as traces/ lists them
+        for key, checks in sorted(result.traces.items(),
+                                  key=lambda kv: str(kv[0])):
+            variant, eps, delta, seed = key
+            cell = f"{variant},{_fmt(eps)},{_fmt(delta)},{seed},"
+            plot.writelines(cell + row
+                            for row in _checkpoint_rows(config, checks))
+
+    settings = asdict(config)
+    del settings["output"], settings["master_seed"]
+    manifest = {
+        "package_version": __version__,
+        "numpy_version": np.__version__,
+        "master_seed": config.master_seed,
+        "config": settings,
+    }
+    with open(os.path.join(stage, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+    for name in ("results.csv", "plotdata.csv", "manifest.json"):
+        os.replace(os.path.join(stage, name), os.path.join(out, name))
+    traces = os.path.join(out, "traces")
     stale = None
-    try:
-        os.chmod(stage, os.stat(out).st_mode & 0o777)  # mkdtemp makes it 0700
-        with open(os.path.join(stage, "results.csv"), "w") as fh:
-            fh.write(RESULTS_HEADER + "\n")
-            for row in result.rows:
-                fh.write(",".join([
-                    row.variant, _fmt(row.epsilon), _fmt(row.delta),
-                    str(row.checkpoint), _fmt(row.mean_regret),
-                    _fmt(row.stderr), _fmt(row.min), _fmt(row.max),
-                    str(row.clean_violations),
-                ]) + "\n")
-
-        with open(os.path.join(stage, "plotdata.csv"), "w") as plot:
-            plot.write("variant,epsilon,delta,seed,checkpoint,"
-                       "cumulative_regret\n")
-            # episodes in the str order of their keys, as traces/ lists them
-            for key, checks in sorted(result.traces.items(),
-                                      key=lambda kv: str(kv[0])):
-                variant, eps, delta, seed = key
-                rows = [f"{cp},{float(value)!r}\n"
-                        for cp, value in zip(config.checkpoints, checks)]
-                cell = f"{variant},{_fmt(eps)},{_fmt(delta)},{seed},"
-                plot.writelines(cell + row for row in rows)
-                tag = (f"{variant}_{_fmt(eps) or 'none'}_"
-                       f"{_fmt(delta) or 'none'}_{seed}")
-                with open(os.path.join(stage, tag + ".csv"), "w") as fh:
-                    if key in result.full_traces:
-                        fh.write("user,cumulative_regret\n")
-                        full = result.full_traces[key].cumulative_regret
-                        for user, value in enumerate(full, 1):
-                            fh.write(f"{user},{float(value)!r}\n")
-                    else:
-                        fh.write("checkpoint,cumulative_regret\n")
-                        fh.writelines(rows)
-
-        settings = asdict(config)
-        del settings["output"], settings["master_seed"]
-        manifest = {
-            "package_version": __version__,
-            "numpy_version": np.__version__,
-            "master_seed": config.master_seed,
-            "config": settings,
-        }
-        with open(os.path.join(stage, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-        for name in ("results.csv", "plotdata.csv", "manifest.json"):
-            os.replace(os.path.join(stage, name), os.path.join(out, name))
-        traces = os.path.join(out, "traces")
-        if os.path.lexists(traces):
-            stale = stage + ".old"
-            os.rename(traces, stale)
-        os.rename(stage, traces)
-    except BaseException:
-        shutil.rmtree(stage, ignore_errors=True)
-        raise
+    if os.path.lexists(traces):
+        stale = stage + ".old"
+        os.rename(traces, stale)
+    os.rename(stage, traces)
     if stale is not None:
         if stat.S_ISDIR(os.lstat(stale).st_mode):
             shutil.rmtree(stale)

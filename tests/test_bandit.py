@@ -1,5 +1,6 @@
 import functools
 import importlib.util
+import json
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -172,34 +173,39 @@ class TestRunEpisode:
     def test_equal_footing_constant_schedule(self, monkeypatch):
         # all active arms share N (hence I) after every full phase, so the
         # engine's one radius per phase is every active arm's radius, and
-        # its estimates are each arm's sum over its own pulls
-        inst = make_instance(4, [0.8, 0.6, 0.4, 0.2], 5000)
-        params = derive_params(0.9, 1e-3)
-        config = EngineConfig(m=25, privacy=params)
-        seen = {}  # the arguments of the last run_phase call
+        # its estimates are each arm's sum over its own pulls; `eliminate`
+        # sees them at each eliminating phase, as a block commits it
+        horizon, m = 40000, 25
+        inst = make_instance(4, [1.0, 0.7, 0.3, 0.0], horizon)
+        params = derive_params(1.0, 0.5)
+        config = EngineConfig(m=m, privacy=params)
+        seen = {}  # the sums and pulls of the last run_phase or run_block
 
-        def phase_spy(sums, pulls, *args):
-            seen.update(sums=sums, pulls=pulls)
-            return run_phase(sums, pulls, *args)
+        def spy(run):
+            def recording_run(sums, pulls, *args):
+                seen.update(sums=sums, pulls=pulls)
+                return run(sums, pulls, *args)
+            return recording_run
 
         phases = []
 
         def eliminate_spy(active, estimates, radius):
-            t = len(phases) + 1
             pulls = seen["pulls"]
             arms = [a for a, on in enumerate(active) if on]
             assert len({pulls[a] for a in arms}) == 1
+            t = pulls[arms[0]] // m
             for a in arms:
-                assert radius == confidence_radius(t, pulls[a], 5000,
+                assert radius == confidence_radius(t, pulls[a], horizon,
                                                    params.sigma)
                 assert estimates[a] == seen["sums"][a] / pulls[a]
-            phases.append(len(arms))
+            phases.append(t)
             return eliminate(active, estimates, radius)
 
-        monkeypatch.setattr(bandit, "run_phase", phase_spy)
+        monkeypatch.setattr(bandit, "run_phase", spy(run_phase))
+        monkeypatch.setattr(bandit, "run_block", spy(bandit.run_block))
         monkeypatch.setattr(bandit, "eliminate", eliminate_spy)
-        run_episode(inst, config, SeedSpec(21))
-        assert len(phases) > 1
+        trace = run_episode(inst, config, SeedSpec(21))
+        assert phases == [t for _, t in trace.eliminations] == [151, 330]
 
     def test_estimates_outside_the_radius_violate_the_clean_event(
             self, monkeypatch):
@@ -210,12 +216,34 @@ class TestRunEpisode:
         assert not run_episode(inst, config, SeedSpec(8)).clean_event_violated
         draw = RewardTape.draw
 
-        def shifted_draw(tape, m):
+        def shifted_draw(tape, m, *args):
             # arm 1's estimates read 0.5 above its mean
-            return draw(tape, m) + (0.5 * m if tape.arm == 1 else 0.0)
+            return draw(tape, m, *args) + (0.5 * m if tape.arm == 1 else 0.0)
 
         monkeypatch.setattr(RewardTape, "draw", shifted_draw)
         assert run_episode(inst, config, SeedSpec(8)).clean_event_violated
+
+    def test_block_checks_only_the_phases_it_runs(self, monkeypatch):
+        # arm 1 of [1, 0] goes at phase 6 of a block that drew 49 phases;
+        # its batches from the 7th on read every user as a 1, far outside
+        # the radius, but no phase that runs reads them
+        draw = RewardTape.draw
+        drawn = {}
+
+        def late_draw(tape, m, count=None):
+            out = draw(tape, m, count)
+            if tape.arm == 1 and count is not None:
+                first = drawn.get(1, 0)
+                drawn[1] = first + count
+                out[max(0, 6 - first):] = float(m)
+            return out
+
+        monkeypatch.setattr(RewardTape, "draw", late_draw)
+        inst = make_instance(2, [1.0, 0.0], 1000)
+        trace = run_episode(inst, EngineConfig(m=10), SeedSpec(11))
+        assert trace.eliminations == [(1, 6)]
+        assert drawn[1] == 49
+        assert not trace.clean_event_violated
 
     def test_determinism(self):
         inst = make_instance(3, [0.7, 0.5, 0.3], 3000)
@@ -365,7 +393,15 @@ class TestRegretSegments:
             batches.append((pulls, gap))
             return charge(trace, pulls, gap)
 
+        charge_phases = RegretTrace.charge_phases
+
+        def recording_charge_phases(trace, pulls, gaps, count):
+            batches.extend((pulls, gap) for _ in range(count) for gap in gaps)
+            return charge_phases(trace, pulls, gaps, count)
+
         monkeypatch.setattr(RegretTrace, "charge", recording_charge)
+        monkeypatch.setattr(RegretTrace, "charge_phases",
+                            recording_charge_phases)
         inst = make_instance(4, self.MEANS, horizon)
         config = replace(schedule, privacy=derive_params(0.9, 1e-2) if private
                          else None)
@@ -434,11 +470,42 @@ class TestTracerHooks:
         assert (bandit.run_phase, bandit.eliminate,
                 harness.run_episode) == originals
         metrics = tracing.layer_metrics(tracer)
-        # t_star phases of both arms, then arm 0 alone up to the horizon
-        assert metrics["bandit.phases"] == \
-            t_star + (horizon - 2 * m * t_star) // m
+        # the t_star phases of both arms and those of arm 0 alone run as
+        # two blocks; run_phase runs only the phase the horizon cuts short
+        assert trace.eliminations == [(1, t_star)]
+        assert metrics["bandit.phases"] == 1
         assert metrics["bandit.eliminations"] == len(trace.eliminations) == 1
         assert metrics["bandit.regret_bytes"] == 8 * horizon
+
+
+    def test_layer_metrics_are_finite_numbers(self, tmp_path):
+        # every figure the tracer reports is a finite number that JSON can
+        # hold: RewardTape.draw's second argument, counted as reward_bits,
+        # stays the integer batch size, in blocks and in single phases
+        tracing = _load_tracer()
+        tracer = tracing.Tracer()
+        inst = make_instance(3, [0.9, 0.5, 0.1], 20000)
+        params = derive_params(1.0, 1e-2)
+        config = harness.ExperimentConfig(
+            k=2, means=(0.9, 0.1), horizon=2000,
+            variants=(harness.VARIANT_BASELINE,), seeds=2, master_seed=3,
+            checkpoints=(1000, 2000), output=str(tmp_path / "out"))
+        uninstall = tracing.install(tracer)
+        try:
+            harness.run_episode(inst, EngineConfig(m=math.ceil(params.sigma),
+                                                   privacy=params),
+                                SeedSpec(5))
+            harness.run_episode(inst, EngineConfig(privacy=params),
+                                SeedSpec(5))
+            harness.run_experiment(config)
+        finally:
+            uninstall()
+        metrics = tracing.layer_metrics(tracer)
+        json.dumps(metrics)
+        for name, value in metrics.items():
+            assert type(value) in (int, float) and math.isfinite(value), name
+        assert metrics["env.reward_bits"] > 0
+        assert metrics["harness.emit_s"] > 0
 
 
 class TestEngineConfig:

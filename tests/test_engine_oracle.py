@@ -11,12 +11,14 @@ any instance, batch size, privacy and horizon.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shufflebandit.bandit import (EngineConfig, RegretTrace, confidence_radius,
-                                  run_episode)
-from shufflebandit.env import SeedSpec, make_instance
+from shufflebandit import bandit
+from shufflebandit.bandit import (RUN_CAP, EngineConfig, RegretTrace,
+                                  confidence_radius, run_episode)
+from shufflebandit.env import RewardTape, SeedSpec, make_instance
 from shufflebandit.mechanism import derive_params, noisy_sum
 
 
@@ -160,3 +162,92 @@ def test_regret_at_checkpoints_matches_reference():
     want = reference_episode(inst, config, SeedSpec(606, 1))
     users = np.arange(1, 10001)
     np.testing.assert_array_equal(got.at(users), want.at(users))
+
+
+def _blocks_of(instance, config, seeds, monkeypatch):
+    """The engine's trace against the reference, and (first phase, last
+    phase, last phase run) of every block the engine ran."""
+    blocks = []
+    run_block = bandit.run_block
+
+    def recording_run_block(*args):
+        phases, phase = args[6], args[7]
+        done, ahead = run_block(*args)
+        blocks.append((phase + 1, phase + phases, done))
+        return done, ahead
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bandit, "run_block", recording_run_block)
+        trace = assert_same_episode(instance, config, seeds)
+    return trace, blocks
+
+
+PRIVATE = derive_params(1.0, 0.5)  # sigma ~ 14.1
+
+
+@pytest.mark.parametrize("privacy", [None, PRIVATE])
+@pytest.mark.parametrize("k,means,m,horizon", [
+    (1, [0.3], 1, 5000),  # 4,999 phases: blocks of RUN_CAP and one shorter
+    # T ends where the phase after the last block ends, or one user into it
+    (3, [0.5, 0.5, 0.5], 10, 3000),
+    (3, [0.5, 0.5, 0.5], 10, 2971),
+    (1, [0.3], 7, 701),
+])
+def test_blocks_match_reference(monkeypatch, privacy, k, means, m, horizon):
+    inst = make_instance(k, means, horizon)
+    trace, blocks = _blocks_of(inst, EngineConfig(m=m, privacy=privacy),
+                               SeedSpec(17), monkeypatch)
+    assert trace.eliminations == []
+    # the blocks run every complete phase, RUN_CAP at a time; the phase the
+    # horizon cuts short is charged after them
+    complete = (horizon - 1) // (k * m)
+    assert [(first, last) for first, last, _ in blocks] == [
+        (p + 1, min(p + RUN_CAP, complete))
+        for p in range(0, complete, RUN_CAP)]
+    assert all(done == last for _, last, done in blocks)
+
+
+@pytest.mark.parametrize("where,means,m,horizon,privacy,seed", [
+    # arm 1 goes at phase 31; arm 2 at 32, the first phase of the next
+    # block, read from the estimates the first block drew ahead
+    ("first", [1.0, 0.0, 0.01], 2, 2000, None, 0),
+    ("first", [1.0, 0.0, 0.0], 15, 30000, PRIVATE, 2),
+    # the elimination is the last complete phase before the horizon
+    ("last", [1.0, 0.0], 1, 70, None, 0),
+    ("last", [1.0, 0.0], 15, 10380, PRIVATE, 0),
+])
+def test_block_eliminations_match_reference(monkeypatch, where, means, m,
+                                            horizon, privacy, seed):
+    inst = make_instance(len(means), means, horizon)
+    trace, blocks = _blocks_of(inst, EngineConfig(m=m, privacy=privacy),
+                               SeedSpec(seed), monkeypatch)
+    eliminated = {phase for _, phase in trace.eliminations}
+    hits = [(first, last) for first, last, done in blocks
+            if done in eliminated
+            and done == (first if where == "first" else last)]
+    assert hits and all(first < last for first, last in hits)
+    if where == "first":
+        assert all(first > 1 for first, _ in hits)
+
+
+def test_no_tape_call_draws_more_than_run_cap(monkeypatch):
+    # at T = 1e6, sdp-ae at eps = 1 eliminates arms inside blocks, and the
+    # baseline at m = 1 runs blocks of RUN_CAP phases
+    counts = []
+    draw = RewardTape.draw
+
+    def recording_draw(tape, m, count=None):
+        counts.append(count)
+        return draw(tape, m, count)
+
+    monkeypatch.setattr(RewardTape, "draw", recording_draw)
+    inst = make_instance(5, [0.75, 0.625, 0.5, 0.375, 0.25], 10**6)
+    params = derive_params(1.0, 1e-5)
+    for config in (EngineConfig(m=math.ceil(params.sigma), privacy=params),
+                   EngineConfig(m=1)):
+        counts.clear()
+        trace = run_episode(inst, config, SeedSpec(1))
+        assert trace.eliminations
+        sized = [count for count in counts if count is not None]
+        assert sized and max(sized) <= RUN_CAP
+    assert max(sized) == RUN_CAP

@@ -1,11 +1,12 @@
 import functools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shufflebandit.env import RUN_CAP, RewardTape, SeedSpec, make_instance
+from shufflebandit.env import RewardTape, SeedSpec, make_instance
 from shufflebandit.mechanism import derive_params, noise_law, noisy_sum
 
 
@@ -83,11 +84,9 @@ class TestRewardTape:
         sizes = [7, 13, 1]
         assert _draws(self._tape(0.3), sizes) == _draws(self._tape(0.3), sizes)
 
-    def test_draws_twice_as_many_batches_per_call(self, monkeypatch):
-        # the first batch of a size takes a scalar call (size None); each
-        # repeat with nothing queued draws twice as many as the last call,
-        # at most RUN_CAP; 3 * RUN_CAP - 1 reads leave nothing queued, so
-        # 9 and then 7 start again with a scalar call
+    def test_draws_exactly_the_batches_asked_for(self, monkeypatch):
+        # draw(m) takes one scalar call per generator (size None), and
+        # draw(m, count) one call of that size, whatever came before
         recorders = []
         for name in ("reward_rng", "noise_rng"):
             def derive(spec, arm, _derive=getattr(SeedSpec, name)):
@@ -95,17 +94,18 @@ class TestRewardTape:
                 return recorders[-1]
             monkeypatch.setattr(SeedSpec, name, derive)
         law = functools.partial(noise_law, params=derive_params(1.0, 0.5))
-        _draws(self._tape(0.5, law=law), [7] * (3 * RUN_CAP - 1) + [9, 7, 7])
-        doubling = [2**i for i in range(1, RUN_CAP.bit_length())]
-        assert doubling[-1] == RUN_CAP
-        calls = [None, *doubling, RUN_CAP, None, None, 2]
+        tape = self._tape(0.5, law=law)
+        for m, count in [(7, None), (7, 5), (9, 1024), (7, None), (7, 1)]:
+            tape.draw(m, count)
+        calls = [None, 5, 1024, None, 1]
         assert [r.sizes for r in recorders] == [calls, calls]
 
     def test_draw_ahead_equals_scalar_draws(self):
-        # batches drawn ahead read, in order, the sums that scalar calls on
-        # the arm's reward generator return
+        # batches drawn ahead by one sized call read, in order, the sums
+        # that scalar calls on the arm's reward generator return
         tape = self._tape(0.3)
-        got = _draws(tape, [5, 5, 5, 40]) + _draws(tape, [7, 1])
+        got = (tape.draw(5, 3).tolist() + [tape.draw(40)]
+               + tape.draw(7, 1).tolist() + [tape.draw(1)])
         rng = SeedSpec(123).reward_rng(0)
         assert got == [float(rng.binomial(n, 0.3))
                        for n in (5, 5, 5, 40, 7, 1)]
@@ -123,50 +123,48 @@ class TestRewardTape:
             noisy_sum(int(rewards.binomial(n, 0.3)), n, params, noise).value
             for n in (m, m, m, 2 * m, m)]
 
-    def test_draw_ahead_rejects_another_batch_size(self):
+    @pytest.mark.parametrize("count", range(1, 9))
+    def test_another_size_follows_any_count(self, count):
+        # the tape keeps nothing drawn: after a sized call of any count a
+        # batch of another size is drawn next, and the batches of 8 go on
+        # as scalar calls would
         tape = self._tape(0.5)
-        _draws(tape, [8, 8])  # the second call draws two, one stays queued
-        with pytest.raises(ValueError, match="drew batches of 8 ahead, "
-                                             "requested 4"):
-            tape.draw(4)
-
-    @pytest.mark.parametrize("reads", range(1, 9))
-    def test_another_size_raises_while_batches_are_queued(self, reads):
-        # calls of 1, 2 and 4 batches of 8: after 1, 3 or 7 reads nothing
-        # is queued and a batch of 4 is drawn; otherwise the read is
-        # refused and draws nothing, so the batches of 8 go on unchanged
-        eights = _draws(self._tape(0.5), [8] * 16)
-        tape = self._tape(0.5)
-        assert _draws(tape, [8] * reads) == eights[:reads]
-        if reads in (1, 3, 7):
-            tape.draw(4)
-        else:
-            with pytest.raises(ValueError, match="requested 4"):
-                tape.draw(4)
-            assert _draws(tape, [8] * (16 - reads)) == eights[reads:]
+        got = (tape.draw(8, count).tolist() + [tape.draw(4)]
+               + tape.draw(8, 16 - count).tolist())
+        rng = SeedSpec(123).reward_rng(0)
+        sizes = [8] * count + [4] + [8] * (16 - count)
+        assert got == [float(rng.binomial(n, 0.5)) for n in sizes]
 
     @pytest.mark.parametrize("noisy", [False, True])
     def test_sizes_with_repeats_equal_scalar_draws(self, noisy):
-        # repeats, changes of size and more than RUN_CAP reads of one size
-        # read, in order, the estimates that scalar calls on the arm's own
-        # generators give; each run of one size is 2**j - 1 reads long, so
-        # the size changes only with nothing queued
+        # scalar and sized calls, repeats and changes of size and one call
+        # of more than 1,024 batches read, in order, the estimates that
+        # scalar calls on the arm's own generators give
         params = derive_params(0.5, 1e-2)
         law = functools.partial(noise_law, params=params) if noisy else None
-        sizes = ([5] * 3 + [40] + [7] * 7 + [5] + [300] * (3 * RUN_CAP - 1)
-                 + [1, 2, 2, 2, 300] + [3000] * 3)  # tau ~ 2034
-        got = _draws(self._tape(0.3, arm=2, law=law), sizes)
+        calls = [(5, None), (5, 2), (40, None), (7, 7), (5, 1), (300, 3071),
+                 (1, None), (2, 3), (300, None), (3000, 3)]  # tau ~ 2034
+        tape = self._tape(0.3, arm=2, law=law)
+        got = []
+        for m, count in calls:
+            if count is None:
+                got.append(tape.draw(m))
+            else:
+                drawn = tape.draw(m, count)
+                assert drawn.dtype == np.float64 and drawn.shape == (count,)
+                got += drawn.tolist()
         seeds = SeedSpec(123)
         rewards, noise = seeds.reward_rng(2), seeds.noise_rng(2)
         expected = []
-        for m in sizes:
-            s = int(rewards.binomial(m, 0.3))
-            if noisy:
-                x = noise_law(m, params)
-                expected.append(float(s + int(noise.binomial(x.n, x.q)))
-                                - x.offset)
-            else:
-                expected.append(float(s))
+        for m, count in calls:
+            for _ in range(count or 1):
+                s = int(rewards.binomial(m, 0.3))
+                if noisy:
+                    x = noise_law(m, params)
+                    expected.append(float(s + int(noise.binomial(x.n, x.q)))
+                                    - x.offset)
+                else:
+                    expected.append(float(s))
         assert got == expected
 
     def test_arm_streams_differ(self):

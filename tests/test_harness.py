@@ -454,13 +454,39 @@ class TestRunExperiment:
         assert sorted(p.name for p in out.iterdir()) == [
             "manifest.json", "plotdata.csv", "results.csv", "traces"]
 
+    def test_failed_worker_leaves_no_staging_directory(self, tmp_path,
+                                                       monkeypatch):
+        # pool workers write trace files into the staging directory while
+        # episodes run; an episode that fails in one worker still leaves
+        # the output directory as the last complete run left it
+        path, out = write_config(tmp_path, PRIVATE)
+        run_experiment(parse_config(path), threads=2)
+        before = {str(p.relative_to(out)): p.read_bytes()
+                  for p in out.rglob("*") if p.is_file()}
+        run_episode = harness.run_episode
+
+        def failing_episode(instance, config, seeds):
+            if seeds.run_index == 2:
+                raise ValueError("injected episode failure")
+            return run_episode(instance, config, seeds)
+
+        # pool workers are forked from this process, so they see the patch
+        monkeypatch.setattr(harness, "run_episode", failing_episode)
+        with pytest.raises(ValueError, match="injected episode failure"):
+            run_experiment(parse_config(path), threads=2)
+        after = {str(p.relative_to(out)): p.read_bytes()
+                 for p in out.rglob("*") if p.is_file()}
+        assert after == before
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "plotdata.csv", "results.csv", "traces"]
+
     def test_clean_violations_count_the_seeds(self, tmp_path, monkeypatch):
         # as in test_bandit: arm 1's estimates, moved 0.5 above its mean,
         # leave the radius in every seed
         draw = RewardTape.draw
 
-        def shifted_draw(tape, m):
-            return draw(tape, m) + (0.5 * m if tape.arm == 1 else 0.0)
+        def shifted_draw(tape, m, *args):
+            return draw(tape, m, *args) + (0.5 * m if tape.arm == 1 else 0.0)
 
         text = (MINIMAL.replace("1.0, 0.0", "0.5, 0.5")
                 .replace("horizon = 200", "horizon = 1000")
