@@ -30,13 +30,13 @@ import argparse
 import json
 import os
 import platform
-import re
 import subprocess
 import sys
 from importlib import metadata
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from bench_pairs import REPO, SIDES, describe, spread  # noqa: E402
+from bench_pairs import (SIDES, check_report, describe,  # noqa: E402
+                         spread, write_report)
 
 ROUND = """
 import json, math, time
@@ -121,16 +121,8 @@ def parse_args(argv):
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be >= 1")
-    if not re.fullmatch(r"[A-Za-z0-9_.-]+", args.label):
-        parser.error("--label may hold only letters, digits, _, . and -")
     args.base, args.head = (os.path.abspath(d) for d in (args.base, args.head))
-    report_dir = os.path.realpath(args.report_dir)
-    if report_dir in {os.path.realpath(d)
-                      for d in (REPO, args.base, args.head)}:
-        parser.error("the report is never written to a repository root")
-    args.path = os.path.join(args.report_dir, f"BENCH_{args.label}.json")
-    if os.path.lexists(args.path):
-        parser.error(f"{args.path} exists; a report is never replaced")
+    check_report(parser, args)
     return args
 
 
@@ -154,11 +146,7 @@ def main(argv=None) -> int:
         "runs": runs,
         "summary": summarize(runs),
     }
-    os.makedirs(args.report_dir, exist_ok=True)
-    with open(args.path, "x") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(args.path)
+    write_report(args.path, report)
     return 0
 
 

@@ -169,6 +169,30 @@ def source_digest(tree: str) -> str:
     return digest.hexdigest()
 
 
+def check_report(parser: argparse.ArgumentParser, args) -> None:
+    """Refuse a --label that is not a plain file name part, a --report-dir
+    that is the root of this repository or of either checkout, and a report
+    that exists; set args.path to the report's path."""
+    if not re.fullmatch(r"[A-Za-z0-9_.-]+", args.label):
+        parser.error("--label may hold only letters, digits, _, . and -")
+    report_dir = os.path.realpath(args.report_dir)
+    if report_dir in {os.path.realpath(d)
+                      for d in (REPO, args.base, args.head)}:
+        parser.error("the report is never written to a repository root")
+    args.path = os.path.join(args.report_dir, f"BENCH_{args.label}.json")
+    if os.path.lexists(args.path):
+        parser.error(f"{args.path} exists; a report is never replaced")
+
+
+def write_report(path: str, report: dict) -> None:
+    """Create the report at `path`, failing if it exists, and print its path."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "x") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(path)
+
+
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--base", required=True, help="checkout measured as "
@@ -195,19 +219,11 @@ def parse_args(argv):
         parser.error("--seeds takes comma-separated integers")
     if args.rounds is not None and len(args.seeds) != 1:
         parser.error("--rounds takes one seed")
-    if not re.fullmatch(r"[A-Za-z0-9_.-]+", args.label):
-        parser.error("--label may hold only letters, digits, _, . and -")
     args.base, args.head = (os.path.abspath(d) for d in (args.base, args.head))
     for tree in (args.base, args.head):
         if not os.path.isfile(os.path.join(tree, "perfbench", "run.py")):
             parser.error(f"{tree} has no perfbench/run.py")
-    report_dir = os.path.realpath(args.report_dir)
-    if report_dir in {os.path.realpath(d)
-                      for d in (REPO, args.base, args.head)}:
-        parser.error("the report is never written to a repository root")
-    args.path = os.path.join(args.report_dir, f"BENCH_{args.label}.json")
-    if os.path.lexists(args.path):
-        parser.error(f"{args.path} exists; a report is never replaced")
+    check_report(parser, args)
     return args
 
 
@@ -252,11 +268,7 @@ def main(argv=None) -> int:
         "runs": runs,
         "summary": summarize(runs, better),
     }
-    os.makedirs(args.report_dir, exist_ok=True)
-    with open(args.path, "x") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(args.path)
+    write_report(args.path, report)
     ok = all(r["returncode"] == 0 and r["correct"] and r["failed"] == 0
              for r in runs)
     return 0 if ok else 1

@@ -24,8 +24,10 @@ mass beyond its cut, the cdf below lo_f or the sf above hi_b.  The reports
 are thus upper bounds, within that tail of the full-support values, up to
 scipy's rounding of the pmf: against exact `Fraction` divergences that
 rounding was measured at up to 6.9e-11 relative, in either direction
-(`test_matches_exact_fractions`).  `noise_distribution` keeps the full support as the specification
-the cut ranges are tested against.
+(`test_matches_exact_fractions`).  `noise_distribution` keeps the full
+support as the specification the cut ranges are tested against.  The
+brute-force audit of the raw shuffled multiset, which checks that the
+popcount is a sufficient statistic, lives in `tests/reference.py`.
 
 The binomial pmf, cdf and sf are the ufuncs `scipy.stats.binom` itself
 calls; taking them from `scipy.special` spares the audit the import of
@@ -34,7 +36,6 @@ calls; taking them from `scipy.special` spares the audit the import of
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -43,9 +44,8 @@ from scipy.special._ufuncs import _binom_cdf, _binom_pmf, _binom_sf
 
 from .mechanism import NoiseLaw, PrivacyParams, noise_law
 
+# kept with noise_distribution, which perfbench/tracer.py looks up
 DEFAULT_SUPPORT_CAP = 10**6
-# the brute force enumerates at most 2**MAX_NOISE_BITS noise outcomes
-MAX_NOISE_BITS = 20
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,7 @@ class AuditReport:
     passed: bool
 
 
+# stays here, though only tests call it, since perfbench/tracer.py looks it up
 def noise_distribution(m: int, params: PrivacyParams) -> np.ndarray:
     """Exact pmf of B over its full support 0..n.
 
@@ -134,31 +135,3 @@ def hockey_stick(m: int, params: PrivacyParams) -> AuditReport:
     return AuditReport(m=m, epsilon=params.epsilon, delta=params.delta,
                        divergence_forward=fwd, divergence_backward=bwd,
                        passed=max(fwd, bwd) <= params.delta)
-
-
-def brute_force_shuffle_divergence(params: PrivacyParams) -> tuple[float, float]:
-    """Audit the raw shuffled multiset for m = 1 by exhaustive enumeration.
-
-    Enumerates every noise-bit outcome, accumulates the probability of each
-    output multiset (here: the ones-count of the 1 + p transmitted bits), and
-    computes both hockey-stick divergences between the neighboring inputs
-    x = 0 and x = 1 directly over multisets.
-    """
-    law = noise_law(1, params)
-    p = law.n
-    if p > MAX_NOISE_BITS:
-        raise ValueError(f"{p} noise bits is too many to enumerate")
-    dist = {0: {}, 1: {}}  # input bit -> {multiset key: probability}
-    for noise in itertools.product((0, 1), repeat=p):
-        ones = sum(noise)
-        weight = law.q**ones * (1.0 - law.q)**(p - ones)
-        for x in (0, 1):
-            key = tuple(sorted((x,) + noise))
-            dist[x][key] = dist[x].get(key, 0.0) + weight
-    e_eps = math.exp(params.epsilon)
-    keys = set(dist[0]) | set(dist[1])
-    forward = sum(max(0.0, dist[0].get(k, 0.0) - e_eps * dist[1].get(k, 0.0))
-                  for k in keys)
-    backward = sum(max(0.0, dist[1].get(k, 0.0) - e_eps * dist[0].get(k, 0.0))
-                   for k in keys)
-    return forward, backward

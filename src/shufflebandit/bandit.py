@@ -98,6 +98,7 @@ class RegretTrace:
         return (np.frombuffer(self.bases)[i]
                 + np.frombuffer(self.gaps)[i] * (u - starts[i]))
 
+    # only tests and perfbench/tracer.py, which looks it up, read this
     @property
     def cumulative_regret(self) -> np.ndarray:
         """Read-only per-user cumulative regret, expanded on demand.

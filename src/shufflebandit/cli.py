@@ -52,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a regret experiment")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--threads", type=int, default=1)
-    p_run.add_argument("--full-trace", action="store_true")
 
     p_audit = sub.add_parser("audit", help="exact privacy audit grid")
     p_audit.add_argument("--m", required=True,
@@ -78,8 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_run(args) -> int:
     config = parse_config(args.config)
     try:
-        run_experiment(config, threads=args.threads,
-                       full_trace=args.full_trace)
+        run_experiment(config, threads=args.threads)
     except ConfigError:  # bad input
         raise
     except ValueError as exc:  # the input was checked: a runtime failure

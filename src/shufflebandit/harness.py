@@ -218,45 +218,39 @@ def engine_config(config: ExperimentConfig, variant: str,
 
 
 def _run_jobs(config: ExperimentConfig, keys: list, stage: str,
-              full_trace: bool, pooled: bool) -> list:
+              pooled: bool) -> list:
     """Run the episodes of these (variant, eps, delta, seed) keys in order.
 
     Each episode's trace file is written into `stage`: in a pool worker as
     soon as the episode has run, so that the file creations overlap the
     other workers' episodes, and otherwise after the last episode, since
     creating the files back to back costs about half as much per file as
-    creating each between two episodes.
+    creating each between two episodes.  Only the checkpoint values are
+    kept, so each episode's `RegretTrace` is freed once they are read.
     """
     instance = config.instance()
-    out, held = [], []
+    out = []
     for key in keys:
         variant, eps, delta, seed = key
         params = None if eps is None else derive_params(eps, delta)
         econf = engine_config(config, variant, params)
         trace = run_episode(instance, econf, SeedSpec(config.master_seed, seed))
         checks = trace.at(config.checkpoints)
-        if pooled:
-            _write_trace(config, stage, key, trace, checks, full_trace)
-        else:
-            held.append((key, trace, checks))
         out.append((checks, bool(trace.clean_event_violated)))
-    for key, trace, checks in held:
-        _write_trace(config, stage, key, trace, checks, full_trace)
+        del trace  # freed before the next episode runs
+        if pooled:
+            _write_trace(config, stage, key, checks)
+    if not pooled:
+        for key, (checks, _) in zip(keys, out):
+            _write_trace(config, stage, key, checks)
     return out
 
 
-def _write_trace(config: ExperimentConfig, stage: str, key, trace, checks,
-                 full_trace: bool) -> None:
-    """An episode's regret at the checkpoints, or with `full_trace` after
-    every user, expanded from its segments only here."""
+def _write_trace(config: ExperimentConfig, stage: str, key, checks) -> None:
+    """An episode's regret at the checkpoints."""
     with open(os.path.join(stage, _trace_name(key)), "w") as fh:
-        if full_trace:
-            fh.write("user,cumulative_regret\n")
-            for user, value in enumerate(trace.cumulative_regret, 1):
-                fh.write(f"{user},{float(value)!r}\n")
-        else:
-            fh.write("checkpoint,cumulative_regret\n")
-            fh.writelines(_checkpoint_rows(config, checks))
+        fh.write("checkpoint,cumulative_regret\n")
+        fh.writelines(_checkpoint_rows(config, checks))
 
 
 def _aggregate(config: ExperimentConfig, keys: list,
@@ -288,8 +282,8 @@ def _aggregate(config: ExperimentConfig, keys: list,
     return result
 
 
-def run_experiment(config: ExperimentConfig, threads: int = 1,
-                   full_trace: bool = False) -> AggregateResult:
+def run_experiment(config: ExperimentConfig,
+                   threads: int = 1) -> AggregateResult:
     """Run every (cell, seed) episode, aggregate, and emit the outputs.
 
     With threads > 1, each of min(threads, CPUs, keys) pool workers gets
@@ -313,13 +307,12 @@ def run_experiment(config: ExperimentConfig, threads: int = 1,
             strided = [keys[i::tasks] for i in range(tasks)]
             with ProcessPoolExecutor(max_workers=tasks) as pool:
                 parts = pool.map(_run_jobs, [config] * tasks, strided,
-                                 [stage] * tasks, [full_trace] * tasks,
-                                 [True] * tasks)
+                                 [stage] * tasks, [True] * tasks)
                 outcomes = [None] * len(keys)
                 for i, part in enumerate(parts):
                     outcomes[i::tasks] = part
         else:
-            outcomes = _run_jobs(config, keys, stage, full_trace, False)
+            outcomes = _run_jobs(config, keys, stage, False)
         result = _aggregate(config, keys, outcomes)
         emit_outputs(result, config, stage)
     except BaseException:

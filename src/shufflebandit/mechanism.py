@@ -4,14 +4,14 @@ Each user sends their data bit plus noise bits; a shuffler uniformly permutes
 the flattened bit multiset; the analyzer popcounts and subtracts the expected
 noise.  Up to tau users each user sends several fair coins, above tau a
 single biased coin; `noise_law` is the one definition of both, and the
-encoder, the analyzer, the sampler `noisy_sum`, the engine and the auditor
-all read it.  `encode -> shuffle -> analyze` is the executable
-specification, and `private_sum` is that composition for one batch: only
-`encode` draws noise bits and only `shuffle` permutes them.  The engine
-draws only the popcount that the analyzer reads: each arm's `RewardTape`
-draws the reward sums and noise counts of one or more batches of one size
-per call.  `noisy_sum` draws it for one batch and is the reference the
-tape is tested against.
+encoder, the analyzer, the engine and the auditor all read it.
+`encode -> shuffle -> analyze` is the executable specification, and
+`private_sum` is that composition for one batch: only `encode` draws noise
+bits and only `shuffle` permutes them.  The engine draws only the popcount
+that the analyzer reads: each arm's `RewardTape` draws the reward sums and
+noise counts of one or more batches of one size per call.  The one-batch
+sampler the tape is tested against, `noisy_sum`, lives with the other
+test-only references in `tests/reference.py`.
 The additive error is B - E[B] with B binomial, so it is unbiased,
 independent of the input, and sub-Gaussian with variance 1.5 * tau.
 """
@@ -139,16 +139,3 @@ def private_sum(bits, params: PrivacyParams,
                 rng: np.random.Generator) -> SumEstimate:
     """encode -> shuffle -> analyze for one batch of m = len(bits) users."""
     return analyze(shuffle(encode(bits, params, rng), rng), len(bits), params)
-
-
-def noisy_sum(true_sum: int, m: int, params: PrivacyParams,
-              rng: np.random.Generator) -> SumEstimate:
-    """What the analyzer sees of one batch, drawn from its sufficient statistic.
-
-    The analyzer reads only the popcount, true_sum + B with B ~ Binomial(n, q)
-    under `noise_law`, so this has the distribution of `private_sum` on any
-    batch of m bits summing to true_sum, though not its random stream.
-    """
-    law = noise_law(m, params)
-    return SumEstimate(popcount=true_sum + int(rng.binomial(law.n, law.q)),
-                       offset=law.offset)

@@ -10,11 +10,13 @@ import math
 import numpy as np
 import pytest
 
-from shufflebandit.audit import brute_force_shuffle_divergence, hockey_stick
+from shufflebandit.audit import hockey_stick
 from shufflebandit.bandit import EngineConfig, confidence_radius, run_episode
 from shufflebandit.env import SeedSpec, make_instance
 from shufflebandit.harness import parse_config, run_experiment
 from shufflebandit.mechanism import PrivacyParams, derive_params, private_sum
+
+from reference import brute_force_shuffle_divergence
 
 MEANS5 = [0.75, 0.625, 0.5, 0.375, 0.25]
 

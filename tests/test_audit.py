@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from shufflebandit.audit import (DEFAULT_SUPPORT_CAP, MAX_NOISE_BITS,
-                                 brute_force_shuffle_divergence, hinge_ranges,
+from shufflebandit.audit import (DEFAULT_SUPPORT_CAP, hinge_ranges,
                                  hockey_stick, noise_distribution,
                                  shifted_hockey_stick)
 from shufflebandit.mechanism import PrivacyParams, derive_params, noise_law
+
+from reference import MAX_NOISE_BITS, brute_force_shuffle_divergence
 
 
 def _params96():

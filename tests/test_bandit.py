@@ -14,7 +14,9 @@ from shufflebandit import bandit, harness
 from shufflebandit.bandit import (EngineConfig, RegretTrace, confidence_radius,
                                   eliminate, run_episode, run_phase)
 from shufflebandit.env import RewardTape, SeedSpec, make_instance
-from shufflebandit.mechanism import derive_params, noise_law, noisy_sum
+from shufflebandit.mechanism import derive_params, noise_law
+
+from reference import noisy_sum
 
 I_4_30_12_1E5 = 8.553728421127085  # (2*2*12/30 + 1/sqrt(30)) * sqrt(2 ln 1e5)
 

@@ -1,4 +1,5 @@
-"""The engine against a reference that draws every batch by scalar calls.
+"""The engine against a reference that draws every batch by scalar calls,
+and against the exact law of its decisions.
 
 `reference_episode` is the engine as it was before it drew runs of phases
 ahead: per-arm pull counts, one reward sum by a scalar call on the arm's
@@ -6,20 +7,28 @@ ahead: per-arm pull counts, one reward sum by a scalar call on the arm's
 and its own copy of the elimination rule over per-arm radii.  It shares no
 code with `RewardTape`.  The engine must reproduce its outputs exactly, for
 any instance, batch size, privacy and horizon.
+
+A second reference of the same loop cannot catch an error that both share.
+`reference.elimination_law` computes what the algorithm's decisions must
+follow, exactly, and the engine's episodes are tested against it.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import chdtrc
 
 from shufflebandit import bandit
 from shufflebandit.bandit import (RUN_CAP, EngineConfig, RegretTrace,
                                   confidence_radius, run_episode)
 from shufflebandit.env import RewardTape, SeedSpec, make_instance
-from shufflebandit.mechanism import derive_params, noisy_sum
+from shufflebandit.mechanism import derive_params
+
+from reference import elimination_law, noisy_sum
 
 
 def reference_phase(sums, pulls, active, rewards, noise, phase, config,
@@ -251,3 +260,30 @@ def test_no_tape_call_draws_more_than_run_cap(monkeypatch):
         sized = [count for count in counts if count is not None]
         assert sized and max(sized) <= RUN_CAP
     assert max(sized) == RUN_CAP
+
+
+def test_engine_follows_the_exact_elimination_law():
+    # ae-baseline with m = 1 on two arms at T = 200 runs 99 full phases;
+    # the first elimination falls between phase 43 and 99, and the law puts
+    # 1.6e-13 on a clean-event violation, which no episode here may show
+    means, horizon, episodes = (0.9, 0.1), 200, 10_000
+    law = elimination_law(means, horizon)
+    assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
+    inst = make_instance(2, list(means), horizon)
+    seen = Counter()
+    for run in range(episodes):
+        trace = run_episode(inst, EngineConfig(m=1), SeedSpec(12345, run))
+        arm, phase = (trace.eliminations[0] if trace.eliminations
+                      else (None, None))
+        seen[(phase, arm, trace.clean_event_violated)] += 1
+    assert all(law.get(outcome, 0.0) > 0.0 for outcome in seen)
+    # an outcome expected at least 5 times is a bin of its own; the rest
+    # share one bin
+    own = [o for o, p in law.items() if p * episodes >= 5]
+    rest = [o for o in law if o not in own]
+    expected = ([law[o] * episodes for o in own]
+                + [sum(law[o] for o in rest) * episodes])
+    observed = [seen[o] for o in own] + [sum(seen[o] for o in rest)]
+    assert len(own) > 20 and expected[-1] >= 5
+    chi2 = sum((o - e)**2 / e for o, e in zip(observed, expected))
+    assert chdtrc(len(expected) - 1, chi2) > 1e-3

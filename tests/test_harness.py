@@ -1,12 +1,13 @@
 import csv
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
 
 from shufflebandit import harness
-from shufflebandit.env import RewardTape
+from shufflebandit.env import RewardTape, SeedSpec
 from shufflebandit.harness import (RESULTS_HEADER, ConfigError,
                                    ExperimentConfig, parse_config,
                                    run_experiment)
@@ -362,20 +363,38 @@ class TestRunExperiment:
         assert manifest["master_seed"] == 7
         assert manifest["config"]["horizon"] == 200
 
-    def test_full_trace_mode(self, tmp_path):
-        path, out = write_config(tmp_path, MINIMAL)
+    def test_per_user_regret_ends_at_the_checkpoint(self, tmp_path):
+        path, _ = write_config(tmp_path, MINIMAL)
         config = parse_config(path)
-        result = run_experiment(config, full_trace=True)
-        trace_files = list((out / "traces").iterdir())
-        assert len(trace_files) == 1
-        lines = trace_files[0].read_text().splitlines()
-        assert lines[0] == "user,cumulative_regret"
-        assert len(lines) - 1 == 200
+        result = run_experiment(config)
+        trace = harness.run_episode(
+            config.instance(), harness.engine_config(config, "ae-baseline",
+                                                     None),
+            SeedSpec(config.master_seed, 0))
+        regret = trace.cumulative_regret.tolist()
+        assert len(regret) == 200
         # means (1, 0) with batches of 10: regret is 0 on arm 0's pulls
         # and rises by 1 on arm 1's, until arm 1 is eliminated
-        regret = [float(line.split(",")[1]) for line in lines[1:]]
         assert regret[:20] == [0.0] * 10 + [float(i) for i in range(1, 11)]
         assert regret[-1] == result.traces[("ae-baseline", None, None, 0)][-1]
+
+    def test_serial_run_frees_each_episode(self, tmp_path, monkeypatch):
+        # only the checkpoints outlive an episode: when an episode starts,
+        # the traces of all earlier ones are gone
+        run_episode = harness.run_episode
+        traces, alive = [], []
+
+        def recording_episode(instance, config, seeds):
+            alive.append(sum(ref() is not None for ref in traces))
+            trace = run_episode(instance, config, seeds)
+            traces.append(weakref.ref(trace))
+            return trace
+
+        monkeypatch.setattr(harness, "run_episode", recording_episode)
+        path, out = write_config(tmp_path, PRIVATE)
+        run_experiment(parse_config(path))
+        assert alive == [0] * 15
+        assert len(list((out / "traces").iterdir())) == 15
 
     def test_rerun_replaces_traces_only(self, tmp_path):
         path, out = write_config(tmp_path, PRIVATE)
@@ -510,32 +529,29 @@ class TestRunExperiment:
                    (PRIVATE.replace("seeds = 3", "seeds = 2").replace(
                        "sdp-ae, vb-sdp-ae, ae-baseline", "ae-baseline"),
                     2, (3,))]
-        for full_trace in (False, True):
-            for text, jobs, pooled in configs:
-                runs = []
-                for threads in (1, *pooled):
-                    out = tmp_path / f"out-{full_trace}-{jobs}-{threads}"
-                    path = tmp_path / f"{full_trace}-{jobs}-{threads}.cfg"
-                    path.write_text(text.format(out=out))
-                    result = run_experiment(parse_config(str(path)),
-                                            threads=threads,
-                                            full_trace=full_trace)
-                    files = {str(p.relative_to(out)): p.read_bytes()
-                             for p in out.rglob("*") if p.is_file()}
-                    runs.append((result, files))
-                serial, serial_files = runs[0]
-                traces = [v for k, v in serial_files.items()
-                          if k.startswith("traces/")]
-                assert len(traces) == jobs and len(serial_files) == 3 + jobs
-                header = b"user," if full_trace else b"checkpoint,"
-                assert all(v.startswith(header) for v in traces)
-                for parallel, parallel_files in runs[1:]:
-                    assert serial.rows == parallel.rows
-                    assert serial.traces.keys() == parallel.traces.keys()
-                    for key, checks in serial.traces.items():
-                        np.testing.assert_array_equal(checks,
-                                                      parallel.traces[key])
-                    assert serial_files == parallel_files
+        for text, jobs, pooled in configs:
+            runs = []
+            for threads in (1, *pooled):
+                out = tmp_path / f"out-{jobs}-{threads}"
+                path = tmp_path / f"{jobs}-{threads}.cfg"
+                path.write_text(text.format(out=out))
+                result = run_experiment(parse_config(str(path)),
+                                        threads=threads)
+                files = {str(p.relative_to(out)): p.read_bytes()
+                         for p in out.rglob("*") if p.is_file()}
+                runs.append((result, files))
+            serial, serial_files = runs[0]
+            traces = [v for k, v in serial_files.items()
+                      if k.startswith("traces/")]
+            assert len(traces) == jobs and len(serial_files) == 3 + jobs
+            assert all(v.startswith(b"checkpoint,") for v in traces)
+            for parallel, parallel_files in runs[1:]:
+                assert serial.rows == parallel.rows
+                assert serial.traces.keys() == parallel.traces.keys()
+                for key, checks in serial.traces.items():
+                    np.testing.assert_array_equal(checks,
+                                                  parallel.traces[key])
+                assert serial_files == parallel_files
 
     # the ids name (threads, jobs, tasks)
     POOL_CASES = [(1, 15, 0, 64), (2, 15, 2, 64), (3, 15, 3, 64),

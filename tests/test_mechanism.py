@@ -11,7 +11,9 @@ from scipy.stats import binom, chisquare
 from shufflebandit.env import RewardTape, SeedSpec
 from shufflebandit.mechanism import (NoiseLaw, PrivacyParams, analyze,
                                      derive_params, encode, noise_law,
-                                     noisy_sum, private_sum, shuffle)
+                                     private_sum, shuffle)
+
+from reference import noisy_sum
 
 TAU_05_001 = 2034.5538687544460841      # 96 ln(200) / 0.25
 SIGMA2_05_001 = 3051.8308031316691262   # 1.5 * tau
