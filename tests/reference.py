@@ -5,6 +5,10 @@
 - `brute_force_shuffle_divergence` audits the raw shuffled multiset of one
   user by enumeration, so the exact audit of the popcount is tested against
   the mechanism's actual output.
+- `exact_divergences` sums the audit's divergences in 40-digit arithmetic,
+  so its double-precision reports are tested against the exact values.
+- `shifted_hockey_stick` sums both divergences of a pmf array term by term,
+  as the definition reads.
 - `elimination_law` is the exact law of a two-arm noiseless episode, so the
   engine's random decisions are tested against the algorithm, not against a
   second implementation of the same loop.
@@ -16,6 +20,7 @@ import itertools
 import math
 from collections import defaultdict
 
+import mpmath
 import numpy as np
 
 from shufflebandit.bandit import confidence_radius
@@ -63,6 +68,67 @@ def brute_force_shuffle_divergence(params: PrivacyParams) -> tuple[float, float]
                   for k in keys)
     backward = sum(max(0.0, dist[1].get(k, 0.0) - e_eps * dist[0].get(k, 0.0))
                    for k in keys)
+    return forward, backward
+
+
+def exact_divergences(m: int, params: PrivacyParams,
+                      dps: int = 40) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """Both divergences of B ~ Binomial(n, q) against B + 1, with q and
+    e^eps the doubles the audit computes with, in `dps`-digit arithmetic.
+
+    The forward term p(t) - e^eps p(t-1) is positive exactly for t below
+    the crossing c_f = (n+1) q / (q + e^eps (1-q)), and the backward term
+    p(t-1) - e^eps p(t) exactly for t above c_b = (n+1) q e^eps /
+    (1 - q + q e^eps); both are computed here in `dps` digits.  Each sum
+    starts at its crossing, where the pmf is computed from log-gamma, and
+    walks away from it by the pmf's ratio.  Beyond the crossing the pmf
+    falls by more than e^eps a step, so the terms not yet added are at most
+    e^eps / (e^eps - 1) times the last pmf value read; the walk stops when
+    that is below 10^(8 - dps) of the sum, or at the end of the support.
+    """
+    law = noise_law(m, params)
+    with mpmath.workdps(dps):
+        n, q = law.n, mpmath.mpf(law.q)
+        e = mpmath.mpf(math.exp(params.epsilon))
+        odds, rest = q / (1 - q), e / (e - 1)
+        stop = mpmath.mpf(10) ** (8 - dps)
+
+        def pmf(t):
+            return mpmath.exp(mpmath.loggamma(n + 1) - mpmath.loggamma(t + 1)
+                              - mpmath.loggamma(n - t + 1) + t * mpmath.log(q)
+                              + (n - t) * mpmath.log1p(-q))
+
+        t = int(mpmath.ceil((n + 1) * q / (q + e * (1 - q)))) - 1
+        fwd, p = mpmath.mpf(0), pmf(t)
+        while True:  # t = crossing..0
+            prev = p * t / ((n - t + 1) * odds)  # p(t-1), 0 at t = 0
+            fwd += p - e * prev
+            if t == 0 or prev * rest <= stop * fwd:
+                break
+            t, p = t - 1, prev
+        t = int(mpmath.floor((n + 1) * q * e / (1 - q + q * e))) + 1
+        bwd, prev = mpmath.mpf(0), pmf(t - 1)
+        while True:  # t = crossing..n+1
+            p = prev * (n - t + 1) * odds / t  # p(t), 0 at t = n + 1
+            bwd += prev - e * p
+            if t == n + 1 or p * rest <= stop * bwd:
+                break
+            t, prev = t + 1, p
+        return +fwd, +bwd
+
+
+def shifted_hockey_stick(pmf: np.ndarray, epsilon: float) -> tuple[float, float]:
+    """Hockey-stick divergences between pmf(t) and its unit shift pmf(t-1).
+
+    Returns (forward, backward) where forward = sum_t max(0, p(t) - e^eps
+    p(t-1)) and backward swaps the roles.  Callable with epsilon = 0 for
+    total-variation sanity checks.
+    """
+    e_eps = math.exp(epsilon)
+    p = np.concatenate([pmf, [0.0]])        # P(t), t = 0..n+1
+    q = np.concatenate([[0.0], pmf])        # P(t-1)
+    forward = float(np.maximum(p - e_eps * q, 0.0).sum())
+    backward = float(np.maximum(q - e_eps * p, 0.0).sum())
     return forward, backward
 
 

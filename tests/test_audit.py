@@ -1,16 +1,18 @@
 import math
+import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import binom
 
 from shufflebandit.audit import (DEFAULT_SUPPORT_CAP, hinge_ranges,
-                                 hockey_stick, noise_distribution,
-                                 shifted_hockey_stick)
+                                 hockey_stick, noise_distribution)
 from shufflebandit.mechanism import PrivacyParams, derive_params, noise_law
 
-from reference import MAX_NOISE_BITS, brute_force_shuffle_divergence
+from reference import (MAX_NOISE_BITS, brute_force_shuffle_divergence,
+                       exact_divergences, shifted_hockey_stick)
 
 
 def _params96():
@@ -187,6 +189,14 @@ def _cut_points(params):
     return math.ceil(64 * math.log(2) / params.epsilon) + 2
 
 
+def _rounding(params):
+    """The relative error the audit's reports are held to: max(1e-12,
+    c K 2^-53), as the walk's rounding grows with K.  c = 50 covers the
+    largest error above 1e-12 on these cells, 46 K 2^-53, and makes the
+    bound 1e-12 for every eps >= 0.25."""
+    return max(1e-12, 50 * _cut_points(params) * 2.0**-53)
+
+
 def _exact_divergences(n, e_eps):
     """Both divergences of B ~ Binomial(n, 1/2) against B + 1 as fractions,
     with e^eps the double e_eps that the audit multiplies by."""
@@ -202,22 +212,43 @@ def _exact_divergences(n, e_eps):
 class TestWindow:
     @_cells(_paper_cells(_full_support_ms) + SHRUNK)
     def test_brackets_full_support(self, m, params):
-        # the cut ranges of hockey_stick against the specification's full
-        # support
+        # the cut ranges of hockey_stick against the exact divergences over
+        # the full support
         law = noise_law(m, params)
         assert law.n + 1 <= DEFAULT_SUPPORT_CAP
         report = hockey_stick(m, params)
-        exact = shifted_hockey_stick(noise_distribution(m, params),
-                                     params.epsilon)
+        exact = exact_divergences(m, params)
         tails = [r[2] for r in hinge_ranges(law, params.epsilon)]
         e_eps = math.exp(params.epsilon)
         got = (report.divergence_forward, report.divergence_backward)
         for upper, want, tail in zip(got, exact, tails):
             assert tail <= 1e-12 * params.delta
-            rounding = 1e-12 * want
+            rounding = _rounding(params) * want
             assert upper - (1 + e_eps) * tail - rounding <= want
             assert want <= upper + rounding
         assert report.passed == (max(exact) <= params.delta)
+
+    # the cells where subtracting independently rounded pmf values errs
+    # most: by 1.9e-10 and 4.9e-10 at the paper's tau, and on a random cell
+    # by 8.3e-10 below the exact divergence
+    @_cells([(2**15, derive_params(1.0, 1e-5)),
+             (2**19, derive_params(0.25, 1e-5)),
+             (204_617_990, PrivacyParams(0.09111101352971303, 1e-5,
+                                         tau=198328.74200427037,
+                                         sigma2=1.5 * 198328.74200427037))])
+    def test_matches_exact_reference(self, m, params):
+        report = hockey_stick(m, params)
+        got = (report.divergence_forward, report.divergence_backward)
+        for upper, want in zip(got, exact_divergences(m, params)):
+            assert want > 1e-300
+            assert abs(upper - want) <= 1e-11 * want, (upper, want)
+
+    def test_raises_no_warning(self):
+        # no step of a walk overflows, divides by 0 or makes a nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m, params in _random_cells(300) + SHRUNK + TINY:
+                hockey_stick(m, params)
 
     @_cells(_paper_cells(lambda params: LARGE_MS))
     def test_matches_closed_form_above_cap(self, m, params):
@@ -237,13 +268,12 @@ class TestWindow:
         assert report.passed
         assert max(got) <= params.delta
 
-    # scipy's pmf of the paper-tau cell, 1172 coins deep in the tail, is
-    # itself off by up to 7e-12 of each exact value (the full support as
-    # much as the cut ranges); the shrunk cells by at most 3e-14
+    # each range reads scipy's pmf at one point, so the paper-tau cell,
+    # 1172 coins deep in the tail, holds the shrunk cells' slack
     @pytest.mark.parametrize("tau,eps,slack", [(62.0, 1.0, 1e-12),
                                                (203.0, 0.5, 1e-12),
                                                (712.0, 0.25, 1e-12),
-                                               (None, 1.0, 1e-11)])
+                                               (None, 1.0, 1e-12)])
     def test_matches_exact_fractions(self, tau, eps, slack):
         # m = 1 sends ceil(tau) fair coins, so every pmf value is
         # comb(n, t) / 2^n; tau None is the paper's tau, 1172 coins
@@ -263,6 +293,19 @@ class TestWindow:
             assert Fraction(upper) <= (exact + Fraction((1 + e_eps) * tail)
                                        ) * (1 + slack)
         assert tau is not None or min(tails) > 0, tails
+
+    @pytest.mark.parametrize("tau,eps", [(62.0, 1.0), (203.0, 0.5),
+                                         (712.0, 0.25), (None, 1.0)])
+    def test_exact_reference_matches_fractions(self, tau, eps):
+        # the 40-digit reference against the exact fractions
+        params = (derive_params(eps, 1e-5) if tau is None else
+                  PrivacyParams(eps, 1e-5, tau=tau, sigma2=1.5 * tau))
+        law = noise_law(1, params)
+        exact = _exact_divergences(law.n, math.exp(eps))
+        with mpmath.workdps(40):
+            for ref, want in zip(exact_divergences(1, params), exact):
+                want = mpmath.mpf(want.numerator) / want.denominator
+                assert abs(ref - want) <= 1e-30 * want, (ref, want)
 
     def test_hinge_ranges_hold_every_positive_term(self):
         # every term hockey_stick leaves out is at most 0, or lies beyond
@@ -309,10 +352,10 @@ class TestWindow:
                         <= tail * (1 + 1e-9) + 1e-300), (m, params)
             report = hockey_stick(m, params)
             got = (report.divergence_forward, report.divergence_backward)
-            stretch = (np.maximum(fwd_terms, 0.0).sum(),
-                       np.maximum(bwd_terms, 0.0).sum())
-            for upper, want, tail in zip(got, stretch, (tail_f, tail_b)):
-                rounding = 1e-12 * want + 1e-300
+            exact = exact_divergences(m, params)
+            for upper, want, tail in zip(got, exact, (tail_f, tail_b)):
+                # subnormal reports hold fewer digits
+                rounding = _rounding(params) * want + 1e-300
                 assert want - rounding <= upper, (m, params)
                 assert upper <= want + (1 + e_eps) * tail + rounding, (m,
                                                                       params)

@@ -31,7 +31,7 @@ SAMPLE = ["mechanism", "sample", "--eps", "0.8", "--delta", "1e-3",
     pytest.param(
         ["audit", "--m", "1,2,42,1024,4096", "--eps", "0.25,0.5,1",
          "--delta", "1e-5"],
-        "1d5c3df0ac3b3ed8cc9789e94798adb2888333b168900b2c8962d5a4b9246caa",
+        "114ec253295e45b2ac7b8e00f74a1d43bf62afa4c49b072bdf66251c91c203bd",
         marks=[needs_numpy_stdout, needs_scipy], id="audit"),
 ])
 def test_stdout_digest(capsys, argv, digest):
