@@ -11,12 +11,14 @@ Exit codes: 0 success, 1 validation error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import itertools
 import math
 import sys
 
 import numpy as np
 
+from .audit import hockey_stick
 from .harness import ConfigError, parse_config, run_experiment
 from .mechanism import derive_params, private_sum
 
@@ -86,10 +88,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    import csv  # kept off the `run` path, as scipy is
-
-    from .audit import hockey_stick  # scipy loads only here
-
     cells = itertools.product(
         _parse_list("--m", args.m,
                     lambda v: v if v in TAU_MULTIPLES else int(v)),

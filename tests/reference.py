@@ -9,6 +9,8 @@
   so its double-precision reports are tested against the exact values.
 - `shifted_hockey_stick` sums both divergences of a pmf array term by term,
   as the definition reads.
+- `hinge_ranges` lays out the ranges and tail bounds `hockey_stick` reads,
+  so that the tests can check each against the full support.
 - `elimination_law` is the exact law of a two-arm noiseless episode, so the
   engine's random decisions are tested against the algorithm, not against a
   second implementation of the same loop.
@@ -23,8 +25,10 @@ from collections import defaultdict
 import mpmath
 import numpy as np
 
+from shufflebandit import audit
 from shufflebandit.bandit import confidence_radius
-from shufflebandit.mechanism import PrivacyParams, SumEstimate, noise_law
+from shufflebandit.mechanism import (NoiseLaw, PrivacyParams, SumEstimate,
+                                     noise_law)
 
 # the brute force enumerates at most 2**MAX_NOISE_BITS noise outcomes
 MAX_NOISE_BITS = 20
@@ -130,6 +134,20 @@ def shifted_hockey_stick(pmf: np.ndarray, epsilon: float) -> tuple[float, float]
     forward = float(np.maximum(p - e_eps * q, 0.0).sum())
     backward = float(np.maximum(q - e_eps * p, 0.0).sum())
     return forward, backward
+
+
+def hinge_ranges(law: NoiseLaw, epsilon: float
+                 ) -> tuple[tuple[int, int, float], tuple[int, int, float]]:
+    """((lo_f, fwd_hi, tail_f), (bwd_lo, hi_b, tail_b)): `hockey_stick`
+    reads the forward divergence from lo_f..fwd_hi and the backward one
+    from bwd_lo..hi_b, and adds tail_f, its bound on the mass below lo_f,
+    and tail_b, its bound on the mass above hi_b.
+    """
+    e_eps = math.exp(epsilon)
+    (fwd_hi, lo_f), (bwd_lo, hi_b) = ends = audit._hinge_ends(law, epsilon)
+    tail_f, tail_b = (audit._hinge_sum(law, guard, cut, e_eps)[1]
+                      for guard, cut in ends)
+    return (lo_f, fwd_hi, tail_f), (bwd_lo, hi_b, tail_b)
 
 
 def _pull(p: np.ndarray, mean: float, axis: int) -> np.ndarray:

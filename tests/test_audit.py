@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from shufflebandit.audit import (DEFAULT_SUPPORT_CAP, hinge_ranges,
-                                 hockey_stick, noise_distribution)
+from shufflebandit.audit import (_STIRLERR, DEFAULT_SUPPORT_CAP, _pmf,
+                                 _stirlerr, hockey_stick, noise_distribution)
 from shufflebandit.mechanism import PrivacyParams, derive_params, noise_law
 
 from reference import (MAX_NOISE_BITS, brute_force_shuffle_divergence,
-                       exact_divergences, shifted_hockey_stick)
+                       exact_divergences, hinge_ranges, shifted_hockey_stick)
 
 
 def _params96():
@@ -21,8 +21,10 @@ def _params96():
 
 class TestNoiseDistribution:
     def test_small_regime_parameters(self):
+        # 96 fair coins: every value is comb(96, t) / 2^96
         pmf = noise_distribution(4, _params96())
-        assert np.array_equal(pmf, binom.pmf(np.arange(97), 96, 0.5))
+        exact = np.array([math.comb(96, t) / 2**96 for t in range(97)])
+        assert np.allclose(pmf, exact, rtol=1e-14, atol=0.0)
 
     def test_large_regime_parameters(self):
         pmf = noise_distribution(200, _params96())
@@ -34,6 +36,15 @@ class TestNoiseDistribution:
     def test_total_mass(self, m):
         pmf = noise_distribution(m, _params96())
         assert abs(pmf.sum() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("m,tau", [(1, 0.6), (5, 0.6)])
+    def test_mode_at_an_end(self, m, tau):
+        # one fair coin, mode 1 = n; five Bernoulli(0.06) coins, mode 0
+        params = PrivacyParams(0.5, 0.01, tau=tau, sigma2=1.5 * tau)
+        law = noise_law(m, params)
+        pmf = noise_distribution(m, params)
+        assert np.allclose(pmf, binom.pmf(np.arange(law.n + 1), law.n, law.q),
+                           rtol=1e-14, atol=0.0)
 
     def test_support_cap(self):
         tau = float(DEFAULT_SUPPORT_CAP)  # m = 1 needs cap + 1 points
@@ -268,7 +279,7 @@ class TestWindow:
         assert report.passed
         assert max(got) <= params.delta
 
-    # each range reads scipy's pmf at one point, so the paper-tau cell,
+    # each range reads Loader's pmf at one point, so the paper-tau cell,
     # 1172 coins deep in the tail, holds the shrunk cells' slack
     @pytest.mark.parametrize("tau,eps,slack", [(62.0, 1.0, 1e-12),
                                                (203.0, 0.5, 1e-12),
@@ -387,10 +398,8 @@ class TestWindow:
                               law.n, law.q).sum()
             above = binom.pmf(np.arange(hi_b + 1, min(law.n, hi_b + 2 * k) + 1),
                               law.n, law.q).sum()
-            assert tail_f == pytest.approx(below, rel=1e-9, abs=1e-300), (
-                m, params)
-            assert tail_b == pytest.approx(above, rel=1e-9, abs=1e-300), (
-                m, params)
+            _assert_tail_bounds(tail_f, below, law, lo_f, params)
+            _assert_tail_bounds(tail_b, above, law, hi_b, params)
             compared += (tail_f > 1e-300) + (tail_b > 1e-300)
         assert compared > 0
 
@@ -405,9 +414,9 @@ class TestWindow:
         (lo_f, _, tail_f), (_, hi_b, tail_b) = hinge_ranges(law, eps)
         assert 0 < lo_f and hi_b < law.n
         pmf = noise_distribution(m, params)
-        assert tail_f == pytest.approx(pmf[:lo_f].sum(), rel=1e-9, abs=0.0)
-        assert tail_b == pytest.approx(pmf[hi_b + 1:].sum(), rel=1e-9,
-                                       abs=0.0)
+        _assert_tail_bounds(tail_f, pmf[:lo_f].sum(), law, lo_f, params)
+        _assert_tail_bounds(tail_b, pmf[hi_b + 1:].sum(), law, hi_b, params)
+        assert min(tail_f, tail_b) > 0
 
     def test_ranges_reaching_both_ends_have_no_tail(self):
         cells = _random_cells(300) + SHRUNK + TINY
@@ -422,6 +431,83 @@ class TestWindow:
                 assert tail_b == 0.0, (m, params)
             both += lo_f == 0 and hi_b == law.n
         assert both > 0
+
+
+class TestLoaderPmf:
+    # Loader's saddle-point pmf, read at each range's guard point, against
+    # 40-digit values; the cut points are checked too, as the walks reach
+    # them
+    def test_stirlerr_table(self):
+        assert len(_STIRLERR) == 16
+        with mpmath.workdps(40):
+            for k in range(1, 16):
+                assert _STIRLERR[k] == float(_exact_stirlerr(k)), k
+
+    @pytest.mark.parametrize("k", [16, 17, 35, 36, 80, 81, 500, 501, 10**4,
+                                   10**9])
+    def test_stirlerr_series(self, k):
+        # d(k) enters ln p(x) as a sum, so its absolute error is what counts:
+        # the series' first omitted term is 1.1e-16 at k = 16
+        with mpmath.workdps(40):
+            assert _stirlerr(k) == pytest.approx(float(_exact_stirlerr(k)),
+                                                 rel=0.0, abs=2e-16)
+
+    def test_paper_cells(self):
+        cells = [(2**p, derive_params(eps, 1e-5))
+                 for eps in (0.25, 0.5, 1.0) for p in range(31)]
+        assert _compare_pmf(cells) > 2 * len(cells)
+
+    def test_random_cells(self):
+        cells = _random_cells(300, seed=20261020) + SHRUNK + TINY
+        assert _compare_pmf(cells) > 2 * len(cells)
+
+
+# Loader's pmf against the exact one, relative
+PMF_RTOL = 2.5e-12
+
+
+def _exact_pmf(t, law):
+    """The pmf of B at t in 40-digit arithmetic, with q the double the
+    audit computes with."""
+    with mpmath.workdps(40):
+        q = mpmath.mpf(law.q)
+        return float(mpmath.exp(
+            mpmath.loggamma(law.n + 1) - mpmath.loggamma(t + 1)
+            - mpmath.loggamma(law.n - t + 1) + t * mpmath.log(q)
+            + (law.n - t) * mpmath.log1p(-q)))
+
+
+def _exact_stirlerr(k):
+    return (mpmath.loggamma(k + 1) - (k + mpmath.mpf(0.5)) * mpmath.log(k)
+            + k - mpmath.log(2 * mpmath.pi) / 2)
+
+
+def _compare_pmf(cells):
+    """Check Loader's pmf at every guard and cut point of the cells; the
+    number of points with a normal pmf value compared."""
+    compared = 0
+    for m, params in cells:
+        law = noise_law(m, params)
+        (lo_f, fwd_hi, _), (bwd_lo, hi_b, _) = hinge_ranges(law,
+                                                            params.epsilon)
+        for t in {lo_f, fwd_hi, bwd_lo, hi_b}:
+            want = _exact_pmf(t, law)
+            # subnormal values hold fewer digits
+            assert abs(_pmf(t, law.n, law.q) - want) <= PMF_RTOL * want + 2.0**-1070, (
+                m, params, t)
+            compared += want >= np.finfo(float).tiny
+    return compared
+
+
+def _assert_tail_bounds(tail, mass, law, cut, params):
+    """mass <= tail <= p(cut) / (e^eps - 1), the pmf exact: a tail bounds
+    the mass beyond its cut by the geometric sum from p(cut), up to the
+    rounding of the pmf read and the walk."""
+    bound = _exact_pmf(cut, law) / math.expm1(params.epsilon)
+    assert mass <= tail + 1e-300, (law, cut, params)
+    assert tail <= bound * (1 + PMF_RTOL + _rounding(params)) + 1e-300, (
+        law, cut, params)
+    assert tail <= 1e-12 * params.delta
 
 
 class TestSubGaussianTail:

@@ -261,7 +261,7 @@ class TestUsage:
 
 class TestImports:
     def test_run_does_not_load_scipy(self, tmp_path):
-        # scipy.special takes about 0.2 s to import; only `audit` needs it
+        # scipy.special takes about 0.2 s to import; no command needs it
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(CONFIG.format(out=tmp_path / "out"))
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -274,18 +274,22 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    def test_audit_does_not_load_scipy_stats(self):
-        # the audit takes the binomial ufuncs from scipy.special: importing
-        # scipy.stats would cost about 0.7 s more
+    def test_audit_does_not_load_scipy(self):
+        # the audit reads the binomial pmf with Loader's formula, in floats
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        code = ("import sys\n"
-                "import shufflebandit.audit\n"
-                "print(sorted(m for m in sys.modules\n"
-                "             if m.split('.')[:2] == ['scipy', 'stats']))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=dict(os.environ, PYTHONPATH=src))
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        argv = ["audit", "--m", "1,4096", "--eps", "1", "--delta", "1e-5"]
+        for code in ("import shufflebandit.audit",
+                     "from shufflebandit.cli import main\n"
+                     f"assert main({argv!r}) == 0"):
+            code += ("\nimport sys\n"
+                     "print(sorted(m for m in sys.modules\n"
+                     "             if m.startswith('scipy')))")
+            proc = subprocess.run([sys.executable, "-c", code],
+                                  capture_output=True, text=True,
+                                  env=dict(os.environ, PYTHONPATH=src))
+            assert proc.returncode == 0, proc.stderr
+            # the audit's CSV rows come first
+            assert proc.stdout.splitlines()[-1] == "[]", code
 
     def test_audit_loads_neither_engine_nor_pool(self):
         # the package root re-exports nothing, so the audit loads only the
