@@ -1,31 +1,46 @@
-"""Alternating benchmark pairs of two checkouts: writes BENCH_<label>.json.
+"""Paired ABBA rounds of two checkouts: writes BENCH_<label>.json.
 
-    python3 scripts/bench_pairs.py --base ../parent --head . \\
-        --workload audit --seeds 101,102,103 --label audit-pairs \\
-        --report-dir bench
     python3 scripts/bench_pairs.py --base ../parent --head . \\
         --workload desk --rounds 30 --label desk-rounds --report-dir bench
+    python3 scripts/bench_pairs.py --base ../parent --head . \\
+        --workload engine --rounds 10 --label engine-rounds --report-dir bench
 
-With --seeds, for each seed `perfbench/run.py --workload W --seed S
---seconds T --trace 0` runs once in each checkout, from that checkout's
-root, with T the `run_seconds` of the head's BENCHMARK.json.  The base runs
-first for the first seed, the head first for the second, and so on, so
-that a slow drift of the machine falls on both sides alike.
+Each pair is one round of each checkout, and the pairs run in ABBA order
+(A B B A A B ...), so that a slow drift of the machine falls on both sides
+alike.  A round is a fresh interpreter started from the checkout's root, and
+every episode it runs has master seed --seed (default 1).
 
-With --rounds N, each pair is instead one single round of each checkout,
-as `perfbench/run.py` runs it: one fresh `perfbench/worker.py` interpreter
-running the workload once (desk with --threads 2), its outputs checked by
-that checkout's `perfbench/checks.py`.  The N pairs run in ABBA order (A B
-B A A B ...), all with the seed of --seeds or 1.  Rounds last about a
-tenth of a second, so they follow the machine's drift much more closely
-than whole runs do.
+A round of `desk`, `long-horizon` or `audit` is one round of that workload
+as the checkout's `perfbench/run.py` runs it: one `perfbench/worker.py`
+(desk with --threads 2) writing under a fresh directory of the checkout's
+`.bench_tmp`, its outputs checked by the checkout's `perfbench/checks.py`.
+That directory is removed afterwards, and `.bench_tmp` too once empty.  Its
+metrics are the end-to-end metrics of the head's BENCHMARK.json, better in
+the direction given there.
 
-The report holds every run's or round's end-to-end metrics, each side's
-median and quartiles of each metric, and the number of pairs the head
-wins (better in the direction BENCHMARK.json gives).  It names each side by
-its commit and, where the side is not a clean git checkout, by a sha256 of
-its `src/**/*.py`.  The report is never written to the root of this
-repository or of either checkout, and never replaces an earlier report.
+A round of `engine` times the library alone, with the checkout's `src` on
+the path and no output written.  Every timing is in milliseconds, and lower
+is better:
+
+- `desk_engine_ms`: the 350 episodes of scripts/configs/desk.cfg, run in
+  job order by `bandit.run_episode` alone (the engine's share of a serial
+  `desk` round);
+- `desk_seed_derive_ms`: the reward and noise generators those episodes
+  derive, built apart from the episodes (part of `desk_engine_ms`);
+- `sdp-ae_T=<T>_eps=<eps>_ms`: one `sdp-ae` episode (k = 5, means 0.75 ...
+  0.25, delta = 1e-5, run 0) at T = 1e4 ... 1e7 and eps = 1 and 0.25, the
+  best of 3 runs below T = 1e6.
+
+A round that fails keeps its exit status and the end of its standard error
+in the report, and the rounds after it still run.  The report holds every
+round, each side's median and quartiles of each metric over the pairs whose
+two rounds passed, the number of those pairs the head wins (a tie counts
+for neither side), and whether the head's median is better than the base's
+by more than the base's interquartile range.  It names each side by its
+commit and, where the side is not a clean git checkout, by a sha256 of its
+`src/**/*.py`.  It is never written to the root of this repository or of
+either checkout, and never replaces an earlier report.  The exit status is
+1 if any round failed.
 """
 
 from __future__ import annotations
@@ -37,74 +52,113 @@ import json
 import os
 import platform
 import re
-import shutil
 import statistics
 import subprocess
 import sys
-import tempfile
 from importlib import metadata
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("base", "head")
 
-
-def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """One `perfbench/run.py --trace 0` run in `tree`; its last stdout line."""
-    proc = subprocess.run(
-        [sys.executable, os.path.join("perfbench", "run.py"),
-         "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, check=False)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        return {"returncode": proc.returncode,
-                "stderr": proc.stderr.strip()[-2000:]}
-    out = json.loads(lines[-1])
-    return {"returncode": 0, "correct": out["correct"],
-            "attempted": out["attempted"], "failed": out["failed"],
-            "metrics": {k: m["value"] for k, m in out["metrics"].items()},
-            "stderr": proc.stderr.strip()[-2000:]}
-
-
-# One round, run by a fresh interpreter from the root of a checkout with
-# that checkout's perfbench/run.py; prints its result as one JSON line.
-ROUND = """
-import json, shutil, sys, tempfile, time
+# One workload round with the checkout's perfbench/run.py, as that script
+# runs it: under the checkout's .bench_tmp, removed afterwards.
+WORKLOAD_ROUND = """
+import json, os, shutil, sys, tempfile, time
 sys.path.insert(0, "perfbench")
 import run as bench
-workload, seed, tmp_root = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+workload, seed = sys.argv[1], int(sys.argv[2])
+tmp_root = os.path.abspath(".bench_tmp")
+os.makedirs(tmp_root, exist_ok=True)
 tmp = tempfile.mkdtemp(prefix="round-", dir=tmp_root)
 try:
     r = bench.Run(workload, seed, tmp, time.monotonic() + bench.DEADLINE_S)
     out = r.round("plain", 2 if workload == "desk" else 1)
 finally:
     shutil.rmtree(tmp, ignore_errors=True)
-print(json.dumps({"ops": out["ops"], "run_s": out.get("run_s"),
-                  "setup_s": out["setup_s"],
-                  "peak_rss_kb": out["peak_rss_kb"],
-                  "attempted": r.attempted, "failed": r.failed,
-                  "errors": r.errors}))
+    try:
+        os.rmdir(tmp_root)
+    except OSError:
+        pass  # another run still uses it
+result = {"attempted": r.attempted, "failed": r.failed,
+          "errors": r.errors[:20]}
+if out["ops"] > 0 and out["setup_s"] is not None:
+    result["metrics"] = {"ops_per_s": out["ops"] / out["run_s"],
+                         "setup_s": out["setup_s"],
+                         "peak_rss_mb": out["peak_rss_kb"] / 1024}
+print(json.dumps(result))
+"""
+
+# One engine round with the checkout's src on the path; no output written.
+ENGINE_ROUND = """
+import json, math, sys, time
+from shufflebandit import harness
+from shufflebandit.bandit import EngineConfig, run_episode
+from shufflebandit.env import SeedSpec, make_instance
+from shufflebandit.mechanism import derive_params
+
+seed = int(sys.argv[2])
+
+def ms(fn, repeat=1):
+    best = math.inf
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best * 1e3
+
+config = harness.parse_config("scripts/configs/desk.cfg")
+inst = config.instance()
+jobs = [(harness.engine_config(config, v, None if e is None
+                               else derive_params(e, d)),
+         SeedSpec(seed, run))
+        for v, e, d in config.cells() for run in range(config.seeds)]
+
+def seeds():
+    for econf, spec in jobs:
+        for a in range(inst.k):
+            spec.reward_rng(a)
+            if econf.privacy is not None:
+                spec.noise_rng(a)
+
+out = {"desk_engine_ms": ms(lambda: [run_episode(inst, c, s)
+                                     for c, s in jobs]),
+       "desk_seed_derive_ms": ms(seeds)}
+for horizon in (10**4, 10**5, 10**6, 10**7):
+    inst = make_instance(5, [0.75, 0.625, 0.5, 0.375, 0.25], horizon)
+    for eps in (1.0, 0.25):
+        params = derive_params(eps, 1e-5)
+        econf = EngineConfig(m=math.ceil(params.sigma), privacy=params)
+        out[f"sdp-ae_T={horizon:.0e}_eps={eps}_ms"] = ms(
+            lambda: run_episode(inst, econf, SeedSpec(seed)),
+            3 if horizon < 10**6 else 1)
+print(json.dumps({"metrics": out}))
 """
 
 
-def round_once(tree: str, workload: str, seed: int, tmp_root: str) -> dict:
-    """One worker round of the workload in `tree`, with its metrics."""
+def abba(rounds: int) -> list[tuple[int, str]]:
+    """(pair, side) of every round in run order: A B B A A B ..."""
+    return [(pair, side) for pair in range(rounds)
+            for side in (SIDES if pair % 2 == 0 else SIDES[::-1])]
+
+
+def round_once(tree: str, workload: str, seed: int) -> dict:
+    """One round in `tree`: its exit status, the end of its standard error,
+    what it printed, and `ok`, true when it has metrics and nothing failed."""
+    env = (dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+           if workload == "engine" else None)
     proc = subprocess.run(
-        [sys.executable, "-c", ROUND, workload, str(seed), tmp_root],
-        cwd=tree, capture_output=True, text=True, check=False)
+        [sys.executable, "-c",
+         ENGINE_ROUND if workload == "engine" else WORKLOAD_ROUND,
+         workload, str(seed)],
+        cwd=tree, env=env, capture_output=True, text=True, check=False)
+    record = {"returncode": proc.returncode,
+              "stderr": proc.stderr.strip()[-2000:]}
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        return {"returncode": proc.returncode,
-                "stderr": proc.stderr.strip()[-2000:]}
-    out = json.loads(lines[-1])
-    ok = out["ops"] > 0 and out["setup_s"] is not None
-    return {"returncode": 0, "correct": not out["errors"],
-            "attempted": out["attempted"], "failed": out["failed"],
-            "errors": out["errors"][:20],
-            **({"metrics": {"ops_per_s": out["ops"] / out["run_s"],
-                            "setup_s": out["setup_s"],
-                            "peak_rss_mb": out["peak_rss_kb"] / 1024}}
-               if ok else {})}
+    if proc.returncode == 0 and lines:
+        record.update(json.loads(lines[-1]))
+    record["ok"] = ("metrics" in record and not record.get("failed")
+                    and not record.get("errors"))
+    return record
 
 
 def spread(values: list[float]) -> dict:
@@ -118,11 +172,12 @@ def spread(values: list[float]) -> dict:
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: both sides' spread, the head's wins over the complete
-    pairs, and whether the medians differ by more than the base's IQR."""
+    """Per metric: both sides' spread over the pairs whose two rounds passed,
+    the head's wins over those pairs, and whether the medians differ by more
+    than the base's IQR in the head's favour."""
     pairs = {}
     for r in runs:
-        if "metrics" in r:
+        if r["ok"]:
             pairs.setdefault(r["pair"], {})[r["side"]] = r["metrics"]
     complete = [p for p in pairs.values() if len(p) == 2]
     if not complete:
@@ -169,28 +224,28 @@ def source_digest(tree: str) -> str:
     return digest.hexdigest()
 
 
-def check_report(parser: argparse.ArgumentParser, args) -> None:
-    """Refuse a --label that is not a plain file name part, a --report-dir
-    that is the root of this repository or of either checkout, and a report
-    that exists; set args.path to the report's path."""
-    if not re.fullmatch(r"[A-Za-z0-9_.-]+", args.label):
-        parser.error("--label may hold only letters, digits, _, . and -")
-    report_dir = os.path.realpath(args.report_dir)
-    if report_dir in {os.path.realpath(d)
-                      for d in (REPO, args.base, args.head)}:
-        parser.error("the report is never written to a repository root")
-    args.path = os.path.join(args.report_dir, f"BENCH_{args.label}.json")
-    if os.path.lexists(args.path):
-        parser.error(f"{args.path} exists; a report is never replaced")
+def report_path(label: str, report_dir: str, roots: list[str]) -> str:
+    """The report's path; ValueError for a label that is not a plain file
+    name part, a directory that is one of `roots`, or a report that exists."""
+    if not re.fullmatch(r"[A-Za-z0-9_.-]+", label):
+        raise ValueError("--label may hold only letters, digits, _, . and -")
+    if os.path.realpath(report_dir) in {os.path.realpath(d) for d in roots}:
+        raise ValueError("the report is never written to a repository root")
+    path = os.path.join(report_dir, f"BENCH_{label}.json")
+    if os.path.lexists(path):
+        raise ValueError(f"{path} exists; a report is never replaced")
+    return path
 
 
-def write_report(path: str, report: dict) -> None:
-    """Create the report at `path`, failing if it exists, and print its path."""
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "x") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(path)
+def build_report(args, runs: list[dict], better: dict[str, str]) -> dict:
+    return {"workload": args.workload, "seed": args.seed,
+            "rounds": args.rounds,
+            "base": describe(args.base), "head": describe(args.head),
+            "machine": {"nproc": os.cpu_count(),
+                        "python": platform.python_version(),
+                        "numpy": metadata.version("numpy"),
+                        "loadavg_at_end": os.getloadavg()},
+            "runs": runs, "summary": summarize(runs, better)}
 
 
 def parse_args(argv):
@@ -200,78 +255,54 @@ def parse_args(argv):
     parser.add_argument("--head", required=True, help="checkout measured as "
                         "the head (the change)")
     parser.add_argument("--workload", required=True,
-                        choices=["desk", "long-horizon", "audit"])
-    parser.add_argument("--seeds", help="comma-separated seeds: one pair of "
-                        "whole runs each, or with --rounds the one seed of "
-                        "every round (default 1)")
-    parser.add_argument("--rounds", type=int, help="pairs of single worker "
-                        "rounds, in ABBA order")
+                        choices=["desk", "long-horizon", "audit", "engine"])
+    parser.add_argument("--seed", type=int, default=1,
+                        help="master seed of every round (default 1)")
+    parser.add_argument("--rounds", type=int, required=True,
+                        help="pairs of rounds, in ABBA order")
     parser.add_argument("--label", required=True)
     parser.add_argument("--report-dir", required=True)
     args = parser.parse_args(argv)
-    if args.rounds is None and args.seeds is None:
-        parser.error("give --seeds or --rounds")
-    if args.rounds is not None and args.rounds < 1:
+    if args.rounds < 1:
         parser.error("--rounds must be >= 1")
-    try:
-        args.seeds = [int(s) for s in (args.seeds or "1").split(",")]
-    except ValueError:
-        parser.error("--seeds takes comma-separated integers")
-    if args.rounds is not None and len(args.seeds) != 1:
-        parser.error("--rounds takes one seed")
     args.base, args.head = (os.path.abspath(d) for d in (args.base, args.head))
+    needs = (os.path.join("src", "shufflebandit") if args.workload == "engine"
+             else os.path.join("perfbench", "run.py"))
     for tree in (args.base, args.head):
-        if not os.path.isfile(os.path.join(tree, "perfbench", "run.py")):
-            parser.error(f"{tree} has no perfbench/run.py")
-    check_report(parser, args)
+        if not os.path.exists(os.path.join(tree, needs)):
+            parser.error(f"{tree} has no {needs}")
+    try:
+        args.path = report_path(args.label, args.report_dir,
+                                [REPO, args.base, args.head])
+    except ValueError as exc:
+        parser.error(str(exc))
     return args
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    with open(os.path.join(args.head, "BENCHMARK.json")) as fh:
-        spec = json.load(fh)
-    seconds = spec["run_seconds"]
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     runs = []
-    if args.rounds is None:
-        pairs = list(enumerate(args.seeds))
+    for pair, side in abba(args.rounds):
+        tree = args.base if side == "base" else args.head
+        runs.append(dict(round_once(tree, args.workload, args.seed),
+                         pair=pair, side=side))
+        print(json.dumps({k: runs[-1].get(k) for k in
+                          ("pair", "side", "ok", "metrics")}),
+              file=sys.stderr)
+    if args.workload == "engine":
+        better = dict.fromkeys(
+            next((r["metrics"] for r in runs if r["ok"]), {}), "lower")
     else:
-        pairs = [(pair, args.seeds[0]) for pair in range(args.rounds)]
-        tmp_root = tempfile.mkdtemp(prefix="bench-rounds-")
-    try:
-        for pair, seed in pairs:
-            order = SIDES if pair % 2 == 0 else SIDES[::-1]
-            for position, side in enumerate(order):
-                tree = args.base if side == "base" else args.head
-                r = (run_once(tree, args.workload, seed, seconds)
-                     if args.rounds is None else
-                     round_once(tree, args.workload, seed, tmp_root))
-                runs.append(dict(r, pair=pair, seed=seed, side=side,
-                                 position=position))
-                print(json.dumps({k: runs[-1][k] for k in
-                                  ("pair", "seed", "side", "metrics")
-                                  if k in runs[-1]}), file=sys.stderr)
-    finally:
-        if args.rounds is not None:
-            shutil.rmtree(tmp_root, ignore_errors=True)
-    report = {
-        "workload": args.workload, "seeds": args.seeds,
-        **({"seconds": seconds} if args.rounds is None
-           else {"rounds": args.rounds}),
-        "base": describe(args.base), "head": describe(args.head),
-        "machine": {"nproc": os.cpu_count(),
-                    "python": platform.python_version(),
-                    "numpy": metadata.version("numpy"),
-                    "scipy": metadata.version("scipy"),
-                    "loadavg_at_end": os.getloadavg()},
-        "runs": runs,
-        "summary": summarize(runs, better),
-    }
-    write_report(args.path, report)
-    ok = all(r["returncode"] == 0 and r["correct"] and r["failed"] == 0
-             for r in runs)
-    return 0 if ok else 1
+        with open(os.path.join(args.head, "BENCHMARK.json")) as fh:
+            better = {m["name"]: m["better"]
+                      for m in json.load(fh)["end_to_end"]}
+    os.makedirs(args.report_dir, exist_ok=True)
+    with open(args.path, "x") as fh:
+        json.dump(build_report(args, runs, better), fh, indent=2,
+                  sort_keys=True)
+        fh.write("\n")
+    print(args.path)
+    return 0 if all(r["ok"] for r in runs) else 1
 
 
 if __name__ == "__main__":

@@ -103,6 +103,12 @@ class ExperimentConfig:
         for delta in self.deltas:
             if not 0.0 < delta < 1.0:
                 raise ConfigError(f"delta {delta} outside (0, 1)", "deltas")
+        for eps in self.epsilons:  # each pair's noise budget must be finite
+            for delta in self.deltas:
+                try:
+                    derive_params(eps, delta)
+                except ValueError as exc:
+                    raise ConfigError(str(exc), "epsilons") from None
 
     def instance(self) -> BanditInstance:
         return make_instance(self.k, list(self.means), self.horizon)

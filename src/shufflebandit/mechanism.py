@@ -36,8 +36,9 @@ class PrivacyParams:
             raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if self.tau <= 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got "
+                             f"{self.tau}")
 
     @property
     def sigma(self) -> float:
@@ -54,7 +55,11 @@ def derive_params(epsilon: float, delta: float) -> PrivacyParams:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    tau = 96.0 * math.log(2.0 / delta) / epsilon**2
+    eps2 = epsilon**2  # 0.0 below about 1.5e-162
+    tau = 96.0 * math.log(2.0 / delta) / eps2 if eps2 else math.inf
+    if tau == math.inf:
+        raise ValueError(f"epsilon {epsilon} is too small: the noise budget "
+                         f"tau = 96 ln(2/delta) / eps^2 is not finite")
     return PrivacyParams(epsilon=epsilon, delta=delta, tau=tau, sigma2=1.5 * tau)
 
 

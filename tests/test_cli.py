@@ -122,6 +122,19 @@ class TestAudit:
         assert float(good["div_backward"]) <= 0.01
         assert good["pass"] == "true"
 
+    def test_epsilon_too_small_is_an_error_row(self, capsys):
+        # eps**2 underflows to 0.0: the row says so and the grid goes on
+        code, out, err = run_cli(
+            ["audit", "--m", "1", "--eps", "1e-200,0.5", "--delta", "1e-5"],
+            capsys)
+        assert code == 0
+        assert err == ""
+        bad, good = csv.DictReader(io.StringIO(out))
+        assert bad["epsilon"] == "1e-200"
+        assert bad["pass"].startswith("error: epsilon 1e-200 is too small")
+        assert good["epsilon"] == "0.5"
+        assert good["pass"] == "true"
+
     def test_batch_size_too_large_for_a_float_is_an_error_row(self, capsys):
         # a 400-digit batch size overflows the float noise probability
         m = "1" + "0" * 400
@@ -177,6 +190,18 @@ class TestRun:
         code, _, err = run_cli(["run", "--config", str(cfg)], capsys)
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("eps", ["1e-160", "1e-200"])
+    def test_epsilon_too_small_exits_one_naming_the_line(self, tmp_path,
+                                                         capsys, eps):
+        out = tmp_path / "out"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(CONFIG.format(out=out).replace(
+            "ae-baseline", f"sdp-ae\nepsilons = {eps}\ndeltas = 1e-5"))
+        code, _, err = run_cli(["run", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert err.startswith(f"error: {cfg}:5: epsilon {eps} is too small")
+        assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exits_one(self, tmp_path, capsys, threads):

@@ -244,6 +244,7 @@ class TestCodeBuiltConfig:
         (dict(epsilons=(1.5,)), r"^epsilon 1.5 outside \(0, 1\]$"),
         (dict(means=(0.9,)), r"^got 1 means for k=2$"),
         (dict(deltas=(1.0,)), r"^delta 1.0 outside \(0, 1\)$"),
+        (dict(epsilons=(0.5, 1e-200)), r"^epsilon 1e-200 is too small: "),
     ])
     def test_rejected_at_construction(self, tmp_path, no_episodes, change,
                                       match):

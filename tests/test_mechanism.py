@@ -53,10 +53,17 @@ class TestDeriveParams:
     def test_epsilon_one_endpoint_allowed(self):
         derive_params(1.0, 1e-5)
 
+    # at 1e-160, tau overflows to inf; at 1e-200, eps**2 underflows to 0.0
+    @pytest.mark.parametrize("eps", [1e-160, 1e-200])
+    def test_rejects_epsilon_whose_budget_is_not_finite(self, eps):
+        with pytest.raises(ValueError, match=rf"^epsilon {eps} is too small"):
+            derive_params(eps, 1e-5)
+
     @pytest.mark.parametrize("eps,delta,tau,match", [
         (0.0, 0.1, 96.0, "epsilon"), (1.1, 0.1, 96.0, "epsilon"),
         (0.5, 0.0, 96.0, "delta"), (0.5, 1.0, 96.0, "delta"),
-        (0.5, 0.1, 0.0, "tau"),
+        (0.5, 0.1, 0.0, "tau"), (0.5, 0.1, math.inf, "tau"),
+        (0.5, 0.1, math.nan, "tau"),
     ])
     def test_params_built_in_code_reject_out_of_range(self, eps, delta, tau,
                                                       match):
