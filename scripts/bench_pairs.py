@@ -19,8 +19,8 @@ metrics are the end-to-end metrics of the head's BENCHMARK.json, better in
 the direction given there.
 
 A round of `engine` times the library alone, with the checkout's `src` on
-the path and no output written.  Every timing is in milliseconds, and lower
-is better:
+the path and no output written.  Every metric is lower-better; the timings
+are in milliseconds:
 
 - `desk_engine_ms`: the 350 episodes of scripts/configs/desk.cfg, run in
   job order by `bandit.run_episode` alone (the engine's share of a serial
@@ -28,8 +28,10 @@ is better:
 - `desk_seed_derive_ms`: the reward and noise generators those episodes
   derive, built apart from the episodes (part of `desk_engine_ms`);
 - `sdp-ae_T=<T>_eps=<eps>_ms`: one `sdp-ae` episode (k = 5, means 0.75 ...
-  0.25, delta = 1e-5, run 0) at T = 1e4 ... 1e7 and eps = 1 and 0.25, the
-  best of 3 runs below T = 1e6.
+  0.25, delta = 1e-5, run 0) at T = 1e4 ... 1e7 and eps = 1 and 0.25, and
+  at T = 1e8 and eps = 1, the best of 3 runs below T = 1e6;
+- `peak_mb`: the round's peak resident memory in MB (`VmHWM` in
+  /proc/self/status at its end), which the T = 1e8 episode sets.
 
 A round that fails keeps its exit status and the end of its standard error
 in the report, and the rounds after it still run.  The report holds every
@@ -123,14 +125,17 @@ def seeds():
 out = {"desk_engine_ms": ms(lambda: [run_episode(inst, c, s)
                                      for c, s in jobs]),
        "desk_seed_derive_ms": ms(seeds)}
-for horizon in (10**4, 10**5, 10**6, 10**7):
+cases = [(10**e, eps) for e in (4, 5, 6, 7) for eps in (1.0, 0.25)]
+for horizon, eps in cases + [(10**8, 1.0)]:
     inst = make_instance(5, [0.75, 0.625, 0.5, 0.375, 0.25], horizon)
-    for eps in (1.0, 0.25):
-        params = derive_params(eps, 1e-5)
-        econf = EngineConfig(m=math.ceil(params.sigma), privacy=params)
-        out[f"sdp-ae_T={horizon:.0e}_eps={eps}_ms"] = ms(
-            lambda: run_episode(inst, econf, SeedSpec(seed)),
-            3 if horizon < 10**6 else 1)
+    params = derive_params(eps, 1e-5)
+    econf = EngineConfig(m=math.ceil(params.sigma), privacy=params)
+    out[f"sdp-ae_T={horizon:.0e}_eps={eps}_ms"] = ms(
+        lambda: run_episode(inst, econf, SeedSpec(seed)),
+        3 if horizon < 10**6 else 1)
+with open("/proc/self/status") as fh:
+    out["peak_mb"] = next(int(line.split()[1]) for line in fh
+                          if line.startswith("VmHWM:")) / 1024
 print(json.dumps({"metrics": out}))
 """
 

@@ -9,8 +9,7 @@ in the confidence radius.
 from __future__ import annotations
 
 import math
-from array import array
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cache
 
 import numpy as np
@@ -45,67 +44,54 @@ class EngineConfig:
 
 @dataclass
 class RegretTrace:
-    """Cumulative regret of one episode, kept as one segment per batch.
+    """Cumulative regret of one episode, recorded at its checkpoints.
 
-    Segment i covers users starts[i] + 1 up to the next segment's start (or
-    `users` for the last), all pulls of one arm with gap gaps[i].  Cumulative
-    regret at user u inside it is bases[i] + gaps[i] * (u - starts[i]), the
-    same floating-point arithmetic as filling a per-user array batch by
-    batch, so every value is exact.  Consecutive zero-gap batches share one
-    flat segment, which is exact too, so the trace stops growing once only
-    optimal arms remain.  Memory is O(batches), not O(T).
+    `checkpoints` are 1-based users in strictly ascending order.  The
+    regret after each is recorded when the batch that holds it is charged:
+    the regret at the batch's start plus the batch's gap times the pulls
+    into it, the same floating-point arithmetic as filling a per-user array
+    batch by batch, so every value is exact.  Memory is O(checkpoints), not
+    O(T).
     """
-    starts: array = field(default_factory=lambda: array("q"))
-    bases: array = field(default_factory=lambda: array("d"))
-    gaps: array = field(default_factory=lambda: array("d"))
+    checkpoints: InitVar[tuple[int, ...]] = ()
     users: int = 0       # pulls charged so far
     regret: float = 0.0  # cumulative regret after them
     eliminations: list[tuple[int, int]] = field(default_factory=list)
     clean_event_violated: bool = False
     arm_pulls_total: list[int] = field(default_factory=list)  # incl. interrupted batch
 
+    def __post_init__(self, checkpoints):
+        self._due = [math.inf, *reversed(checkpoints)]  # the next one last
+        self._at = []  # the regret after each checkpoint recorded
+
     def charge(self, pulls: int, gap: float) -> None:
         """Charge one batch of `pulls` pulls of an arm with this gap."""
-        if gap != 0.0 or not self.gaps or self.gaps[-1] != 0.0:
-            self.starts.append(self.users)
-            self.bases.append(self.regret)
-            self.gaps.append(gap)
-        self.users += pulls
+        end = self.users + pulls
+        while self._due[-1] <= end:
+            self._at.append(self.regret + gap * (self._due.pop() - self.users))
+        self.users = end
         self.regret += gap * pulls
 
     def charge_phases(self, pulls: int, gaps: list[float], count: int) -> None:
         """Charge `count` phases, each one batch of `pulls` pulls per gap in
-        `gaps`, in order: the segments and regret of as many `charge` calls,
+        `gaps`, in order: the records and regret of as many `charge` calls,
         as the cumulative sum adds the same floats in the same order."""
         g = np.array(gaps * count)
         regret = np.add.accumulate(np.concatenate(([self.regret], g * pulls)))
-        last = self.gaps[-1] if self.gaps else 1.0  # 1.0: no segment yet
-        new = np.flatnonzero((g != 0.0)
-                             | (np.concatenate(([last], g[:-1])) != 0.0))
-        self.starts.frombytes((self.users + pulls * new).tobytes())
-        self.bases.frombytes(regret[new].tobytes())
-        self.gaps.frombytes(g[new].tobytes())
-        self.users += pulls * g.size
+        end = self.users + pulls * g.size
+        if self._due[-1] <= end:
+            bases, batch_gaps = regret.tolist(), g.tolist()
+            while self._due[-1] <= end:
+                b, before = divmod(self._due.pop() - self.users - 1, pulls)
+                self._at.append(bases[b] + batch_gaps[b] * (before + 1))
+        self.users = end
         self.regret = float(regret[-1])
 
-    def at(self, users) -> np.ndarray:
-        """Cumulative regret after each of the given (1-based) users."""
-        u = np.asarray(users, dtype=np.int64)
-        if u.size and (u.min() < 1 or u.max() > self.users):
-            raise ValueError(f"users must lie in [1, {self.users}]")
-        starts = np.frombuffer(self.starts, dtype=np.int64)
-        i = np.searchsorted(starts, u) - 1
-        return (np.frombuffer(self.bases)[i]
-                + np.frombuffer(self.gaps)[i] * (u - starts[i]))
-
-    # only tests and perfbench/tracer.py, which looks it up, read this
+    # the harness reads this, and perfbench/tracer.py looks it up
     @property
     def cumulative_regret(self) -> np.ndarray:
-        """Read-only per-user cumulative regret, expanded on demand.
-
-        This costs 8 bytes per pull; `at` reads checkpoints without it.
-        """
-        out = self.at(np.arange(1, self.users + 1))
+        """Read-only regret after each checkpoint recorded so far."""
+        out = np.array(self._at)
         out.flags.writeable = False
         return out
 
@@ -211,8 +197,11 @@ def run_block(sums, pulls, active, tapes, ahead, m, phases, phase, sigma,
 
 
 def run_episode(instance: BanditInstance, config: EngineConfig,
-                seeds: SeedSpec) -> RegretTrace:
+                seeds: SeedSpec, checkpoints=()) -> RegretTrace:
     """One seeded run to the horizon; deterministic given (instance, config, seeds).
+
+    The trace records the regret after each of `checkpoints`, users in
+    [1, horizon] in strictly ascending order, and nothing by default.
 
     Each loop iteration runs one phase: a batch of every active arm, the
     clean-event check and an elimination test.  With a constant batch size,
@@ -234,7 +223,10 @@ def run_episode(instance: BanditInstance, config: EngineConfig,
     law = (cache(lambda m: noise_law(m, config.privacy))  # once per batch size
            if config.privacy is not None else None)
     tapes = [RewardTape(a, means[a], seeds, law) for a in range(k)]
-    trace = RegretTrace()
+    cps = list(checkpoints)
+    if cps != sorted(set(cps)) or cps and not 0 < cps[0] <= cps[-1] <= horizon:
+        raise ValueError(f"checkpoints must ascend strictly in [1, {horizon}]")
+    trace = RegretTrace(cps)
     sigma = config.sigma
     ahead = None  # estimates a block drew for phases it did not run
     phase = 0

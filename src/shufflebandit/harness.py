@@ -69,6 +69,8 @@ class ExperimentConfig:
                            ("master_seed", 0), ("baseline_m", 1)):
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be >= {least}", key)
+        if self.horizon > 2**63 - 1:  # numpy draws batch sums as int64
+            raise ConfigError("horizon must be <= 2**63 - 1", "horizon")
         if len(self.means) != self.k:
             raise ConfigError(f"got {len(self.means)} means for k={self.k}",
                               "means")
@@ -231,8 +233,8 @@ def _run_jobs(config: ExperimentConfig, keys: list, stage: str,
     soon as the episode has run, so that the file creations overlap the
     other workers' episodes, and otherwise after the last episode, since
     creating the files back to back costs about half as much per file as
-    creating each between two episodes.  Only the checkpoint values are
-    kept, so each episode's `RegretTrace` is freed once they are read.
+    creating each between two episodes.  An episode records its regret at
+    the checkpoints alone, so its memory does not grow with the horizon.
     """
     instance = config.instance()
     out = []
@@ -240,10 +242,10 @@ def _run_jobs(config: ExperimentConfig, keys: list, stage: str,
         variant, eps, delta, seed = key
         params = None if eps is None else derive_params(eps, delta)
         econf = engine_config(config, variant, params)
-        trace = run_episode(instance, econf, SeedSpec(config.master_seed, seed))
-        checks = trace.at(config.checkpoints)
+        trace = run_episode(instance, econf, SeedSpec(config.master_seed, seed),
+                            config.checkpoints)
+        checks = trace.cumulative_regret
         out.append((checks, bool(trace.clean_event_violated)))
-        del trace  # freed before the next episode runs
         if pooled:
             _write_trace(config, stage, key, checks)
     if not pooled:

@@ -56,7 +56,10 @@ def derive_params(epsilon: float, delta: float) -> PrivacyParams:
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     eps2 = epsilon**2  # 0.0 below about 1.5e-162
-    tau = 96.0 * math.log(2.0 / delta) / eps2 if eps2 else math.inf
+    ratio = 2.0 / delta  # inf below about 1.1e-308
+    log_ratio = (math.log(ratio) if ratio < math.inf
+                 else math.log(2.0) - math.log(delta))
+    tau = 96.0 * log_ratio / eps2 if eps2 else math.inf
     if tau == math.inf:
         raise ValueError(f"epsilon {epsilon} is too small: the noise budget "
                          f"tau = 96 ln(2/delta) / eps^2 is not finite")

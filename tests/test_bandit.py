@@ -137,8 +137,8 @@ class TestRunEpisode:
         inst = make_instance(1, [0.5], 500)
         params = derive_params(0.9, 1e-3)
         config = EngineConfig(privacy=params)
-        trace = run_episode(inst, config, SeedSpec(3))
-        assert np.all(trace.cumulative_regret == 0.0)
+        trace = run_episode(inst, config, SeedSpec(3), range(1, 501))
+        assert trace.cumulative_regret.tolist() == [0.0] * 500
 
     def test_baseline_closed_form_elimination(self):
         # noiseless baseline, means [1, 0], m=10, T=1000: with exact mean
@@ -165,7 +165,8 @@ class TestRunEpisode:
         inst = make_instance(3, [0.9, 0.5, 0.1], 2000)
         params = derive_params(0.8, 1e-3)
         config = EngineConfig(m=30, privacy=params)
-        trace = run_episode(inst, config, SeedSpec(5))
+        trace = run_episode(inst, config, SeedSpec(5), range(1, 2001))
+        assert trace.cumulative_regret.size == 2000
         assert np.all(np.diff(trace.cumulative_regret) >= 0)
         # final value equals the gap-weighted pull counts
         gaps = inst.gaps
@@ -251,8 +252,9 @@ class TestRunEpisode:
         inst = make_instance(3, [0.7, 0.5, 0.3], 3000)
         params = derive_params(0.6, 1e-4)
         config = EngineConfig(privacy=params)
-        a = run_episode(inst, config, SeedSpec(123, 7))
-        b = run_episode(inst, config, SeedSpec(123, 7))
+        users = range(1, 3001)
+        a = run_episode(inst, config, SeedSpec(123, 7), users)
+        b = run_episode(inst, config, SeedSpec(123, 7), users)
         np.testing.assert_array_equal(a.cumulative_regret, b.cumulative_regret)
         assert a.eliminations == b.eliminations
 
@@ -320,10 +322,18 @@ class TestRunEpisode:
         inst = make_instance(2, [0.8, 0.3], 600)
         params = derive_params(0.9, 1e-2)
         config = EngineConfig(privacy=params)
-        trace = run_episode(inst, config, SeedSpec(seed))
+        trace = run_episode(inst, config, SeedSpec(seed), range(1, 601))
         assert trace.cumulative_regret.size == 600
         assert np.all(np.diff(trace.cumulative_regret) >= 0)
         assert sum(trace.arm_pulls_total) == 600
+
+    def test_rejects_checkpoints_out_of_order_or_range(self):
+        inst = make_instance(2, [0.8, 0.3], 100)
+        for checkpoints in ([5, 5], [10, 3], [0, 50], [50, 101]):
+            with pytest.raises(ValueError, match="checkpoints must ascend"):
+                run_episode(inst, EngineConfig(m=3), SeedSpec(1), checkpoints)
+        trace = run_episode(inst, EngineConfig(m=3), SeedSpec(1), [1, 100])
+        assert trace.cumulative_regret.tolist() == [0.0, trace.regret]
 
 
 def _record_noise_draws(instance, config, seeds):
@@ -362,7 +372,7 @@ def _assert_scalar_noise_draws(seq, arm, seeds, params):
 
 def _reference_fill(batches, horizon):
     """Per-user cumulative regret filled batch by batch, as the engine once
-    kept it: the reference the segment trace must reproduce exactly."""
+    kept it: the reference every recorded value must reproduce exactly."""
     cum = np.empty(horizon, dtype=np.float64)
     consumed = 0
     for take, gap in batches:
@@ -376,7 +386,25 @@ def _reference_fill(batches, horizon):
     return cum
 
 
+@st.composite
+def charges(draw):
+    """Checkpoints, and the charges that pass them: ("one", pulls, gap) for
+    `charge` and ("phases", pulls, gaps, count) for `charge_phases`."""
+    gap = st.sampled_from([0.0, 0.0, 0.1, 0.25, 1 / 3, 0.7])
+    calls = draw(st.lists(st.one_of(
+        st.tuples(st.just("one"), st.integers(1, 40), gap),
+        st.tuples(st.just("phases"), st.integers(1, 40),
+                  st.lists(gap, min_size=1, max_size=5), st.integers(1, 6))),
+        min_size=1, max_size=12))
+    users = sum(c[1] if c[0] == "one" else c[1] * len(c[2]) * c[3]
+                for c in calls)
+    checkpoints = draw(st.lists(st.integers(1, users), unique=True))
+    return sorted(checkpoints), calls
+
+
 class TestRegretSegments:
+    """The regret curve is linear along each batch; the values recorded at
+    checkpoints are exactly those of filling it per user, batch by batch."""
     # arms 0 and 1 tie for best, so two arms have zero gap
     MEANS = [0.8, 0.8, 0.3, 0.55]
 
@@ -407,38 +435,55 @@ class TestRegretSegments:
         inst = make_instance(4, self.MEANS, horizon)
         config = replace(schedule, privacy=derive_params(0.9, 1e-2) if private
                          else None)
-        trace = run_episode(inst, config, SeedSpec(31))
+        trace = run_episode(inst, config, SeedSpec(31), range(1, horizon + 1))
         reference = _reference_fill(batches, horizon)
-        users = np.arange(1, horizon + 1)
         np.testing.assert_array_equal(trace.cumulative_regret, reference)
-        np.testing.assert_array_equal(trace.at(users), reference)
         checkpoints = sorted({1, (horizon + 1) // 2, horizon})
-        np.testing.assert_array_equal(trace.at(checkpoints),
+        sparse = run_episode(inst, config, SeedSpec(31), checkpoints)
+        np.testing.assert_array_equal(sparse.cumulative_regret,
                                       reference[np.array(checkpoints) - 1])
-        assert trace.regret == reference[-1]
+        assert trace.regret == sparse.regret == reference[-1]
         # every case ends on a batch cut short by the horizon
         full_sizes = {schedule.m or 2**phase for phase in range(1, 30)}
         assert batches[-1][0] not in full_sizes
 
-    def test_at_rejects_users_outside_trace(self):
-        trace = RegretTrace()
-        trace.charge(10, 0.5)
-        np.testing.assert_array_equal(trace.at([10]), [5.0])
-        for users in ([0], [11]):
-            with pytest.raises(ValueError):
-                trace.at(users)
+    @given(charges())
+    @settings(max_examples=200, deadline=None)
+    def test_charge_phases_records_as_charge_does(self, case):
+        checkpoints, calls = case
+        trace, replay = RegretTrace(checkpoints), RegretTrace(checkpoints)
+        for call in calls:
+            if call[0] == "one":
+                trace.charge(*call[1:])
+                replay.charge(*call[1:])
+            else:
+                _, pulls, gaps, count = call
+                trace.charge_phases(pulls, gaps, count)
+                for gap in gaps * count:
+                    replay.charge(pulls, gap)
+        assert trace.users == replay.users
+        assert trace.regret == replay.regret
+        assert trace.cumulative_regret.tolist() == \
+            replay.cumulative_regret.tolist()
+        assert trace.cumulative_regret.size == len(checkpoints)
 
-    def test_zero_gap_batches_share_a_segment(self):
-        trace = RegretTrace()
+    def test_zero_gap_batches_keep_regret_flat(self):
+        trace = RegretTrace(range(1, 20))
         for pulls, gap in [(5, 0.0), (5, 0.0), (3, 0.2), (2, 0.0), (4, 0.0)]:
             trace.charge(pulls, gap)
-        assert list(trace.starts) == [0, 10, 13]
         np.testing.assert_array_equal(
             trace.cumulative_regret,
             [0.0] * 10 + [0.2, 0.4, 0.2 * 3] + [0.2 * 3] * 6)
 
+    def test_checkpoints_record_only_once_charged(self):
+        trace = RegretTrace([2, 9, 10])
+        trace.charge(4, 0.5)
+        assert trace.cumulative_regret.tolist() == [1.0]
+        trace.charge_phases(3, [0.0, 0.25], 1)
+        assert trace.cumulative_regret.tolist() == [1.0, 2.5, 2.75]
+
     def test_expansion_is_read_only(self):
-        trace = RegretTrace()
+        trace = RegretTrace([1, 2, 3])
         trace.charge(3, 0.25)
         with pytest.raises(ValueError):
             trace.cumulative_regret[0] = 1.0
@@ -466,7 +511,8 @@ class TestTracerHooks:
         originals = (bandit.run_phase, bandit.eliminate, harness.run_episode)
         uninstall = tracing.install(tracer)
         try:
-            trace = harness.run_episode(inst, config, SeedSpec(11))
+            trace = harness.run_episode(inst, config, SeedSpec(11),
+                                        range(1, horizon + 1))
         finally:
             uninstall()
         assert (bandit.run_phase, bandit.eliminate,

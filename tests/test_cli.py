@@ -203,6 +203,36 @@ class TestRun:
         assert err.startswith(f"error: {cfg}:5: epsilon {eps} is too small")
         assert not out.exists()
 
+    def test_delta_whose_inverse_overflows_runs(self, tmp_path, capsys):
+        # 2 / 5e-324 is inf, and the budget is still finite
+        out = tmp_path / "out"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(CONFIG.format(out=out).replace(
+            "ae-baseline", "sdp-ae\nepsilons = 1.0\ndeltas = 5e-324"))
+        code, _, err = run_cli(["run", "--config", str(cfg)], capsys)
+        assert (code, err) == (0, "")
+        assert (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("horizon,code", [(2**63 - 1, 0), (2**63, 1)])
+    def test_horizon_numpy_can_draw(self, tmp_path, capsys, horizon, code):
+        # numpy draws batch sums as int64: 2**63 - 1 runs to the horizon,
+        # and 2**63 is rejected naming the line
+        out = tmp_path / "out"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(CONFIG.format(out=out).replace(
+            "horizon = 100", f"horizon = {horizon}").replace(
+            "checkpoints = 50, 100", f"checkpoints = 50, {horizon}").replace(
+            "ae-baseline", "vb-sdp-ae\nepsilons = 1.0\ndeltas = 1e-5"))
+        got, _, err = run_cli(["run", "--config", str(cfg)], capsys)
+        assert got == code
+        if code:
+            assert err == (f"error: {cfg}:3: horizon must be <= 2**63 - 1\n")
+            assert not out.exists()
+        else:
+            assert err == ""
+            rows = (out / "results.csv").read_text().splitlines()
+            assert rows[-1].startswith(f"vb-sdp-ae,1.0,1e-05,{horizon},")
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exits_one(self, tmp_path, capsys, threads):
         out = tmp_path / "out"

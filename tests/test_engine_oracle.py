@@ -56,7 +56,7 @@ def reference_phase(sums, pulls, active, rewards, noise, phase, config,
     return trace.users
 
 
-def reference_episode(instance, config, seeds):
+def reference_episode(instance, config, seeds, checkpoints=()):
     k = instance.k
     horizon = instance.horizon
     sums = [0.0] * k
@@ -65,7 +65,7 @@ def reference_episode(instance, config, seeds):
     rewards = [seeds.reward_rng(a) for a in range(k)]
     noise = ([seeds.noise_rng(a) for a in range(k)]
              if config.privacy is not None else None)
-    trace = RegretTrace()
+    trace = RegretTrace(checkpoints)
     sigma = config.sigma
     consumed = 0
     phase = 0
@@ -95,16 +95,15 @@ def reference_episode(instance, config, seeds):
 
 
 def assert_same_episode(instance, config, seeds):
-    got = run_episode(instance, config, seeds)
-    want = reference_episode(instance, config, seeds)
+    users = range(1, instance.horizon + 1)
+    got = run_episode(instance, config, seeds, users)
+    want = reference_episode(instance, config, seeds, users)
     assert got.eliminations == want.eliminations
     assert got.clean_event_violated == want.clean_event_violated
     assert got.arm_pulls_total == want.arm_pulls_total
     assert got.users == want.users == instance.horizon
     assert got.regret == want.regret
-    assert list(got.starts) == list(want.starts)
-    assert list(got.bases) == list(want.bases)
-    assert list(got.gaps) == list(want.gaps)
+    assert got.cumulative_regret.tolist() == want.cumulative_regret.tolist()
     return got
 
 
@@ -167,10 +166,12 @@ def test_private_eliminations_match_reference():
 def test_regret_at_checkpoints_matches_reference():
     inst = make_instance(5, [0.75, 0.625, 0.5, 0.375, 0.25], 10000)
     config = EngineConfig(m=42)
-    got = run_episode(inst, config, SeedSpec(606, 1))
-    want = reference_episode(inst, config, SeedSpec(606, 1))
-    users = np.arange(1, 10001)
-    np.testing.assert_array_equal(got.at(users), want.at(users))
+    checkpoints = [1, 42, 43, 999, 5000, 9999, 10000]
+    got = run_episode(inst, config, SeedSpec(606, 1), checkpoints)
+    want = reference_episode(inst, config, SeedSpec(606, 1), range(1, 10001))
+    np.testing.assert_array_equal(
+        got.cumulative_regret,
+        want.cumulative_regret[np.array(checkpoints) - 1])
 
 
 def _blocks_of(instance, config, seeds, monkeypatch):

@@ -131,10 +131,10 @@ def test_episode_outputs_are_pinned(key):
     params = None if eps is None else derive_params(eps, 1e-5)
     trace = run_episode(config.instance(),
                         engine_config(config, variant, params),
-                        SeedSpec(606, seed))
+                        SeedSpec(606, seed), config.checkpoints)
     regret, at, eliminations, pulls, violated = GOLDEN[key]
     assert trace.regret == regret
-    assert trace.at(config.checkpoints).tolist() == at
+    assert trace.cumulative_regret.tolist() == at
     assert trace.eliminations == eliminations
     assert trace.arm_pulls_total == pulls
     assert trace.clean_event_violated == violated

@@ -1,7 +1,6 @@
 import csv
 import json
 import os
-import weakref
 
 import numpy as np
 import pytest
@@ -245,6 +244,7 @@ class TestCodeBuiltConfig:
         (dict(means=(0.9,)), r"^got 1 means for k=2$"),
         (dict(deltas=(1.0,)), r"^delta 1.0 outside \(0, 1\)$"),
         (dict(epsilons=(0.5, 1e-200)), r"^epsilon 1e-200 is too small: "),
+        (dict(horizon=2**63), r"^horizon must be <= 2\*\*63 - 1$"),
     ])
     def test_rejected_at_construction(self, tmp_path, no_episodes, change,
                                       match):
@@ -371,7 +371,7 @@ class TestRunExperiment:
         trace = harness.run_episode(
             config.instance(), harness.engine_config(config, "ae-baseline",
                                                      None),
-            SeedSpec(config.master_seed, 0))
+            SeedSpec(config.master_seed, 0), range(1, 201))
         regret = trace.cumulative_regret.tolist()
         assert len(regret) == 200
         # means (1, 0) with batches of 10: regret is 0 on arm 0's pulls
@@ -379,22 +379,25 @@ class TestRunExperiment:
         assert regret[:20] == [0.0] * 10 + [float(i) for i in range(1, 11)]
         assert regret[-1] == result.traces[("ae-baseline", None, None, 0)][-1]
 
-    def test_serial_run_frees_each_episode(self, tmp_path, monkeypatch):
-        # only the checkpoints outlive an episode: when an episode starts,
-        # the traces of all earlier ones are gone
+    def test_serial_run_records_only_the_checkpoints(self, tmp_path,
+                                                     monkeypatch):
+        # each episode records its regret at the config's checkpoints
+        # alone, and those values are what the run keeps
         run_episode = harness.run_episode
-        traces, alive = [], []
+        recorded = []
 
-        def recording_episode(instance, config, seeds):
-            alive.append(sum(ref() is not None for ref in traces))
-            trace = run_episode(instance, config, seeds)
-            traces.append(weakref.ref(trace))
+        def recording_episode(instance, config, seeds, checkpoints):
+            trace = run_episode(instance, config, seeds, checkpoints)
+            recorded.append((checkpoints, trace.cumulative_regret.tolist()))
             return trace
 
         monkeypatch.setattr(harness, "run_episode", recording_episode)
         path, out = write_config(tmp_path, PRIVATE)
-        run_experiment(parse_config(path))
-        assert alive == [0] * 15
+        config = parse_config(path)
+        result = run_experiment(config)
+        assert [cps for cps, _ in recorded] == [config.checkpoints] * 15
+        assert [values for _, values in recorded] == \
+            [checks.tolist() for checks in result.traces.values()]
         assert len(list((out / "traces").iterdir())) == 15
 
     def test_rerun_replaces_traces_only(self, tmp_path):
@@ -485,10 +488,10 @@ class TestRunExperiment:
                   for p in out.rglob("*") if p.is_file()}
         run_episode = harness.run_episode
 
-        def failing_episode(instance, config, seeds):
+        def failing_episode(instance, config, seeds, checkpoints):
             if seeds.run_index == 2:
                 raise ValueError("injected episode failure")
-            return run_episode(instance, config, seeds)
+            return run_episode(instance, config, seeds, checkpoints)
 
         # pool workers are forked from this process, so they see the patch
         monkeypatch.setattr(harness, "run_episode", failing_episode)

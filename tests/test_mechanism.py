@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,6 +59,20 @@ class TestDeriveParams:
     def test_rejects_epsilon_whose_budget_is_not_finite(self, eps):
         with pytest.raises(ValueError, match=rf"^epsilon {eps} is too small"):
             derive_params(eps, 1e-5)
+
+    # 2 / delta overflows to inf below about 1.1e-308
+    @pytest.mark.parametrize("delta", [5e-324, 1e-310, 1.1e-308])
+    def test_delta_whose_inverse_overflows_has_a_finite_budget(self, delta):
+        params = derive_params(1.0, delta)
+        exact = 96 * mpmath.log(2 / mpmath.mpf(delta))
+        assert math.isfinite(params.tau)
+        assert params.tau == pytest.approx(float(exact), rel=1e-15)
+
+    @pytest.mark.parametrize("delta", [0.5, 1e-5, 1e-300, 1.2e-308])
+    def test_budget_of_a_delta_whose_inverse_is_finite_is_unchanged(self,
+                                                                    delta):
+        assert derive_params(0.7, delta).tau == \
+            96.0 * math.log(2.0 / delta) / 0.7**2
 
     @pytest.mark.parametrize("eps,delta,tau,match", [
         (0.0, 0.1, 96.0, "epsilon"), (1.1, 0.1, 96.0, "epsilon"),
