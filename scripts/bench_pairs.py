@@ -39,10 +39,12 @@ round, each side's median and quartiles of each metric over the pairs whose
 two rounds passed, the number of those pairs the head wins (a tie counts
 for neither side), and whether the head's median is better than the base's
 by more than the base's interquartile range.  It names each side by its
-commit and, where the side is not a clean git checkout, by a sha256 of its
-`src/**/*.py`.  It is never written to the root of this repository or of
-either checkout, and never replaces an earlier report.  The exit status is
-1 if any round failed.
+absolute directory, its commit and, where the side is not a clean git
+checkout, a sha256 of its `src/**/*.py`.  `same_parent_dir` is false when
+the two checkouts sit in different directories: where a tree lies alone
+can move a workload's figures.  It is never written to the root of this
+repository or of either checkout, and never replaces an earlier report.
+The exit status is 1 if any round failed.
 """
 
 from __future__ import annotations
@@ -202,15 +204,16 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
 
 
 def describe(tree: str) -> dict:
-    """The checkout's commit and whether it has local changes; for a tree
-    that is not a git checkout, or has local changes, also a sha256 of its
-    source, since the commit alone does not name the code measured."""
+    """The checkout's absolute directory, its commit and whether it has
+    local changes; for a tree that is not a git checkout, or has local
+    changes, also a sha256 of its source, since the commit alone does not
+    name the code measured."""
     def git(*args):
         proc = subprocess.run(["git", "-C", tree, *args], capture_output=True,
                               text=True, check=False)
         return proc.stdout.strip() if proc.returncode == 0 else None
     status = git("status", "--porcelain", "--untracked-files=no")
-    out = {"commit": git("rev-parse", "HEAD"),
+    out = {"dir": os.path.abspath(tree), "commit": git("rev-parse", "HEAD"),
            "dirty": bool(status) if status is not None else None}
     if out["commit"] is None or out["dirty"]:
         out["src_sha256"] = source_digest(tree)
@@ -246,6 +249,8 @@ def build_report(args, runs: list[dict], better: dict[str, str]) -> dict:
     return {"workload": args.workload, "seed": args.seed,
             "rounds": args.rounds,
             "base": describe(args.base), "head": describe(args.head),
+            "same_parent_dir": (os.path.dirname(args.base)
+                                == os.path.dirname(args.head)),
             "machine": {"nproc": os.cpu_count(),
                         "python": platform.python_version(),
                         "numpy": metadata.version("numpy"),

@@ -9,8 +9,10 @@ in the confidence radius.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+import operator
+from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,58 +44,66 @@ class EngineConfig:
         return self.privacy.sigma if self.privacy is not None else 0.0
 
 
-@dataclass
-class RegretTrace:
-    """Cumulative regret of one episode, recorded at its checkpoints.
+class Episode(NamedTuple):
+    """One episode's elimination record and what follows from it.
 
-    `checkpoints` are 1-based users in strictly ascending order.  The
-    regret after each is recorded when the batch that holds it is charged:
-    the regret at the batch's start plus the batch's gap times the pulls
-    into it, the same floating-point arithmetic as filling a per-user array
-    batch by batch, so every value is exact.  Memory is O(checkpoints), not
-    O(T).
+    `eliminations` holds (arm, phase) in phase order, arms ascending within
+    a phase.  It fixes each arm's pulls after each user (`pulls_at`), and
+    so `arm_pulls_total` and `cumulative_regret` (`regret_at`).
     """
-    checkpoints: InitVar[tuple[int, ...]] = ()
-    users: int = 0       # pulls charged so far
-    regret: float = 0.0  # cumulative regret after them
-    eliminations: list[tuple[int, int]] = field(default_factory=list)
-    clean_event_violated: bool = False
-    arm_pulls_total: list[int] = field(default_factory=list)  # incl. interrupted batch
-
-    def __post_init__(self, checkpoints):
-        self._due = [math.inf, *reversed(checkpoints)]  # the next one last
-        self._at = []  # the regret after each checkpoint recorded
-
-    def charge(self, pulls: int, gap: float) -> None:
-        """Charge one batch of `pulls` pulls of an arm with this gap."""
-        end = self.users + pulls
-        while self._due[-1] <= end:
-            self._at.append(self.regret + gap * (self._due.pop() - self.users))
-        self.users = end
-        self.regret += gap * pulls
-
-    def charge_phases(self, pulls: int, gaps: list[float], count: int) -> None:
-        """Charge `count` phases, each one batch of `pulls` pulls per gap in
-        `gaps`, in order: the records and regret of as many `charge` calls,
-        as the cumulative sum adds the same floats in the same order."""
-        g = np.array(gaps * count)
-        regret = np.add.accumulate(np.concatenate(([self.regret], g * pulls)))
-        end = self.users + pulls * g.size
-        if self._due[-1] <= end:
-            bases, batch_gaps = regret.tolist(), g.tolist()
-            while self._due[-1] <= end:
-                b, before = divmod(self._due.pop() - self.users - 1, pulls)
-                self._at.append(bases[b] + batch_gaps[b] * (before + 1))
-        self.users = end
-        self.regret = float(regret[-1])
-
+    eliminations: list[tuple[int, int]]
+    clean_event_violated: bool
+    arm_pulls_total: list[int]
     # the harness reads this, and perfbench/tracer.py looks it up
-    @property
-    def cumulative_regret(self) -> np.ndarray:
-        """Read-only regret after each checkpoint recorded so far."""
-        out = np.array(self._at)
-        out.flags.writeable = False
-        return out
+    cumulative_regret: np.ndarray
+
+
+def pulls_at(k: int, m: int | None, eliminations, users) -> list[list[int]]:
+    """Each arm's pulls after each of `users`, user counts in ascending order.
+
+    Phase p runs a batch of m users (2**p when m is None) per active arm in
+    ascending arm order; the arm of a tuple (arm, p) of `eliminations` runs
+    up to phase p.  The walk takes the phases between two eliminations at
+    once when m is constant, and one phase at a time when it doubles.
+    """
+    active, pulls, out = list(range(k)), [0] * k, []
+    # walked: `done` users, `phase` phases; the span ends at `end`, `stop`
+    done = phase = active_pulls = end = size = stop = 0
+    for user in users:
+        while user >= stop:  # walk past the span
+            active_pulls += (end - phase) * size
+            done, phase = stop, end
+            for a, p in eliminations:
+                if p == phase:
+                    pulls[a] = active_pulls
+                    active.remove(a)
+            size = m or 2**(phase + 1)
+            end = phase + 1 if m is None else min(
+                (p for _, p in eliminations if p > phase), default=math.inf)
+            stop = done + (end - phase) * len(active) * size
+        full, part = divmod(user - done, len(active) * size)
+        batches, part = divmod(part, size)
+        out.append(pulls[:])
+        for i, a in enumerate(active):
+            out[-1][a] = (active_pulls + (full + (i < batches)) * size
+                          + (i == batches) * part)
+    return out
+
+
+def regret_at(instance: BanditInstance, pulls) -> np.ndarray:
+    """Sum_a gap_a N_a per row N of `pulls`, correctly rounded, read-only.
+
+    A mean's as_integer_ratio() has a power-of-two denominator, so over the
+    largest of them every gap is an integer, each sum is exact, and one int
+    division, which Python rounds correctly, finishes it.
+    """
+    ratios = [mu.as_integer_ratio() for mu in instance.means]
+    scale = max(d for _, d in ratios)
+    units = [n * (scale // d) for n, d in ratios]
+    gaps = [max(units) - u for u in units]
+    out = np.array([sum(map(operator.mul, gaps, row)) / scale for row in pulls])
+    out.flags.writeable = False
+    return out
 
 
 def confidence_radius(t: int, pulls: int, horizon: float, sigma: float) -> float:
@@ -119,33 +129,20 @@ def eliminate(active: list[bool], estimates: list[float],
     return out
 
 
-def run_phase(sums, pulls, active, tapes, m, instance, trace):
+def run_phase(sums, pulls, active, tapes, m):
     """Pull one batch of m users per active arm, in ascending arm order.
 
     Each batch adds its users to `pulls[a]` and the estimate that arm a's
-    tape draws for it to `sums[a]`.  `tapes` is None for the phase the
-    horizon cuts short: its batches are charged up to the T-th pull and
-    draw nothing, since no elimination test reads that phase's sums.
-    Returns the number of users consumed so far.
+    tape draws for it to `sums[a]`.
     """
-    gaps = instance.gaps
-    horizon = instance.horizon
-    for a in range(instance.k):
-        if not active[a]:
-            continue
-        take = min(m, horizon - trace.users)
-        trace.charge(take, gaps[a])
-        pulls[a] += take
-        if trace.users == horizon:
-            # the T-th pull exits before the communication step
-            break
-        if tapes is not None:
+    for a, on in enumerate(active):
+        if on:
+            pulls[a] += m
             sums[a] += tapes[a].draw(m)
-    return trace.users
 
 
 def run_block(sums, pulls, active, tapes, ahead, m, phases, phase, sigma,
-              instance, trace):
+              instance, eliminations):
     """Run `phases` complete phases after `phase` as one numpy block.
 
     Each active arm's tape draws the block's estimates by one sized call per
@@ -154,9 +151,9 @@ def run_block(sums, pulls, active, tapes, ahead, m, phases, phase, sigma,
     checks and elimination tests of every phase are computed at once, with
     the float operations of the phase loop, `confidence_radius` and
     `eliminate` in their order.  The block is committed up to its first
-    eliminating phase, whose eliminations `eliminate` applies.  Returns the
-    last phase run and the surviving arms' estimates for the phases not
-    run, or None.
+    eliminating phase, whose eliminations `eliminate` applies and appends
+    to `eliminations`.  Returns the last phase run, the surviving arms'
+    estimates for the phases not run or None, and the clean-event flag.
     """
     arms = [a for a in range(instance.k) if active[a]]
     # row i: arm arms[i]'s sum so far, then its estimates of the block
@@ -178,9 +175,7 @@ def run_block(sums, pulls, active, tapes, ahead, m, phases, phase, sigma,
     eliminating = np.flatnonzero(((estimates + radius) < best_lcb).any(axis=0))
     run = int(eliminating[0]) + 1 if eliminating.size else phases
     means = [[instance.means[a]] for a in arms]
-    if (np.abs(estimates[:, :run] - means) > radius[:run]).any():
-        trace.clean_event_violated = True
-    trace.charge_phases(m, [instance.gaps[a] for a in arms], run)
+    violated = bool((np.abs(estimates[:, :run] - means) > radius[:run]).any())
     for a, total in zip(arms, running[:, run].tolist()):
         sums[a] = total
         pulls[a] += run * m
@@ -189,30 +184,30 @@ def run_block(sums, pulls, active, tapes, ahead, m, phases, phase, sigma,
         last = [0.0] * instance.k
         for a, estimate in zip(arms, estimates[:, run - 1].tolist()):
             last[a] = estimate
-        for a in eliminate(active, last, float(radius[run - 1])):
-            trace.eliminations.append((a, phase))
+        eliminations += ((a, phase) for a in
+                         eliminate(active, last, float(radius[run - 1])))
     if run == phases:
-        return phase, None
-    return phase, block[[active[a] for a in arms], run + 1:]
+        return phase, None, violated
+    return phase, block[[active[a] for a in arms], run + 1:], violated
 
 
 def run_episode(instance: BanditInstance, config: EngineConfig,
-                seeds: SeedSpec, checkpoints=()) -> RegretTrace:
+                seeds: SeedSpec, checkpoints=()) -> Episode:
     """One seeded run to the horizon; deterministic given (instance, config, seeds).
 
-    The trace records the regret after each of `checkpoints`, users in
-    [1, horizon] in strictly ascending order, and nothing by default.
+    Records the regret after each of `checkpoints`, users in [1, horizon]
+    in strictly ascending order, and nothing by default.
 
     Each loop iteration runs one phase: a batch of every active arm, the
     clean-event check and an elimination test.  With a constant batch size,
     an iteration instead runs every complete phase left with the active
     arms, at most RUN_CAP, as one block (`run_block`), up to and including
     its first elimination; the one-phase list path is faster for a single
-    phase, and so runs every doubling phase.  A phase runs in full while
-    its users stay below the horizon.  The phase the horizon cuts short is
-    only charged and draws nothing: no elimination test reads its sums.
-    Each arm's tape draws its estimates from the arm's own generators, so
-    the streams are those of drawing batch by batch.
+    phase, and so runs every doubling phase.  Only the phases whose users
+    stay below the horizon run; the one it cuts short reaches no test.
+    The pulls, up to the T-th, and the regret follow from the elimination
+    record.  Each arm's tape draws its estimates from the arm's own
+    generators, so the streams are those of drawing batch by batch.
     """
     k = instance.k
     means = instance.means
@@ -226,33 +221,32 @@ def run_episode(instance: BanditInstance, config: EngineConfig,
     cps = list(checkpoints)
     if cps != sorted(set(cps)) or cps and not 0 < cps[0] <= cps[-1] <= horizon:
         raise ValueError(f"checkpoints must ascend strictly in [1, {horizon}]")
-    trace = RegretTrace(cps)
+    eliminations, violated = [], False
     sigma = config.sigma
     ahead = None  # estimates a block drew for phases it did not run
     phase = 0
     while True:
         m = config.m or 2**(phase + 1)
         # complete phases left with these arms: users + phases * n * m < T
-        phases = (horizon - trace.users - 1) // (active.count(True) * m)
+        phases = (horizon - sum(pulls) - 1) // (active.count(True) * m)
         if phases == 0:
             break
         if config.m is not None and (phases > 1 or ahead is not None):
-            phase, ahead = run_block(sums, pulls, active, tapes, ahead, m,
-                                     min(phases, RUN_CAP), phase, sigma,
-                                     instance, trace)
+            phase, ahead, hit = run_block(sums, pulls, active, tapes, ahead, m,
+                                          min(phases, RUN_CAP), phase, sigma,
+                                          instance, eliminations)
+            violated = violated or hit
             continue
         phase += 1
-        run_phase(sums, pulls, active, tapes, m, instance, trace)
+        run_phase(sums, pulls, active, tapes, m)
         # every active arm has as many pulls, hence one radius
         pulled = pulls[active.index(True)]
         radius = confidence_radius(phase, pulled, horizon, sigma)
         estimates = [s / pulled for s in sums]
         for a in range(k):
             if active[a] and abs(estimates[a] - means[a]) > radius:
-                trace.clean_event_violated = True
-        for a in eliminate(active, estimates, radius):
-            trace.eliminations.append((a, phase))
-    # the phase the horizon cuts short
-    run_phase(sums, pulls, active, None, m, instance, trace)
-    trace.arm_pulls_total = pulls
-    return trace
+                violated = True
+        eliminations += ((a, phase)
+                         for a in eliminate(active, estimates, radius))
+    *at, total = pulls_at(k, config.m, eliminations, [*cps, horizon])
+    return Episode(eliminations, violated, total, regret_at(instance, at))

@@ -10,7 +10,6 @@ next run of batches of one size, and the tape draws exactly those.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import numpy.random  # numpy loads it lazily, on the first draw otherwise
@@ -49,16 +48,6 @@ class BanditInstance:
     def best_arm(self) -> int:
         # ties broken by lowest index (np.argmax does exactly that)
         return int(np.argmax(self.means))
-
-    @property
-    def best_mean(self) -> float:
-        return self.means[self.best_arm]
-
-    @cached_property
-    def gaps(self) -> tuple[float, ...]:
-        # read once per phase by the engine; computed once per instance
-        mu_star = self.best_mean
-        return tuple(mu_star - mu for mu in self.means)
 
 
 def make_instance(k: int, means: list[float], horizon: int) -> BanditInstance:

@@ -233,8 +233,9 @@ def _run_jobs(config: ExperimentConfig, keys: list, stage: str,
     soon as the episode has run, so that the file creations overlap the
     other workers' episodes, and otherwise after the last episode, since
     creating the files back to back costs about half as much per file as
-    creating each between two episodes.  An episode records its regret at
-    the checkpoints alone, so its memory does not grow with the horizon.
+    creating each between two episodes.  An episode's regret at the
+    checkpoints follows from its elimination record, so its memory does
+    not grow with the horizon.
     """
     instance = config.instance()
     out = []
@@ -242,10 +243,10 @@ def _run_jobs(config: ExperimentConfig, keys: list, stage: str,
         variant, eps, delta, seed = key
         params = None if eps is None else derive_params(eps, delta)
         econf = engine_config(config, variant, params)
-        trace = run_episode(instance, econf, SeedSpec(config.master_seed, seed),
-                            config.checkpoints)
-        checks = trace.cumulative_regret
-        out.append((checks, bool(trace.clean_event_violated)))
+        seeds = SeedSpec(config.master_seed, seed)
+        episode = run_episode(instance, econf, seeds, config.checkpoints)
+        checks = episode.cumulative_regret
+        out.append((checks, episode.clean_event_violated))
         if pooled:
             _write_trace(config, stage, key, checks)
     if not pooled:

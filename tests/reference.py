@@ -11,6 +11,9 @@
   as the definition reads.
 - `hinge_ranges` lays out the ranges and tail bounds `hockey_stick` reads,
   so that the tests can check each against the full support.
+- `batch_schedule`, `replay_pulls` and `exact_regret` replay an elimination
+  record user by user and sum its regret in `Fraction`s, so the engine's
+  pulls and regret are tested against what its record implies.
 - `elimination_law` is the exact law of a two-arm noiseless episode, so the
   engine's random decisions are tested against the algorithm, not against a
   second implementation of the same loop.
@@ -21,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -217,3 +221,42 @@ def elimination_law(means: tuple[float, float], horizon: int) -> dict:
     law[(None, None, False)] += float(p[0].sum())
     law[(None, None, True)] += float(p[1].sum())
     return dict(law)
+
+
+def batch_schedule(k: int, m: int | None, eliminations,
+                   horizon: int) -> list[tuple[int, int, int]]:
+    """(phase, arm, users) of every batch up to the horizon, in order.
+
+    Phase p gives each arm not eliminated before p a batch of m users
+    (2**p when m is None), in ascending arm order; the batch that reaches
+    the horizon holds only the users up to it.
+    """
+    batches, users, phase = [], 0, 0
+    while users < horizon:
+        phase += 1
+        for a in range(k):
+            if users < horizon and not any(
+                    b == a and p < phase for b, p in eliminations):
+                take = min(m or 2**phase, horizon - users)
+                batches.append((phase, a, take))
+                users += take
+    return batches
+
+
+def replay_pulls(k: int, batches, users) -> list[list[int]]:
+    """Each arm's pulls after each of `users`, counted user by user."""
+    due, pulls, rows, user = set(users), [0] * k, {}, 0
+    for _, a, take in batches:
+        for _ in range(take):
+            pulls[a] += 1
+            user += 1
+            if user in due:
+                rows[user] = pulls[:]
+    return [rows[u] for u in users]
+
+
+def exact_regret(means, pulls) -> list[float]:
+    """float(sum_a Fraction(gap_a) N_a) for each row N of `pulls`."""
+    best = max(map(Fraction, means))
+    gaps = [best - Fraction(mu) for mu in means]
+    return [float(sum(g * n for g, n in zip(gaps, row))) for row in pulls]

@@ -164,7 +164,8 @@ def test_criterion_8_log_t_regret_growth():
         instance = make_instance(5, MEANS5, horizon)
         config = EngineConfig(privacy=params)
         regrets[horizon] = np.mean(
-            [run_episode(instance, config, SeedSpec(808, s)).regret
+            [run_episode(instance, config, SeedSpec(808, s),
+                         [horizon]).cumulative_regret[0]
              for s in range(seeds)])
     ratio = regrets[4 * 10**4] / regrets[10**4]
     assert report("8 (log-T regret growth)", ratio <= 3.0,
@@ -184,7 +185,8 @@ def test_criterion_9_epsilon_scaling_separation():
                         ("vb-sdp-ae", None)):
             config = EngineConfig(m=m, privacy=params)
             mean_regret[(name, eps)] = np.mean(
-                [run_episode(instance, config, SeedSpec(909, s)).regret
+                [run_episode(instance, config, SeedSpec(909, s),
+                             [horizon]).cumulative_regret[0]
                  for s in range(seeds)])
     sdp_inc = mean_regret[("sdp-ae", 0.25)] - mean_regret[("sdp-ae", 1.0)]
     vb_inc = mean_regret[("vb-sdp-ae", 0.25)] - mean_regret[("vb-sdp-ae", 1.0)]

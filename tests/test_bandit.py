@@ -7,16 +7,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shufflebandit import bandit, harness
-from shufflebandit.bandit import (EngineConfig, RegretTrace, confidence_radius,
-                                  eliminate, run_episode, run_phase)
+from shufflebandit.bandit import (EngineConfig, confidence_radius, eliminate,
+                                  pulls_at, regret_at, run_episode, run_phase)
 from shufflebandit.env import RewardTape, SeedSpec, make_instance
 from shufflebandit.mechanism import derive_params, noise_law
 
-from reference import noisy_sum
+from reference import batch_schedule, exact_regret, noisy_sum, replay_pulls
 
 I_4_30_12_1E5 = 8.553728421127085  # (2*2*12/30 + 1/sqrt(30)) * sqrt(2 ln 1e5)
 
@@ -64,16 +64,14 @@ class TestRunPhase:
         inst = make_instance(2, [1.0, 0.0], 1000)
         sums, pulls, active = [0.0, 0.0], [0, 0], [True, True]
         tapes = _tapes(inst, SeedSpec(0))
-        consumed = run_phase(sums, pulls, active, tapes, 10, inst,
-                             RegretTrace())
-        assert consumed == 20
+        run_phase(sums, pulls, active, tapes, 10)
         assert pulls == [10, 10]
 
     def test_noiseless_exact_sum(self):
         inst = make_instance(1, [1.0], 100)
         sums, pulls = [0.0], [0]
         tapes = _tapes(inst, SeedSpec(0))
-        run_phase(sums, pulls, [True], tapes, 5, inst, RegretTrace())
+        run_phase(sums, pulls, [True], tapes, 5)
         assert sums[0] == 5.0
         assert sums[0] / pulls[0] == 1.0
 
@@ -81,32 +79,30 @@ class TestRunPhase:
         inst = make_instance(2, [0.5, 0.5], 10**4)
         sums, pulls, active = [0.0, 0.0], [0, 0], [True, True]
         tapes = _tapes(inst, SeedSpec(0))
-        trace = RegretTrace()
         for t in (1, 2, 3):
-            run_phase(sums, pulls, active, tapes, 2**t, inst, trace)
+            run_phase(sums, pulls, active, tapes, 2**t)
         assert pulls == [2**4 - 2] * 2
 
-    def test_horizon_exit_skips_mechanism(self):
-        # the batch reaching the T-th pull is charged but never aggregated
+    def test_horizon_exit_skips_mechanism(self, monkeypatch):
+        # T = 15 cuts the first phase short during arm 1's batch: no phase
+        # runs, no tape draws, and the pulls up to the T-th are counted
+        monkeypatch.setattr(RewardTape, "draw", None)
         inst = make_instance(2, [1.0, 1.0], 15)
-        sums, pulls, active = [0.0, 0.0], [0, 0], [True, True]
-        tapes = _tapes(inst, SeedSpec(0))
-        trace = RegretTrace()
-        assert run_phase(sums, pulls, active, tapes, 10, inst, trace) == 15
-        assert sums == [10.0, 0.0]  # interrupted batch, no state update
-        assert pulls == [10, 5]
-        assert trace.users == 15
+        episode = run_episode(inst, EngineConfig(m=10), SeedSpec(0), [15])
+        assert episode.arm_pulls_total == [10, 5]
+        assert episode.cumulative_regret.tolist() == [0.0]
 
-    def test_cut_phase_charges_without_tapes(self):
-        # the phase the horizon cuts short gets no tapes: its batches are
-        # charged up to the T-th pull and leave every sum untouched
+    def test_cut_phase_pulls_follow_from_the_record(self, monkeypatch):
+        # the phase the horizon cuts short never runs: its pulls, up to the
+        # T-th, and their regret follow from the (empty) elimination record
+        monkeypatch.setattr(RewardTape, "draw", None)
         inst = make_instance(3, [1.0, 0.5, 0.0], 25)
-        sums, pulls, active = [0.0] * 3, [0] * 3, [True] * 3
-        trace = RegretTrace()
-        assert run_phase(sums, pulls, active, None, 10, inst, trace) == 25
-        assert sums == [0.0] * 3
-        assert pulls == [10, 10, 5]
-        assert trace.regret == 0.5 * 10 + 1.0 * 5
+        episode = run_episode(inst, EngineConfig(m=10), SeedSpec(0), [24, 25])
+        assert episode.eliminations == []
+        assert episode.arm_pulls_total == [10, 10, 5]
+        assert pulls_at(3, 10, [], [24, 25]) == [[10, 10, 4], [10, 10, 5]]
+        assert episode.cumulative_regret.tolist() == [0.5 * 10 + 1.0 * 4,
+                                                      0.5 * 10 + 1.0 * 5]
 
     @pytest.mark.parametrize("m", [8, 300])  # below and above tau ~ 133
     def test_commits_values_drawn_ahead(self, m):
@@ -119,9 +115,8 @@ class TestRunPhase:
         law = functools.partial(noise_law, params=params)
         tapes = _tapes(inst, seeds, law)
         sums, pulls, active = [0.0, 0.0], [0, 0], [True, True]
-        trace = RegretTrace()
         for _ in range(3):
-            run_phase(sums, pulls, active, tapes, m, inst, trace)
+            run_phase(sums, pulls, active, tapes, m)
         for a in range(2):
             rewards, noise = seeds.reward_rng(a), seeds.noise_rng(a)
             estimates = [
@@ -149,10 +144,10 @@ class TestRunEpisode:
                       if 2 * confidence_radius(t, m * t, horizon, 0.0) < 1)
         inst = make_instance(2, [1.0, 0.0], horizon)
         config = EngineConfig(m=m)
-        trace = run_episode(inst, config, SeedSpec(11))
+        trace = run_episode(inst, config, SeedSpec(11), [horizon])
         assert trace.eliminations == [(1, t_star)]
         assert trace.arm_pulls_total[1] == m * t_star
-        assert trace.regret == m * t_star
+        assert trace.cumulative_regret.tolist() == [m * t_star]
 
     def test_pull_accounting(self):
         inst = make_instance(3, [0.9, 0.5, 0.1], 777)
@@ -168,10 +163,9 @@ class TestRunEpisode:
         trace = run_episode(inst, config, SeedSpec(5), range(1, 2001))
         assert trace.cumulative_regret.size == 2000
         assert np.all(np.diff(trace.cumulative_regret) >= 0)
-        # final value equals the gap-weighted pull counts
-        gaps = inst.gaps
-        expected = sum(n * g for n, g in zip(trace.arm_pulls_total, gaps))
-        assert trace.regret == pytest.approx(expected)
+        # the final value is the gap-weighted pull counts, correctly rounded
+        assert trace.cumulative_regret[-1] == exact_regret(
+            inst.means, [trace.arm_pulls_total])[0]
 
     def test_equal_footing_constant_schedule(self, monkeypatch):
         # all active arms share N (hence I) after every full phase, so the
@@ -333,7 +327,8 @@ class TestRunEpisode:
             with pytest.raises(ValueError, match="checkpoints must ascend"):
                 run_episode(inst, EngineConfig(m=3), SeedSpec(1), checkpoints)
         trace = run_episode(inst, EngineConfig(m=3), SeedSpec(1), [1, 100])
-        assert trace.cumulative_regret.tolist() == [0.0, trace.regret]
+        assert trace.cumulative_regret.tolist() == [
+            0.0, exact_regret(inst.means, [trace.arm_pulls_total])[0]]
 
 
 def _record_noise_draws(instance, config, seeds):
@@ -370,41 +365,45 @@ def _assert_scalar_noise_draws(seq, arm, seeds, params):
         [int(rng.binomial(law.n, law.q)) for law in laws]
 
 
-def _reference_fill(batches, horizon):
-    """Per-user cumulative regret filled batch by batch, as the engine once
-    kept it: the reference every recorded value must reproduce exactly."""
-    cum = np.empty(horizon, dtype=np.float64)
-    consumed = 0
-    for take, gap in batches:
-        base = cum[consumed - 1] if consumed > 0 else 0.0
-        if gap == 0.0:
-            cum[consumed:consumed + take] = base
-        else:
-            cum[consumed:consumed + take] = base + gap * np.arange(1, take + 1)
-        consumed += take
-    assert consumed == horizon
-    return cum
+# non-dyadic means: their gaps and regrets are not exact in floats
+MEANS = st.sampled_from([0.0, 1.0, 0.5, 0.1, 0.7, 1 / 3, 0.6299, 0.71])
 
 
 @st.composite
-def charges(draw):
-    """Checkpoints, and the charges that pass them: ("one", pulls, gap) for
-    `charge` and ("phases", pulls, gaps, count) for `charge_phases`."""
-    gap = st.sampled_from([0.0, 0.0, 0.1, 0.25, 1 / 3, 0.7])
-    calls = draw(st.lists(st.one_of(
-        st.tuples(st.just("one"), st.integers(1, 40), gap),
-        st.tuples(st.just("phases"), st.integers(1, 40),
-                  st.lists(gap, min_size=1, max_size=5), st.integers(1, 6))),
-        min_size=1, max_size=12))
-    users = sum(c[1] if c[0] == "one" else c[1] * len(c[2]) * c[3]
-                for c in calls)
-    checkpoints = draw(st.lists(st.integers(1, users), unique=True))
-    return sorted(checkpoints), calls
+def records(draw):
+    """(k, means, m, eliminations, horizon, checkpoints) of a valid
+    elimination record: fewer than k arms go, each at a phase that ends
+    before the horizon, and the checkpoints hold user 1, users of the phase
+    the horizon cuts short, and the horizon."""
+    k = draw(st.integers(1, 5))
+    means = draw(st.lists(MEANS, min_size=k, max_size=k))
+    m = draw(st.one_of(st.none(), st.integers(1, 40)))
+    gone = draw(st.permutations(range(k)))[:draw(st.integers(0, k - 1))]
+    eliminations, phase = [], 0
+    for a in gone:
+        # 0 puts the arm in the last elimination's phase
+        phase += draw(st.integers(0 if eliminations else 1, 3))
+        eliminations.append((a, phase))
+    eliminations.sort(key=lambda e: (e[1], e[0]))
+    # users up to the end of the last elimination phase
+    through = sum((m or 2**p) * sum(not any(b == a and q < p
+                                            for b, q in eliminations)
+                                    for a in range(k))
+                  for p in range(1, phase + 1))
+    horizon = through + draw(st.integers(1, 3000))
+    batches = batch_schedule(k, m, eliminations, horizon)
+    cut = batches[-1][0]
+    cut_start = sum(take for p, _, take in batches if p < cut)
+    checkpoints = {1, horizon, cut_start + 1, *draw(st.lists(
+        st.integers(cut_start + 1, horizon), max_size=4)), *draw(st.lists(
+            st.integers(1, horizon), max_size=8))}
+    return k, means, m, eliminations, horizon, sorted(checkpoints)
 
 
 class TestRegretSegments:
-    """The regret curve is linear along each batch; the values recorded at
-    checkpoints are exactly those of filling it per user, batch by batch."""
+    """An episode's pulls and regret follow from its elimination record:
+    `pulls_at` walks the batch schedule, and `regret_at` sums the gaps
+    times the pulls exactly, with one correctly rounded division."""
     # arms 0 and 1 tie for best, so two arms have zero gap
     MEANS = [0.8, 0.8, 0.3, 0.55]
 
@@ -414,79 +413,85 @@ class TestRegretSegments:
         (EngineConfig(), True),
     ])
     @pytest.mark.parametrize("horizon", [1, 997, 5001])
-    def test_segments_equal_per_user_fill(self, monkeypatch, schedule,
-                                          private, horizon):
-        batches = []  # (pulls, gap) of every batch charged
-        charge = RegretTrace.charge
-
-        def recording_charge(trace, pulls, gap):
-            batches.append((pulls, gap))
-            return charge(trace, pulls, gap)
-
-        charge_phases = RegretTrace.charge_phases
-
-        def recording_charge_phases(trace, pulls, gaps, count):
-            batches.extend((pulls, gap) for _ in range(count) for gap in gaps)
-            return charge_phases(trace, pulls, gaps, count)
-
-        monkeypatch.setattr(RegretTrace, "charge", recording_charge)
-        monkeypatch.setattr(RegretTrace, "charge_phases",
-                            recording_charge_phases)
+    def test_segments_equal_per_user_fill(self, schedule, private, horizon):
+        # the regret after every user is that of replaying the episode's
+        # record user by user, summed in Fractions
         inst = make_instance(4, self.MEANS, horizon)
         config = replace(schedule, privacy=derive_params(0.9, 1e-2) if private
                          else None)
-        trace = run_episode(inst, config, SeedSpec(31), range(1, horizon + 1))
-        reference = _reference_fill(batches, horizon)
-        np.testing.assert_array_equal(trace.cumulative_regret, reference)
+        users = range(1, horizon + 1)
+        episode = run_episode(inst, config, SeedSpec(31), users)
+        batches = batch_schedule(4, config.m, episode.eliminations, horizon)
+        rows = replay_pulls(4, batches, users)
+        assert episode.cumulative_regret.tolist() == \
+            exact_regret(self.MEANS, rows)
+        assert episode.arm_pulls_total == rows[-1]
         checkpoints = sorted({1, (horizon + 1) // 2, horizon})
         sparse = run_episode(inst, config, SeedSpec(31), checkpoints)
-        np.testing.assert_array_equal(sparse.cumulative_regret,
-                                      reference[np.array(checkpoints) - 1])
-        assert trace.regret == sparse.regret == reference[-1]
+        np.testing.assert_array_equal(
+            sparse.cumulative_regret,
+            episode.cumulative_regret[np.array(checkpoints) - 1])
         # every case ends on a batch cut short by the horizon
-        full_sizes = {schedule.m or 2**phase for phase in range(1, 30)}
-        assert batches[-1][0] not in full_sizes
+        full_sizes = {config.m or 2**phase for phase in range(1, 30)}
+        assert batches[-1][2] not in full_sizes
 
-    @given(charges())
+    @given(records())
     @settings(max_examples=200, deadline=None)
-    def test_charge_phases_records_as_charge_does(self, case):
-        checkpoints, calls = case
-        trace, replay = RegretTrace(checkpoints), RegretTrace(checkpoints)
-        for call in calls:
-            if call[0] == "one":
-                trace.charge(*call[1:])
-                replay.charge(*call[1:])
-            else:
-                _, pulls, gaps, count = call
-                trace.charge_phases(pulls, gaps, count)
-                for gap in gaps * count:
-                    replay.charge(pulls, gap)
-        assert trace.users == replay.users
-        assert trace.regret == replay.regret
-        assert trace.cumulative_regret.tolist() == \
-            replay.cumulative_regret.tolist()
-        assert trace.cumulative_regret.size == len(checkpoints)
+    # an elimination in every phase, up to the last arm
+    @example((5, [0.1, 0.7, 1 / 3, 0.6299, 0.71], 3,
+              [(0, 1), (2, 2), (3, 3), (1, 4)], 50, [1, 13, 29, 43, 49, 50]))
+    @example((4, [0.71, 0.6299, 0.333, 0.7], None,
+              [(2, 1), (3, 2), (1, 3)], 200, [1, 8, 9, 30, 36, 37, 149, 200]))
+    def test_pulls_and_regret_equal_a_fraction_replay(self, record):
+        k, means, m, eliminations, horizon, checkpoints = record
+        rows = pulls_at(k, m, eliminations, checkpoints)
+        batches = batch_schedule(k, m, eliminations, horizon)
+        assert rows == replay_pulls(k, batches, checkpoints)
+        inst = make_instance(k, means, horizon)
+        assert regret_at(inst, rows).tolist() == exact_regret(means, rows)
+
+    def test_recorded_regret_is_correctly_rounded(self, tmp_path):
+        # a serial run with non-dyadic means to T = 1e6: each value recorded
+        # is the exact regret of the episode's record, correctly rounded
+        config = harness.ExperimentConfig(
+            k=4, means=(0.71, 0.6299, 0.333, 0.7), horizon=10**6,
+            variants=harness.VARIANTS, epsilons=(1.0,), deltas=(1e-5,),
+            seeds=1, master_seed=7,
+            checkpoints=(1, 999, 10**4, 123457, 10**6), output=str(tmp_path))
+        result = harness.run_experiment(config)
+        assert len(result.traces) == 3
+        for (variant, eps, delta, seed), recorded in result.traces.items():
+            params = None if eps is None else derive_params(eps, delta)
+            econf = harness.engine_config(config, variant, params)
+            episode = run_episode(config.instance(), econf,
+                                  SeedSpec(config.master_seed, seed),
+                                  config.checkpoints)
+            batches = batch_schedule(4, econf.m, episode.eliminations,
+                                     config.horizon)
+            rows = replay_pulls(4, batches, config.checkpoints)
+            assert recorded.tolist() == exact_regret(config.means, rows)
 
     def test_zero_gap_batches_keep_regret_flat(self):
-        trace = RegretTrace(range(1, 20))
-        for pulls, gap in [(5, 0.0), (5, 0.0), (3, 0.2), (2, 0.0), (4, 0.0)]:
-            trace.charge(pulls, gap)
+        # batches of 5 of arms 0 and 1 (tied best), arm 2, then arm 0 again
+        inst = make_instance(3, [0.5, 0.5, 0.25], 19)
+        rows = pulls_at(3, 5, [], range(1, 20))
         np.testing.assert_array_equal(
-            trace.cumulative_regret,
-            [0.0] * 10 + [0.2, 0.4, 0.2 * 3] + [0.2 * 3] * 6)
+            regret_at(inst, rows),
+            [0.0] * 10 + [0.25 * n for n in range(1, 6)] + [1.25] * 4)
 
-    def test_checkpoints_record_only_once_charged(self):
-        trace = RegretTrace([2, 9, 10])
-        trace.charge(4, 0.5)
-        assert trace.cumulative_regret.tolist() == [1.0]
-        trace.charge_phases(3, [0.0, 0.25], 1)
-        assert trace.cumulative_regret.tolist() == [1.0, 2.5, 2.75]
+    def test_checkpoints_read_the_pulls_up_to_them(self):
+        # arms 0 and 1 in batches of 3; arm 1 goes at phase 1, so arm 0
+        # alone pulls from user 7 on
+        assert pulls_at(2, 3, [(1, 1)], [2, 9, 10]) == [[2, 0], [6, 3],
+                                                        [7, 3]]
+        assert pulls_at(2, None, [(1, 1)], [2, 3, 8]) == [[2, 0], [2, 1],
+                                                          [6, 2]]
 
     def test_expansion_is_read_only(self):
-        trace = RegretTrace([1, 2, 3])
-        trace.charge(3, 0.25)
+        episode = run_episode(make_instance(2, [0.5, 0.25], 10),
+                              EngineConfig(m=2), SeedSpec(1), [1, 2, 3])
         with pytest.raises(ValueError):
-            trace.cumulative_regret[0] = 1.0
+            episode.cumulative_regret[0] = 1.0
 
 
 def _load_tracer():
@@ -503,11 +508,9 @@ class TestTracerHooks:
         # renaming one, or no longer calling it, must fail here
         tracing = _load_tracer()
         tracer = tracing.Tracer()
-        horizon, m = 1000, 10
-        t_star = next(t for t in range(1, 200)
-                      if 2 * confidence_radius(t, m * t, horizon, 0.0) < 1)
+        horizon = 1000
         inst = make_instance(2, [1.0, 0.0], horizon)
-        config = EngineConfig(m=m)
+        config = EngineConfig()  # doubling batches, noiseless
         originals = (bandit.run_phase, bandit.eliminate, harness.run_episode)
         uninstall = tracing.install(tracer)
         try:
@@ -518,10 +521,11 @@ class TestTracerHooks:
         assert (bandit.run_phase, bandit.eliminate,
                 harness.run_episode) == originals
         metrics = tracing.layer_metrics(tracer)
-        # the t_star phases of both arms and those of arm 0 alone run as
-        # two blocks; run_phase runs only the phase the horizon cuts short
-        assert trace.eliminations == [(1, t_star)]
-        assert metrics["bandit.phases"] == 1
+        # arm 1 goes at phase 5, the first whose radius, at 62 exact pulls
+        # an arm, is below 1/2; arm 0 alone runs phases 6 to 8 (572 users),
+        # and phase 9 of 512 users, which the horizon cuts short, never runs
+        assert trace.eliminations == [(1, 5)]
+        assert metrics["bandit.phases"] == 8
         assert metrics["bandit.eliminations"] == len(trace.eliminations) == 1
         assert metrics["bandit.regret_bytes"] == 8 * horizon
 
@@ -558,24 +562,24 @@ class TestTracerHooks:
 
 class TestEngineConfig:
     def test_doubling_sizes(self, monkeypatch):
-        # batches of 2, 4 and 8 users fill T = 14; the last is cut short by
-        # the horizon, so only the first two are read
+        # batches of 2, 4 and 8 users fill T = 14; the last reaches the
+        # horizon, so only the first two phases run and are read
         sizes, read = [], []
-        charge, draw = RegretTrace.charge, RewardTape.draw
+        draw = RewardTape.draw
 
-        def recording_charge(trace, pulls, gap):
-            sizes.append(pulls)
-            return charge(trace, pulls, gap)
+        def recording_run_phase(sums, pulls, active, tapes, m):
+            sizes.append(m)
+            return run_phase(sums, pulls, active, tapes, m)
 
         def recording_draw(tape, batch_size):
             read.append(batch_size)
             return draw(tape, batch_size)
 
-        monkeypatch.setattr(RegretTrace, "charge", recording_charge)
+        monkeypatch.setattr(bandit, "run_phase", recording_run_phase)
         monkeypatch.setattr(RewardTape, "draw", recording_draw)
         trace = run_episode(make_instance(1, [0.5], 14), EngineConfig(),
                             SeedSpec(3))
-        assert sizes == [2, 4, 8]
+        assert sizes == [2, 4]
         assert read == [2, 4]
         assert trace.arm_pulls_total == [14]
 

@@ -107,3 +107,19 @@ def test_report_without_scipy(monkeypatch):
                                       "loadavg_at_end"}
     assert report["base"] == {"tree": "b"}
     assert report["summary"]["desk_engine_ms"]["head_wins"] == 2
+
+
+@pytest.mark.parametrize("base,head,same", [
+    ("/w/parent", "/w/change", True),
+    ("/w/parent", "/v/change", False),
+])
+def test_report_flags_checkouts_in_different_directories(monkeypatch, base,
+                                                         head, same):
+    # where a tree lies alone can move a workload's figures
+    monkeypatch.setattr(bench_pairs, "describe", lambda tree: {"dir": tree})
+    args = argparse.Namespace(workload="engine", seed=1, rounds=1,
+                              base=base, head=head)
+    runs = rounds([2.0], [1.0], "desk_engine_ms")
+    report = bench_pairs.build_report(args, runs, {"desk_engine_ms": "lower"})
+    assert report["same_parent_dir"] is same
+    assert (report["base"], report["head"]) == ({"dir": base}, {"dir": head})

@@ -4,9 +4,11 @@ and against the exact law of its decisions.
 `reference_episode` is the engine as it was before it drew runs of phases
 ahead: per-arm pull counts, one reward sum by a scalar call on the arm's
 `SeedSpec.reward_rng`, one `noisy_sum` and one radius per arm and batch,
-and its own copy of the elimination rule over per-arm radii.  It shares no
-code with `RewardTape`.  The engine must reproduce its outputs exactly, for
-any instance, batch size, privacy and horizon.
+and its own copy of the elimination rule over per-arm radii.  It counts
+the pulls up to the T-th, and sums the regret exactly, in integers over
+the gaps' common denominator.  It shares no code with `RewardTape`,
+`pulls_at` or `regret_at`.  The engine must reproduce its outputs exactly,
+for any instance, batch size, privacy and horizon.
 
 A second reference of the same loop cannot catch an error that both share.
 `reference.elimination_law` computes what the algorithm's decisions must
@@ -15,6 +17,7 @@ follow, exactly, and the engine's episodes are tested against it.
 
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,37 +26,58 @@ from hypothesis import strategies as st
 from scipy.special import chdtrc
 
 from shufflebandit import bandit
-from shufflebandit.bandit import (RUN_CAP, EngineConfig, RegretTrace,
-                                  confidence_radius, run_episode)
+from shufflebandit.bandit import (RUN_CAP, EngineConfig, Episode,
+                                  confidence_radius, pulls_at, run_episode)
 from shufflebandit.env import RewardTape, SeedSpec, make_instance
 from shufflebandit.mechanism import derive_params
 
 from reference import elimination_law, noisy_sum
 
 
+class Tally:
+    """Users so far, and each arm's pulls and the exact regret after each
+    checkpoint, found user by user."""
+
+    def __init__(self, instance, checkpoints):
+        gaps = [max(map(Fraction, instance.means)) - Fraction(mu)
+                for mu in instance.means]
+        self.scale = math.lcm(*(g.denominator for g in gaps))
+        self.units = [int(g * self.scale) for g in gaps]  # gaps * scale
+        self.due = set(checkpoints)
+        self.users = self.regret = 0  # regret * scale
+        self.rows, self.at = [], []
+
+    def pull(self, pulls, a, take):
+        """Count a batch of `take` pulls of arm a."""
+        first, unit = self.users, self.units[a]
+        for user in range(first + 1, first + take + 1):
+            if user in self.due:
+                n = user - first
+                self.rows.append([p + n * (b == a)
+                                  for b, p in enumerate(pulls)])
+                self.at.append((self.regret + unit * n) / self.scale)
+        pulls[a] += take
+        self.users += take
+        self.regret += unit * take
+
+
 def reference_phase(sums, pulls, active, rewards, noise, phase, config,
-                    instance, trace):
+                    instance, tally):
     m = config.m if config.m is not None else 2**phase
-    gaps = instance.gaps
-    horizon = instance.horizon
     for a in range(instance.k):
         if not active[a]:
             continue
-        remaining = horizon - trace.users
-        if remaining == 0:
-            break
-        take = min(m, remaining)
-        trace.charge(take, gaps[a])
-        pulls[a] += take
-        if trace.users == horizon:
-            break
+        tally.pull(pulls, a, min(m, instance.horizon - tally.users))
+        if tally.users == instance.horizon:
+            # the T-th pull exits before the communication step
+            return tally.users
         true_sum = int(rewards[a].binomial(m, instance.means[a]))
         if config.privacy is None:
             z = float(true_sum)
         else:
             z = noisy_sum(true_sum, m, config.privacy, noise[a]).value
         sums[a] += z
-    return trace.users
+    return tally.users
 
 
 def reference_episode(instance, config, seeds, checkpoints=()):
@@ -65,14 +89,15 @@ def reference_episode(instance, config, seeds, checkpoints=()):
     rewards = [seeds.reward_rng(a) for a in range(k)]
     noise = ([seeds.noise_rng(a) for a in range(k)]
              if config.privacy is not None else None)
-    trace = RegretTrace(checkpoints)
+    tally = Tally(instance, checkpoints)
+    eliminations, violated = [], False
     sigma = config.sigma
     consumed = 0
     phase = 0
     while consumed < horizon:
         phase += 1
         consumed = reference_phase(sums, pulls, active, rewards, noise, phase,
-                                   config, instance, trace)
+                                   config, instance, tally)
         if consumed >= horizon:
             break
         estimates = [0.0] * k
@@ -82,28 +107,28 @@ def reference_episode(instance, config, seeds, checkpoints=()):
                 estimates[a] = sums[a] / pulls[a]
                 radii[a] = confidence_radius(phase, pulls[a], horizon, sigma)
                 if abs(estimates[a] - instance.means[a]) > radii[a]:
-                    trace.clean_event_violated = True
+                    violated = True
         # each arm's own radius: UCB strictly below the best LCB goes
         arms = [a for a in range(k) if active[a]]
         best_lcb = max(estimates[a] - radii[a] for a in arms)
         for a in arms:
             if estimates[a] + radii[a] < best_lcb:
                 active[a] = False
-                trace.eliminations.append((a, phase))
-    trace.arm_pulls_total = pulls
-    return trace
+                eliminations.append((a, phase))
+    return Episode(eliminations, violated, pulls, np.array(tally.at)), tally
 
 
 def assert_same_episode(instance, config, seeds):
     users = range(1, instance.horizon + 1)
     got = run_episode(instance, config, seeds, users)
-    want = reference_episode(instance, config, seeds, users)
+    want, tally = reference_episode(instance, config, seeds, users)
     assert got.eliminations == want.eliminations
     assert got.clean_event_violated == want.clean_event_violated
     assert got.arm_pulls_total == want.arm_pulls_total
-    assert got.users == want.users == instance.horizon
-    assert got.regret == want.regret
+    assert tally.users == instance.horizon
     assert got.cumulative_regret.tolist() == want.cumulative_regret.tolist()
+    assert pulls_at(instance.k, config.m, got.eliminations, users) == \
+        tally.rows
     return got
 
 
@@ -168,7 +193,8 @@ def test_regret_at_checkpoints_matches_reference():
     config = EngineConfig(m=42)
     checkpoints = [1, 42, 43, 999, 5000, 9999, 10000]
     got = run_episode(inst, config, SeedSpec(606, 1), checkpoints)
-    want = reference_episode(inst, config, SeedSpec(606, 1), range(1, 10001))
+    want, _ = reference_episode(inst, config, SeedSpec(606, 1),
+                                range(1, 10001))
     np.testing.assert_array_equal(
         got.cumulative_regret,
         want.cumulative_regret[np.array(checkpoints) - 1])
@@ -182,9 +208,9 @@ def _blocks_of(instance, config, seeds, monkeypatch):
 
     def recording_run_block(*args):
         phases, phase = args[6], args[7]
-        done, ahead = run_block(*args)
-        blocks.append((phase + 1, phase + phases, done))
-        return done, ahead
+        result = run_block(*args)
+        blocks.append((phase + 1, phase + phases, result[0]))
+        return result
 
     with monkeypatch.context() as patch:
         patch.setattr(bandit, "run_block", recording_run_block)
@@ -209,7 +235,7 @@ def test_blocks_match_reference(monkeypatch, privacy, k, means, m, horizon):
                                SeedSpec(17), monkeypatch)
     assert trace.eliminations == []
     # the blocks run every complete phase, RUN_CAP at a time; the phase the
-    # horizon cuts short is charged after them
+    # horizon cuts short never runs
     complete = (horizon - 1) // (k * m)
     assert [(first, last) for first, last, _ in blocks] == [
         (p + 1, min(p + RUN_CAP, complete))

@@ -6,26 +6,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shufflebandit.bandit import regret_at
 from shufflebandit.env import RewardTape, SeedSpec, make_instance
 from shufflebandit.mechanism import derive_params, noise_law
 
 from reference import noisy_sum
 
 
+def _one_pull_each(k):
+    """Rows of pulls whose regrets are the arms' gaps."""
+    return [[int(a == b) for b in range(k)] for a in range(k)]
+
+
 class TestMakeInstance:
     def test_extreme_arms(self):
         inst = make_instance(2, [1.0, 0.0], 100)
-        assert inst.best_mean == 1.0
-        assert inst.gaps == (0.0, 1.0)
+        assert regret_at(inst, _one_pull_each(2)).tolist() == [0.0, 1.0]
         assert inst.best_arm == 0
 
     def test_single_arm(self):
         inst = make_instance(1, [0.5], 10)
-        assert inst.gaps == (0.0,)
+        assert regret_at(inst, [[10]]).tolist() == [0.0]
 
     def test_gap_arithmetic(self):
         inst = make_instance(3, [0.9, 0.8, 0.5], 10**5)
-        assert inst.gaps == pytest.approx((0.0, 0.1, 0.4))
+        assert regret_at(inst, _one_pull_each(3)).tolist() == \
+            pytest.approx([0.0, 0.1, 0.4])
 
     def test_tie_broken_by_lowest_index(self):
         inst = make_instance(3, [0.7, 0.7, 0.2], 10)
@@ -46,8 +52,9 @@ class TestMakeInstance:
            horizon=st.integers(1, 10**6))
     def test_gaps_always_in_unit_interval(self, means, horizon):
         inst = make_instance(len(means), means, horizon)
-        assert all(0.0 <= g <= 1.0 for g in inst.gaps)
-        assert inst.gaps[inst.best_arm] == 0.0
+        gaps = regret_at(inst, _one_pull_each(len(means)))
+        assert all(0.0 <= g <= 1.0 for g in gaps)
+        assert gaps[inst.best_arm] == 0.0
 
 
 def _draws(tape, sizes):

@@ -37,8 +37,9 @@ CONFIGS = {
         output=""),
 }
 
-# (config, variant, epsilon, seed): (regret, regret at the checkpoints,
-# eliminations, arm_pulls_total, clean_event_violated); delta is 1e-5
+# (config, variant, epsilon, seed): (regret at the horizon, regret at the
+# checkpoints, eliminations, arm_pulls_total, clean_event_violated); delta
+# is 1e-5
 GOLDEN = {
     ('desk', 'sdp-ae', 0.25, 0): (
         2480.0,
@@ -101,13 +102,13 @@ GOLDEN = {
         [(1, 6)],
         [940, 60], False),
     ('private_two', 'sdp-ae', 1.0, 0): (
-        22343.999999999865,
-        [3998.3999999999924, 19991.999999999967, 22343.999999999865],
+        22344.0,
+        [3998.4, 19992.0, 22344.0],
         [(1, 665)],
         [72070, 27930], False),
     ('private_two', 'sdp-ae', 1.0, 1): (
-        21403.199999999906,
-        [3998.3999999999924, 19991.999999999967, 21403.199999999906],
+        21403.2,
+        [3998.4, 19992.0, 21403.2],
         [(1, 637)],
         [73246, 26754], False),
     ('private_two', 'vb-sdp-ae', 1.0, 0): (
@@ -133,7 +134,9 @@ def test_episode_outputs_are_pinned(key):
                         engine_config(config, variant, params),
                         SeedSpec(606, seed), config.checkpoints)
     regret, at, eliminations, pulls, violated = GOLDEN[key]
-    assert trace.regret == regret
+    # the last checkpoint is the horizon: the episode's final regret
+    assert config.checkpoints[-1] == config.horizon
+    assert trace.cumulative_regret[-1] == regret
     assert trace.cumulative_regret.tolist() == at
     assert trace.eliminations == eliminations
     assert trace.arm_pulls_total == pulls

@@ -30,9 +30,9 @@ CHECKPOINT_RUN = {
     'manifest.json':
         'c62c669167cd04b85325352510cf19edb4141e1b13e3dec1b1b8d649b1c14dcc',
     'plotdata.csv':
-        'a3738765e91a6d81273dbdbd31dbf770f9f39a5d231503a5e46b347d48c4b189',
+        'a34637d9af7c3fc5b13916c2ecbc3dddab271e9742ce434b9ab4348916bca0ca',
     'results.csv':
-        '551dbba12523f8dafc9a68a44692cc0a1e6d08ebeea31e71087ed632b2596fe9',
+        '2f4ba642ea75811767b8fddea5ad310d7d8b18879b58e5fdf925556e99edb32f',
     'traces/ae-baseline_none_none_0.csv':
         '90e35e9c184c60ad701a62b90dd3cc07d9a76adab6cfd80773e9577acd89d533',
     'traces/ae-baseline_none_none_1.csv':
@@ -58,29 +58,29 @@ CHECKPOINT_RUN = {
     'traces/ae-baseline_none_none_9.csv':
         'e9c39eca98e8240aa537ed9fdfc1f3ce56f2c8c1ad254c95342fa8cc643b224b',
     'traces/sdp-ae_0.5_0.5_0.csv':
-        'dea4fb0890045dd9226f45d8f08d829cef2438afa10b84781b121cd0dbde9866',
+        '6b4b53e8600f8f7ff2b0b611b4c6a5566c0624d5fa938a0127c5fbfc0dc2f721',
     'traces/sdp-ae_0.5_0.5_1.csv':
-        'dea4fb0890045dd9226f45d8f08d829cef2438afa10b84781b121cd0dbde9866',
+        '6b4b53e8600f8f7ff2b0b611b4c6a5566c0624d5fa938a0127c5fbfc0dc2f721',
     'traces/sdp-ae_0.5_0.5_10.csv':
-        'dea4fb0890045dd9226f45d8f08d829cef2438afa10b84781b121cd0dbde9866',
+        '6b4b53e8600f8f7ff2b0b611b4c6a5566c0624d5fa938a0127c5fbfc0dc2f721',
     'traces/sdp-ae_0.5_0.5_11.csv':
-        'dea4fb0890045dd9226f45d8f08d829cef2438afa10b84781b121cd0dbde9866',
+        '6b4b53e8600f8f7ff2b0b611b4c6a5566c0624d5fa938a0127c5fbfc0dc2f721',
     'traces/sdp-ae_0.5_0.5_2.csv':
-        'dea4fb0890045dd9226f45d8f08d829cef2438afa10b84781b121cd0dbde9866',
+        '6b4b53e8600f8f7ff2b0b611b4c6a5566c0624d5fa938a0127c5fbfc0dc2f721',
     'traces/sdp-ae_0.5_0.5_3.csv':
-        'dea4fb0890045dd9226f45d8f08d829cef2438afa10b84781b121cd0dbde9866',
+        '6b4b53e8600f8f7ff2b0b611b4c6a5566c0624d5fa938a0127c5fbfc0dc2f721',
     'traces/sdp-ae_0.5_0.5_4.csv':
-        'dea4fb0890045dd9226f45d8f08d829cef2438afa10b84781b121cd0dbde9866',
+        '6b4b53e8600f8f7ff2b0b611b4c6a5566c0624d5fa938a0127c5fbfc0dc2f721',
     'traces/sdp-ae_0.5_0.5_5.csv':
-        'dea4fb0890045dd9226f45d8f08d829cef2438afa10b84781b121cd0dbde9866',
+        '6b4b53e8600f8f7ff2b0b611b4c6a5566c0624d5fa938a0127c5fbfc0dc2f721',
     'traces/sdp-ae_0.5_0.5_6.csv':
-        'dea4fb0890045dd9226f45d8f08d829cef2438afa10b84781b121cd0dbde9866',
+        '6b4b53e8600f8f7ff2b0b611b4c6a5566c0624d5fa938a0127c5fbfc0dc2f721',
     'traces/sdp-ae_0.5_0.5_7.csv':
-        'dea4fb0890045dd9226f45d8f08d829cef2438afa10b84781b121cd0dbde9866',
+        '6b4b53e8600f8f7ff2b0b611b4c6a5566c0624d5fa938a0127c5fbfc0dc2f721',
     'traces/sdp-ae_0.5_0.5_8.csv':
-        'dea4fb0890045dd9226f45d8f08d829cef2438afa10b84781b121cd0dbde9866',
+        '6b4b53e8600f8f7ff2b0b611b4c6a5566c0624d5fa938a0127c5fbfc0dc2f721',
     'traces/sdp-ae_0.5_0.5_9.csv':
-        'dea4fb0890045dd9226f45d8f08d829cef2438afa10b84781b121cd0dbde9866',
+        '6b4b53e8600f8f7ff2b0b611b4c6a5566c0624d5fa938a0127c5fbfc0dc2f721',
     'traces/sdp-ae_1.0_0.5_0.csv':
         '61af2d0b27892d77578e02a8c92700cda4f942ea9f124817bd71ac85b04ab0eb',
     'traces/sdp-ae_1.0_0.5_1.csv':
@@ -130,29 +130,29 @@ CHECKPOINT_RUN = {
     'traces/vb-sdp-ae_0.5_0.5_9.csv':
         '422f8753099060880146ac82e8915645b4cdea7fc55f8df58faebddcd1a84934',
     'traces/vb-sdp-ae_1.0_0.5_0.csv':
-        'bfb6bf97a419eade53275b9cffbe6f7b3c29d6f39b043fa9cb3f54f8b2e25d74',
+        '4d36f3ca2b70e54beb1e6633b7cc2754d2398f3b36c5a69fedb0b685d4ab001b',
     'traces/vb-sdp-ae_1.0_0.5_1.csv':
-        'bfb6bf97a419eade53275b9cffbe6f7b3c29d6f39b043fa9cb3f54f8b2e25d74',
+        '4d36f3ca2b70e54beb1e6633b7cc2754d2398f3b36c5a69fedb0b685d4ab001b',
     'traces/vb-sdp-ae_1.0_0.5_10.csv':
-        'aaca0005133c93096223b2a30de6d41f7c2ec69260682f88ff851e687bff2df9',
+        'eb58b8d5c11a9a020682237c4bd7ddd75cd7db4495ea5d02838cce5f60d76122',
     'traces/vb-sdp-ae_1.0_0.5_11.csv':
-        'bfb6bf97a419eade53275b9cffbe6f7b3c29d6f39b043fa9cb3f54f8b2e25d74',
+        '4d36f3ca2b70e54beb1e6633b7cc2754d2398f3b36c5a69fedb0b685d4ab001b',
     'traces/vb-sdp-ae_1.0_0.5_2.csv':
-        'aaca0005133c93096223b2a30de6d41f7c2ec69260682f88ff851e687bff2df9',
+        'eb58b8d5c11a9a020682237c4bd7ddd75cd7db4495ea5d02838cce5f60d76122',
     'traces/vb-sdp-ae_1.0_0.5_3.csv':
-        'aaca0005133c93096223b2a30de6d41f7c2ec69260682f88ff851e687bff2df9',
+        'eb58b8d5c11a9a020682237c4bd7ddd75cd7db4495ea5d02838cce5f60d76122',
     'traces/vb-sdp-ae_1.0_0.5_4.csv':
-        'aaca0005133c93096223b2a30de6d41f7c2ec69260682f88ff851e687bff2df9',
+        'eb58b8d5c11a9a020682237c4bd7ddd75cd7db4495ea5d02838cce5f60d76122',
     'traces/vb-sdp-ae_1.0_0.5_5.csv':
-        'bfb6bf97a419eade53275b9cffbe6f7b3c29d6f39b043fa9cb3f54f8b2e25d74',
+        '4d36f3ca2b70e54beb1e6633b7cc2754d2398f3b36c5a69fedb0b685d4ab001b',
     'traces/vb-sdp-ae_1.0_0.5_6.csv':
-        'aaca0005133c93096223b2a30de6d41f7c2ec69260682f88ff851e687bff2df9',
+        'eb58b8d5c11a9a020682237c4bd7ddd75cd7db4495ea5d02838cce5f60d76122',
     'traces/vb-sdp-ae_1.0_0.5_7.csv':
-        'aaca0005133c93096223b2a30de6d41f7c2ec69260682f88ff851e687bff2df9',
+        'eb58b8d5c11a9a020682237c4bd7ddd75cd7db4495ea5d02838cce5f60d76122',
     'traces/vb-sdp-ae_1.0_0.5_8.csv':
-        'bfb6bf97a419eade53275b9cffbe6f7b3c29d6f39b043fa9cb3f54f8b2e25d74',
+        '4d36f3ca2b70e54beb1e6633b7cc2754d2398f3b36c5a69fedb0b685d4ab001b',
     'traces/vb-sdp-ae_1.0_0.5_9.csv':
-        'aaca0005133c93096223b2a30de6d41f7c2ec69260682f88ff851e687bff2df9',
+        'eb58b8d5c11a9a020682237c4bd7ddd75cd7db4495ea5d02838cce5f60d76122',
 }
 
 
