@@ -30,6 +30,9 @@ are in milliseconds:
 - `sdp-ae_T=<T>_eps=<eps>_ms`: one `sdp-ae` episode (k = 5, means 0.75 ...
   0.25, delta = 1e-5, run 0) at T = 1e4 ... 1e7 and eps = 1 and 0.25, and
   at T = 1e8 and eps = 1, the best of 3 runs below T = 1e6;
+- `vb-sdp-ae_T=1e+07_eps=<eps>_ms`: one `vb-sdp-ae` episode of the same
+  instance at T = 1e7 and eps = 1 and 0.25, the best of 3 runs: doubling
+  batches run one phase at a time, not in blocks;
 - `peak_mb`: the round's peak resident memory in MB (`VmHWM` in
   /proc/self/status at its end), which the T = 1e8 episode sets.
 
@@ -135,6 +138,11 @@ for horizon, eps in cases + [(10**8, 1.0)]:
     out[f"sdp-ae_T={horizon:.0e}_eps={eps}_ms"] = ms(
         lambda: run_episode(inst, econf, SeedSpec(seed)),
         3 if horizon < 10**6 else 1)
+inst = make_instance(5, [0.75, 0.625, 0.5, 0.375, 0.25], 10**7)
+for eps in (1.0, 0.25):
+    econf = EngineConfig(privacy=derive_params(eps, 1e-5))
+    out[f"vb-sdp-ae_T=1e+07_eps={eps}_ms"] = ms(
+        lambda: run_episode(inst, econf, SeedSpec(seed)), 3)
 with open("/proc/self/status") as fh:
     out["peak_mb"] = next(int(line.split()[1]) for line in fh
                           if line.startswith("VmHWM:")) / 1024

@@ -129,66 +129,61 @@ def eliminate(active: list[bool], estimates: list[float],
     return out
 
 
-def run_phase(sums, pulls, active, tapes, m):
-    """Pull one batch of m users per active arm, in ascending arm order.
-
-    Each batch adds its users to `pulls[a]` and the estimate that arm a's
-    tape draws for it to `sums[a]`.
-    """
+def run_phase(sums, active, tapes, m):
+    """Pull one batch of m users per active arm, in ascending arm order,
+    and add the estimate that arm a's tape draws for it to `sums[a]`."""
     for a, on in enumerate(active):
         if on:
-            pulls[a] += m
             sums[a] += tapes[a].draw(m)
 
 
-def run_block(sums, pulls, active, tapes, ahead, m, phases, phase, sigma,
-              instance, eliminations):
-    """Run `phases` complete phases after `phase` as one numpy block.
+def run_block(sums, active, tapes, m, phases, phase, sigma, instance,
+              eliminations):
+    """Run the `phases` complete phases after `phase`, of a batch of m users
+    per active arm each, as one numpy block.
 
     Each active arm's tape draws the block's estimates by one sized call per
-    generator, after the `ahead` estimates (one row per active arm, or None)
-    that the last block drew and did not run.  The sums, radii, clean-event
+    generator, and the block commits them all.  The sums, radii, clean-event
     checks and elimination tests of every phase are computed at once, with
-    the float operations of the phase loop, `confidence_radius` and
-    `eliminate` in their order.  The block is committed up to its first
-    eliminating phase, whose eliminations `eliminate` applies and appends
-    to `eliminations`.  Returns the last phase run, the surviving arms'
-    estimates for the phases not run or None, and the clean-event flag.
+    the float operations of `confidence_radius` and `eliminate` in their
+    order.  At each eliminating phase `eliminate` applies the eliminations,
+    appended to `eliminations`, and the later phases are tested again with
+    the arms left; an eliminated arm's later estimates and its sum are not
+    read.  Returns the users pulled and the clean-event flag.
     """
     arms = [a for a in range(instance.k) if active[a]]
     # row i: arm arms[i]'s sum so far, then its estimates of the block
     block = np.empty((len(arms), phases + 1))
     block[:, 0] = [sums[a] for a in arms]
-    drawn = 0
-    if ahead is not None:
-        drawn = ahead.shape[1]
-        block[:, 1:drawn + 1] = ahead
     for row, a in enumerate(arms):
-        block[row, drawn + 1:] = tapes[a].draw(m, phases - drawn)
+        block[row, 1:] = tapes[a].draw(m, phases)
     running = np.add.accumulate(block, axis=1)  # the sums, in phase order
-    pulled = pulls[arms[0]] + m * np.arange(1, phases + 1)
+    for a, total in zip(arms, running[:, phases].tolist()):
+        sums[a] = total
     t = np.arange(phase + 1, phase + phases + 1)
+    pulled = m * t  # each active arm's pulls after each phase
     radius = ((2.0 * np.sqrt(t) * sigma / pulled + 1.0 / np.sqrt(pulled))
               * math.sqrt(2.0 * math.log(instance.horizon)))
     estimates = running[:, 1:] / pulled
-    best_lcb = estimates.max(axis=0) - radius
-    eliminating = np.flatnonzero(((estimates + radius) < best_lcb).any(axis=0))
-    run = int(eliminating[0]) + 1 if eliminating.size else phases
-    means = [[instance.means[a]] for a in arms]
-    violated = bool((np.abs(estimates[:, :run] - means) > radius[:run]).any())
-    for a, total in zip(arms, running[:, run].tolist()):
-        sums[a] = total
-        pulls[a] += run * m
-    phase += run
-    if eliminating.size:
-        last = [0.0] * instance.k
-        for a, estimate in zip(arms, estimates[:, run - 1].tolist()):
-            last[a] = estimate
-        eliminations += ((a, phase) for a in
-                         eliminate(active, last, float(radius[run - 1])))
-    if run == phases:
-        return phase, None, violated
-    return phase, block[[active[a] for a in arms], run + 1:], violated
+    outside = np.abs(estimates - [[instance.means[a]] for a in arms]) > radius
+    users, violated, done = 0, False, 0
+    rows = slice(None)  # the rows of the arms left
+    while done < phases:  # test the phases left with the arms left
+        left = estimates[rows, done:]
+        best_lcb = left.max(axis=0) - radius[done:]
+        hits = np.flatnonzero(((left + radius[done:]) < best_lcb).any(axis=0))
+        run = int(hits[0]) + 1 if hits.size else phases - done
+        violated = violated or bool(outside[rows, done:done + run].any())
+        users += run * len(left) * m
+        done += run
+        if hits.size:
+            last = [0.0] * instance.k
+            for a, estimate in zip(arms, estimates[:, done - 1].tolist()):
+                last[a] = estimate
+            eliminations += ((a, phase + done) for a in
+                             eliminate(active, last, float(radius[done - 1])))
+            rows = [row for row, a in enumerate(arms) if active[a]]
+    return users, violated
 
 
 def run_episode(instance: BanditInstance, config: EngineConfig,
@@ -198,13 +193,12 @@ def run_episode(instance: BanditInstance, config: EngineConfig,
     Records the regret after each of `checkpoints`, users in [1, horizon]
     in strictly ascending order, and nothing by default.
 
-    Each loop iteration runs one phase: a batch of every active arm, the
-    clean-event check and an elimination test.  With a constant batch size,
-    an iteration instead runs every complete phase left with the active
-    arms, at most RUN_CAP, as one block (`run_block`), up to and including
-    its first elimination; the one-phase list path is faster for a single
-    phase, and so runs every doubling phase.  Only the phases whose users
-    stay below the horizon run; the one it cuts short reaches no test.
+    A phase is a batch of every active arm, the clean-event check and an
+    elimination test; every active arm has the pulls the phase fixes.  With
+    a constant batch size each iteration runs every complete phase left with
+    the active arms, at most RUN_CAP, as one block (`run_block`); doubling
+    batches run one phase at a time (`run_phase`).  Only the phases whose
+    users stay below the horizon run; the one it cuts short reaches no test.
     The pulls, up to the T-th, and the regret follow from the elimination
     record.  Each arm's tape draws its estimates from the arm's own
     generators, so the streams are those of drawing batch by batch.
@@ -213,7 +207,6 @@ def run_episode(instance: BanditInstance, config: EngineConfig,
     means = instance.means
     horizon = instance.horizon
     sums = [0.0] * k
-    pulls = [0] * k
     active = [True] * k
     law = (cache(lambda m: noise_law(m, config.privacy))  # once per batch size
            if config.privacy is not None else None)
@@ -223,30 +216,31 @@ def run_episode(instance: BanditInstance, config: EngineConfig,
         raise ValueError(f"checkpoints must ascend strictly in [1, {horizon}]")
     eliminations, violated = [], False
     sigma = config.sigma
-    ahead = None  # estimates a block drew for phases it did not run
-    phase = 0
-    while True:
-        m = config.m or 2**(phase + 1)
+    phase = users = 0  # phases run, and the users they pulled
+    if config.m is not None:
+        m = config.m
         # complete phases left with these arms: users + phases * n * m < T
-        phases = (horizon - sum(pulls) - 1) // (active.count(True) * m)
-        if phases == 0:
-            break
-        if config.m is not None and (phases > 1 or ahead is not None):
-            phase, ahead, hit = run_block(sums, pulls, active, tapes, ahead, m,
-                                          min(phases, RUN_CAP), phase, sigma,
-                                          instance, eliminations)
+        while phases := (horizon - users - 1) // (active.count(True) * m):
+            phases = min(phases, RUN_CAP)
+            taken, hit = run_block(sums, active, tapes, m, phases, phase,
+                                    sigma, instance, eliminations)
+            phase += phases
+            users += taken
             violated = violated or hit
-            continue
-        phase += 1
-        run_phase(sums, pulls, active, tapes, m)
-        # every active arm has as many pulls, hence one radius
-        pulled = pulls[active.index(True)]
-        radius = confidence_radius(phase, pulled, horizon, sigma)
-        estimates = [s / pulled for s in sums]
-        for a in range(k):
-            if active[a] and abs(estimates[a] - means[a]) > radius:
-                violated = True
-        eliminations += ((a, phase)
-                         for a in eliminate(active, estimates, radius))
+    else:
+        m, pulled = 2, 0  # the next phase's batch size; each arm's pulls
+        while users + (batch := active.count(True) * m) < horizon:
+            phase += 1
+            users += batch
+            pulled += m
+            run_phase(sums, active, tapes, m)
+            radius = confidence_radius(phase, pulled, horizon, sigma)
+            estimates = [s / pulled for s in sums]
+            for a in range(k):
+                if active[a] and abs(estimates[a] - means[a]) > radius:
+                    violated = True
+            eliminations += ((a, phase)
+                             for a in eliminate(active, estimates, radius))
+            m *= 2
     *at, total = pulls_at(k, config.m, eliminations, [*cps, horizon])
     return Episode(eliminations, violated, total, regret_at(instance, at))

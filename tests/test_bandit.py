@@ -2,6 +2,7 @@ import functools
 import importlib.util
 import json
 import math
+import operator
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 from shufflebandit import bandit, harness
 from shufflebandit.bandit import (EngineConfig, confidence_radius, eliminate,
-                                  pulls_at, regret_at, run_episode, run_phase)
+                                  pulls_at, regret_at, run_block, run_episode,
+                                  run_phase)
 from shufflebandit.env import RewardTape, SeedSpec, make_instance
 from shufflebandit.mechanism import derive_params, noise_law
 
@@ -61,27 +63,37 @@ def _tapes(instance, seeds, law=None):
 
 class TestRunPhase:
     def test_bookkeeping_constant(self):
-        inst = make_instance(2, [1.0, 0.0], 1000)
-        sums, pulls, active = [0.0, 0.0], [0, 0], [True, True]
+        # one noiseless batch of 10 per active arm: arm 0 reads 10 ones,
+        # arm 1 ten zeros, and the inactive arm 2 nothing
+        inst = make_instance(3, [1.0, 0.0, 1.0], 1000)
+        sums, active = [0.0, 0.0, 0.0], [True, True, False]
         tapes = _tapes(inst, SeedSpec(0))
-        run_phase(sums, pulls, active, tapes, 10)
-        assert pulls == [10, 10]
+        run_phase(sums, active, tapes, 10)
+        assert sums == [10.0, 0.0, 0.0]
 
     def test_noiseless_exact_sum(self):
         inst = make_instance(1, [1.0], 100)
-        sums, pulls = [0.0], [0]
+        sums = [0.0]
         tapes = _tapes(inst, SeedSpec(0))
-        run_phase(sums, pulls, [True], tapes, 5)
-        assert sums[0] == 5.0
-        assert sums[0] / pulls[0] == 1.0
+        run_phase(sums, [True], tapes, 5)
+        assert sums == [5.0]
 
-    def test_doubling_pull_counts(self):
-        inst = make_instance(2, [0.5, 0.5], 10**4)
-        sums, pulls, active = [0.0, 0.0], [0, 0], [True, True]
-        tapes = _tapes(inst, SeedSpec(0))
-        for t in (1, 2, 3):
-            run_phase(sums, pulls, active, tapes, 2**t)
-        assert pulls == [2**4 - 2] * 2
+    def test_doubling_pull_counts(self, monkeypatch):
+        # T = 29 runs phases 1 to 3 of two arms (28 users) and cuts phase 4
+        # short: an active arm has 2, 6 and 14 pulls at the three tests, and
+        # its estimate is its sum over them
+        tests = []
+
+        def eliminate_spy(active, estimates, radius):
+            tests.append((radius, estimates[:]))
+            return eliminate(active, estimates, radius)
+
+        monkeypatch.setattr(bandit, "eliminate", eliminate_spy)
+        inst = make_instance(2, [1.0, 1.0], 29)
+        episode = run_episode(inst, EngineConfig(), SeedSpec(0))
+        assert tests == [(confidence_radius(t, pulled, 29, 0.0), [1.0, 1.0])
+                         for t, pulled in ((1, 2), (2, 6), (3, 14))]
+        assert episode.arm_pulls_total == [14 + 1, 14]
 
     def test_horizon_exit_skips_mechanism(self, monkeypatch):
         # T = 15 cuts the first phase short during arm 1's batch: no phase
@@ -106,25 +118,27 @@ class TestRunPhase:
 
     @pytest.mark.parametrize("m", [8, 300])  # below and above tau ~ 133
     def test_commits_values_drawn_ahead(self, m):
-        # the estimates the tapes draw are read in order, once per batch,
-        # and equal drawing each batch's reward sum and noisy_sum by scalar
-        # calls
+        # a block of two phases commits both estimates each tape draws for
+        # it, and a phase after it reads the next; the estimates are read in
+        # order, once per batch, and equal drawing each batch's reward sum
+        # and noisy_sum by scalar calls
         params = derive_params(1.0, 0.5)
         inst = make_instance(2, [0.3, 0.6], 6 * m + 1)
         seeds = SeedSpec(5)
         law = functools.partial(noise_law, params=params)
         tapes = _tapes(inst, seeds, law)
-        sums, pulls, active = [0.0, 0.0], [0, 0], [True, True]
-        for _ in range(3):
-            run_phase(sums, pulls, active, tapes, m)
+        sums, active, eliminations = [0.0, 0.0], [True, True], []
+        assert run_block(sums, active, tapes, m, 2, 0, params.sigma, inst,
+                         eliminations) == (4 * m, False)
+        assert eliminations == []
+        run_phase(sums, active, tapes, m)
         for a in range(2):
             rewards, noise = seeds.reward_rng(a), seeds.noise_rng(a)
             estimates = [
                 noisy_sum(int(rewards.binomial(m, inst.means[a])), m, params,
                           noise).value for _ in range(4)]
-            assert sums[a] == sum(estimates[:3], 0.0)
+            assert sums[a] == functools.reduce(operator.add, estimates[:3])
             assert tapes[a].draw(m) == estimates[3]  # each batch read once
-        assert pulls == [3 * m] * 2
 
 
 class TestRunEpisode:
@@ -168,41 +182,39 @@ class TestRunEpisode:
             inst.means, [trace.arm_pulls_total])[0]
 
     def test_equal_footing_constant_schedule(self, monkeypatch):
-        # all active arms share N (hence I) after every full phase, so the
-        # engine's one radius per phase is every active arm's radius, and
-        # its estimates are each arm's sum over its own pulls; `eliminate`
-        # sees them at each eliminating phase, as a block commits it
+        # all active arms share N = m t (hence I) after every full phase t,
+        # so the engine's one radius per phase is every active arm's radius,
+        # and its estimates are each arm's sum over its own pulls; `eliminate`
+        # sees them at each eliminating phase, as a block tests it
         horizon, m = 40000, 25
         inst = make_instance(4, [1.0, 0.7, 0.3, 0.0], horizon)
         params = derive_params(1.0, 0.5)
         config = EngineConfig(m=m, privacy=params)
-        seen = {}  # the sums and pulls of the last run_phase or run_block
+        drawn = {a: [] for a in range(4)}  # each arm's estimates, in order
+        draw = RewardTape.draw
 
-        def spy(run):
-            def recording_run(sums, pulls, *args):
-                seen.update(sums=sums, pulls=pulls)
-                return run(sums, pulls, *args)
-            return recording_run
+        def recording_draw(tape, m, count=None):
+            out = draw(tape, m, count)
+            drawn[tape.arm].extend(np.atleast_1d(out).tolist())
+            return out
 
-        phases = []
+        tests = []  # the active arms, estimates and radius of each test
 
         def eliminate_spy(active, estimates, radius):
-            pulls = seen["pulls"]
             arms = [a for a, on in enumerate(active) if on]
-            assert len({pulls[a] for a in arms}) == 1
-            t = pulls[arms[0]] // m
-            for a in arms:
-                assert radius == confidence_radius(t, pulls[a], horizon,
-                                                   params.sigma)
-                assert estimates[a] == seen["sums"][a] / pulls[a]
-            phases.append(t)
+            tests.append((arms, [estimates[a] for a in arms], radius))
             return eliminate(active, estimates, radius)
 
-        monkeypatch.setattr(bandit, "run_phase", spy(run_phase))
-        monkeypatch.setattr(bandit, "run_block", spy(bandit.run_block))
+        monkeypatch.setattr(RewardTape, "draw", recording_draw)
         monkeypatch.setattr(bandit, "eliminate", eliminate_spy)
         trace = run_episode(inst, config, SeedSpec(21))
-        assert phases == [t for _, t in trace.eliminations] == [151, 330]
+        phases = [t for _, t in trace.eliminations]
+        assert phases == [151, 330]
+        for (arms, estimates, radius), t in zip(tests, phases, strict=True):
+            assert radius == confidence_radius(t, m * t, horizon, params.sigma)
+            assert estimates == [
+                functools.reduce(operator.add, drawn[a][:t], 0.0) / (m * t)
+                for a in arms]
 
     def test_estimates_outside_the_radius_violate_the_clean_event(
             self, monkeypatch):
@@ -567,9 +579,9 @@ class TestEngineConfig:
         sizes, read = [], []
         draw = RewardTape.draw
 
-        def recording_run_phase(sums, pulls, active, tapes, m):
+        def recording_run_phase(sums, active, tapes, m):
             sizes.append(m)
-            return run_phase(sums, pulls, active, tapes, m)
+            return run_phase(sums, active, tapes, m)
 
         def recording_draw(tape, batch_size):
             read.append(batch_size)

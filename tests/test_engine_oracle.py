@@ -15,6 +15,7 @@ A second reference of the same loop cannot catch an error that both share.
 follow, exactly, and the engine's episodes are tested against it.
 """
 
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -31,7 +32,7 @@ from shufflebandit.bandit import (RUN_CAP, EngineConfig, Episode,
 from shufflebandit.env import RewardTape, SeedSpec, make_instance
 from shufflebandit.mechanism import derive_params
 
-from reference import elimination_law, noisy_sum
+from reference import batch_schedule, elimination_law, noisy_sum
 
 
 class Tally:
@@ -118,8 +119,10 @@ def reference_episode(instance, config, seeds, checkpoints=()):
     return Episode(eliminations, violated, pulls, np.array(tally.at)), tally
 
 
-def assert_same_episode(instance, config, seeds):
-    users = range(1, instance.horizon + 1)
+def assert_same_episode(instance, config, seeds, users=None):
+    """The engine's episode equals the reference's, with the pulls and the
+    regret after each of `users`, by default every user."""
+    users = users or range(1, instance.horizon + 1)
     got = run_episode(instance, config, seeds, users)
     want, tally = reference_episode(instance, config, seeds, users)
     assert got.eliminations == want.eliminations
@@ -166,7 +169,7 @@ def episodes(draw):
 @example((make_instance(1, [0.5], 1), EngineConfig(), SeedSpec(0)))
 @example((make_instance(3, [0.5, 0.5, 0.5], 1), EngineConfig(m=4),
           SeedSpec(0)))
-# more than one run of drawn-ahead phases, noiseless and private
+# more than one block, noiseless and private
 @example((make_instance(1, [0.5], 3000), EngineConfig(m=1), SeedSpec(2)))
 @example((make_instance(2, [0.9, 0.1], 5000),
           EngineConfig(m=1, privacy=derive_params(1.0, 0.5)), SeedSpec(3)))
@@ -176,14 +179,24 @@ def test_engine_matches_reference(case):
 
 def test_private_eliminations_match_reference():
     # private cells whose elimination phases the noise decides, with
-    # eliminations inside a run of phases drawn ahead
+    # eliminations inside a block; the pulls and regret are compared at
+    # the users on both sides of every batch boundary, and at a stride
     params = derive_params(1.0, 1e-2)
     inst = make_instance(3, [0.9, 0.5, 0.1], 100000)
     for config in (EngineConfig(m=math.ceil(params.sigma), privacy=params),
                    EngineConfig(privacy=params)):
         phases = set()
         for seed in range(4):
-            trace = assert_same_episode(inst, config, SeedSpec(606, seed))
+            want, _ = reference_episode(inst, config, SeedSpec(606, seed))
+            batches = batch_schedule(3, config.m, want.eliminations,
+                                     inst.horizon)
+            ends = itertools.accumulate(take for _, _, take in batches)
+            users = sorted({user for end in ends
+                            for user in (end - 1, end, end + 1)
+                            if 0 < user <= inst.horizon}
+                           | set(range(1, inst.horizon + 1, 97)))
+            trace = assert_same_episode(inst, config, SeedSpec(606, seed),
+                                        users)
             phases.update(phase for _, phase in trace.eliminations)
         assert len(phases) > 1
 
@@ -202,20 +215,37 @@ def test_regret_at_checkpoints_matches_reference():
 
 def _blocks_of(instance, config, seeds, monkeypatch):
     """The engine's trace against the reference, and (first phase, last
-    phase, last phase run) of every block the engine ran."""
+    phase, eliminating phases) of every block the engine ran.
+
+    The blocks must run the complete phases of the episode's batch
+    schedule in order, each block pulling its phases' users, and nothing
+    else may run a phase."""
     blocks = []
     run_block = bandit.run_block
 
-    def recording_run_block(*args):
-        phases, phase = args[6], args[7]
-        result = run_block(*args)
-        blocks.append((phase + 1, phase + phases, result[0]))
-        return result
+    def recording_run_block(sums, active, tapes, m, phases, phase, *args):
+        eliminations = args[-1]
+        before = len(eliminations)
+        users, violated = run_block(sums, active, tapes, m, phases, phase,
+                                    *args)
+        blocks.append((phase + 1, phase + phases, users,
+                       sorted({p for _, p in eliminations[before:]})))
+        return users, violated
 
     with monkeypatch.context() as patch:
         patch.setattr(bandit, "run_block", recording_run_block)
+        # constant batches never run a phase alone: a call fails
+        patch.setattr(bandit, "run_phase", None)
         trace = assert_same_episode(instance, config, seeds)
-    return trace, blocks
+    batches = batch_schedule(instance.k, config.m, trace.eliminations,
+                             instance.horizon)
+    cut = batches[-1][0]  # the phase the horizon cuts short never runs
+    assert [p for first, last, *_ in blocks
+            for p in range(first, last + 1)] == list(range(1, cut))
+    for first, last, users, _ in blocks:
+        assert users == sum(take for p, _, take in batches
+                            if first <= p <= last)
+    return trace, [(first, last, hits) for first, last, _, hits in blocks]
 
 
 PRIVATE = derive_params(1.0, 0.5)  # sigma ~ 14.1
@@ -228,6 +258,7 @@ PRIVATE = derive_params(1.0, 0.5)  # sigma ~ 14.1
     (3, [0.5, 0.5, 0.5], 10, 3000),
     (3, [0.5, 0.5, 0.5], 10, 2971),
     (1, [0.3], 7, 701),
+    (1, [0.3], 1, RUN_CAP + 2),  # a last block of one phase
 ])
 def test_blocks_match_reference(monkeypatch, privacy, k, means, m, horizon):
     inst = make_instance(k, means, horizon)
@@ -240,30 +271,38 @@ def test_blocks_match_reference(monkeypatch, privacy, k, means, m, horizon):
     assert [(first, last) for first, last, _ in blocks] == [
         (p + 1, min(p + RUN_CAP, complete))
         for p in range(0, complete, RUN_CAP)]
-    assert all(done == last for _, last, done in blocks)
 
 
 @pytest.mark.parametrize("where,means,m,horizon,privacy,seed", [
-    # arm 1 goes at phase 31; arm 2 at 32, the first phase of the next
-    # block, read from the estimates the first block drew ahead
-    ("first", [1.0, 0.0, 0.01], 2, 2000, None, 0),
-    ("first", [1.0, 0.0, 0.0], 15, 30000, PRIVATE, 2),
-    # the elimination is the last complete phase before the horizon
+    # arm 1 goes at phase 31 and arm 2 at 32, inside the first block, which
+    # tests its phases from 32 on again with arms 0 and 2
+    ("inside", [1.0, 0.0, 0.01], 2, 2000, None, 0),
+    ("inside", [1.0, 0.0, 0.0], 15, 30000, PRIVATE, 2),
+    # the elimination is the block's last phase, and a block of the one
+    # phase left before the horizon follows it
     ("last", [1.0, 0.0], 1, 70, None, 0),
     ("last", [1.0, 0.0], 15, 10380, PRIVATE, 0),
+    # arm 1 goes at phase 39 of the first block, of phases 1 to 40, and
+    # arm 2 in the last block, of the one phase 41
+    ("alone", [1.0, 0.0, 1 / 32], 1, 122, None, 0),
 ])
 def test_block_eliminations_match_reference(monkeypatch, where, means, m,
                                             horizon, privacy, seed):
     inst = make_instance(len(means), means, horizon)
     trace, blocks = _blocks_of(inst, EngineConfig(m=m, privacy=privacy),
                                SeedSpec(seed), monkeypatch)
-    eliminated = {phase for _, phase in trace.eliminations}
-    hits = [(first, last) for first, last, done in blocks
-            if done in eliminated
-            and done == (first if where == "first" else last)]
-    assert hits and all(first < last for first, last in hits)
-    if where == "first":
-        assert all(first > 1 for first, _ in hits)
+    assert sorted({phase for _, phase in trace.eliminations}) == \
+        [p for _, _, hits in blocks for p in hits]
+    if where == "inside":
+        assert any(len(hits) > 1 and hits[0] < last
+                   for _, last, hits in blocks)
+    elif where == "last":
+        assert any(hits == [last] for _, last, hits in blocks)
+        assert blocks[-1][0] == blocks[-1][1]
+    else:
+        assert len(blocks) > 1 and blocks[0][2]
+        first, last, hits = blocks[-1]
+        assert first == last and hits == [last]
 
 
 def test_no_tape_call_draws_more_than_run_cap(monkeypatch):
