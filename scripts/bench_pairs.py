@@ -36,6 +36,10 @@ are in milliseconds:
 - `peak_mb`: the round's peak resident memory in MB (`VmHWM` in
   /proc/self/status at its end), which the T = 1e8 episode sets.
 
+The round calls `gc.freeze()` after its imports and before its first timing,
+as `shufflebandit.cli.main` does before a command runs, so no timing depends
+on how far the cyclic collector's counters had got while the modules loaded.
+
 A round that fails keeps its exit status and the end of its standard error
 in the report, and the rounds after it still run.  The report holds every
 round, each side's median and quartiles of each metric over the pairs whose
@@ -97,12 +101,13 @@ print(json.dumps(result))
 
 # One engine round with the checkout's src on the path; no output written.
 ENGINE_ROUND = """
-import json, math, sys, time
+import gc, json, math, sys, time
 from shufflebandit import harness
 from shufflebandit.bandit import EngineConfig, run_episode
 from shufflebandit.env import SeedSpec, make_instance
 from shufflebandit.mechanism import derive_params
 
+gc.freeze()
 seed = int(sys.argv[2])
 
 def ms(fn, repeat=1):

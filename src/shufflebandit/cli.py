@@ -11,14 +11,12 @@ Exit codes: 0 success, 1 validation error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import itertools
+import gc
 import math
 import sys
 
 import numpy as np
 
-from .audit import hockey_stick
 from .harness import ConfigError, parse_config, run_experiment
 from .mechanism import derive_params, private_sum
 
@@ -88,6 +86,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    import csv
+    import itertools
+
+    from .audit import hockey_stick
+
     cells = itertools.product(
         _parse_list("--m", args.m,
                     lambda v: v if v in TAU_MULTIPLES else int(v)),
@@ -126,6 +129,10 @@ def cmd_mechanism_sample(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if not gc.get_freeze_count():
+        # once per process: the collector never walks the loaded modules
+        # again, and a pool forks from a frozen heap
+        gc.freeze()
     try:
         if args.command == "run":
             return cmd_run(args)

@@ -362,6 +362,31 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_serial_run_loads_no_pool_and_freezes_once(self, tmp_path):
+        # a serial run imports neither the process pool nor the audit, and
+        # main freezes the loaded heap once per process
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(CONFIG.format(out=tmp_path / "out"))
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        argv = ["run", "--config", str(cfg)]
+        code = ("import gc, sys\n"
+                "from shufflebandit.cli import main\n"
+                "freezes = []\n"
+                "freeze = gc.freeze\n"
+                "gc.freeze = lambda: (freezes.append(1), freeze())\n"
+                f"assert main({argv!r}) == 0\n"
+                "print(sorted(m for m in ('concurrent.futures.process',\n"
+                "                         'multiprocessing',\n"
+                "                         'shufflebandit.audit')\n"
+                "             if m in sys.modules))\n"
+                "print(len(freezes), gc.get_freeze_count() > 0)\n"
+                f"assert main({argv!r}) == 0\n"
+                "print(len(freezes))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "1 True", "1"]
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self, capsys):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import os
@@ -589,7 +590,9 @@ class TestRunExperiment:
                 self.keys = [args[1] for args in tasks]
                 return [fn(*args) for args in tasks]
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        # run_experiment imports the pool class from here when it pools
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         text = PRIVATE if jobs == 15 else MINIMAL
         path, _ = write_config(tmp_path, text)
