@@ -104,7 +104,7 @@ ENGINE_ROUND = """
 import gc, json, math, sys, time
 from shufflebandit import harness
 from shufflebandit.bandit import EngineConfig, run_episode
-from shufflebandit.env import SeedSpec, make_instance
+from shufflebandit.env import BanditInstance, SeedSpec
 from shufflebandit.mechanism import derive_params
 
 gc.freeze()
@@ -137,13 +137,13 @@ out = {"desk_engine_ms": ms(lambda: [run_episode(inst, c, s)
        "desk_seed_derive_ms": ms(seeds)}
 cases = [(10**e, eps) for e in (4, 5, 6, 7) for eps in (1.0, 0.25)]
 for horizon, eps in cases + [(10**8, 1.0)]:
-    inst = make_instance(5, [0.75, 0.625, 0.5, 0.375, 0.25], horizon)
+    inst = BanditInstance(5, [0.75, 0.625, 0.5, 0.375, 0.25], horizon)
     params = derive_params(eps, 1e-5)
     econf = EngineConfig(m=math.ceil(params.sigma), privacy=params)
     out[f"sdp-ae_T={horizon:.0e}_eps={eps}_ms"] = ms(
         lambda: run_episode(inst, econf, SeedSpec(seed)),
         3 if horizon < 10**6 else 1)
-inst = make_instance(5, [0.75, 0.625, 0.5, 0.375, 0.25], 10**7)
+inst = BanditInstance(5, [0.75, 0.625, 0.5, 0.375, 0.25], 10**7)
 for eps in (1.0, 0.25):
     econf = EngineConfig(privacy=derive_params(eps, 1e-5))
     out[f"vb-sdp-ae_T=1e+07_eps={eps}_ms"] = ms(

@@ -61,9 +61,6 @@ _STIRLERR = (0.0, .08106146679532726, .0413406959554093, .02767792568499834,
 
 @dataclass(frozen=True)
 class AuditReport:
-    m: int
-    epsilon: float
-    delta: float
     divergence_forward: float
     divergence_backward: float
     passed: bool
@@ -166,6 +163,5 @@ def hockey_stick(m: int, params: PrivacyParams) -> AuditReport:
     e_eps = math.exp(params.epsilon)
     fwd, bwd = (sum(_hinge_sum(law, guard, cut, e_eps))
                 for guard, cut in _hinge_ends(law, params.epsilon))
-    return AuditReport(m=m, epsilon=params.epsilon, delta=params.delta,
-                       divergence_forward=fwd, divergence_backward=bwd,
+    return AuditReport(divergence_forward=fwd, divergence_backward=bwd,
                        passed=max(fwd, bwd) <= params.delta)

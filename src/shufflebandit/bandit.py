@@ -39,10 +39,6 @@ class EngineConfig:
         if self.m is not None and self.m < 1:
             raise ValueError(f"batch size m must be >= 1, got {self.m}")
 
-    @property
-    def sigma(self) -> float:
-        return self.privacy.sigma if self.privacy is not None else 0.0
-
 
 class Episode(NamedTuple):
     """One episode's elimination record and what follows from it.
@@ -215,7 +211,7 @@ def run_episode(instance: BanditInstance, config: EngineConfig,
     if cps != sorted(set(cps)) or cps and not 0 < cps[0] <= cps[-1] <= horizon:
         raise ValueError(f"checkpoints must ascend strictly in [1, {horizon}]")
     eliminations, violated = [], False
-    sigma = config.sigma
+    sigma = config.privacy.sigma if config.privacy is not None else 0.0
     phase = users = 0  # phases run, and the users they pulled
     if config.m is not None:
         m = config.m

@@ -40,28 +40,31 @@ class SeedSpec:
 
 @dataclass(frozen=True)
 class BanditInstance:
+    """k Bernoulli arms pulled by `horizon` users; checked when built, with
+    the means stored as a tuple of floats and the horizon as an int."""
+
     k: int
     means: tuple[float, ...]
     horizon: int
+
+    def __post_init__(self):
+        k, means, horizon = self.k, self.means, self.horizon
+        if k < 1:
+            raise ValueError(f"need at least one arm, got k={k}")
+        if len(means) != k:
+            raise ValueError(f"got {len(means)} means for k={k} arms")
+        for a, mu in enumerate(means):
+            if not 0.0 <= mu <= 1.0:
+                raise ValueError(f"means[{a}]={mu} outside [0, 1]")
+        if horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {horizon}")
+        object.__setattr__(self, "means", tuple(map(float, means)))
+        object.__setattr__(self, "horizon", int(horizon))
 
     @property
     def best_arm(self) -> int:
         # ties broken by lowest index (np.argmax does exactly that)
         return int(np.argmax(self.means))
-
-
-def make_instance(k: int, means: list[float], horizon: int) -> BanditInstance:
-    if k < 1:
-        raise ValueError(f"need at least one arm, got k={k}")
-    if len(means) != k:
-        raise ValueError(f"got {len(means)} means for k={k} arms")
-    for a, mu in enumerate(means):
-        if not 0.0 <= mu <= 1.0:
-            raise ValueError(f"means[{a}]={mu} outside [0, 1]")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    return BanditInstance(k=k, means=tuple(float(m) for m in means),
-                          horizon=int(horizon))
 
 
 class RewardTape:

@@ -14,14 +14,14 @@ import os
 import shutil
 import stat
 import tempfile
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import groupby
 
 import numpy as np
 
 from . import __version__
 from .bandit import EngineConfig, run_episode
-from .env import BanditInstance, SeedSpec, make_instance
+from .env import BanditInstance, SeedSpec
 from .mechanism import PrivacyParams, derive_params
 
 VARIANT_SDP_AE = "sdp-ae"
@@ -112,7 +112,7 @@ class ExperimentConfig:
                     raise ConfigError(str(exc), "epsilons") from None
 
     def instance(self) -> BanditInstance:
-        return make_instance(self.k, list(self.means), self.horizon)
+        return BanditInstance(self.k, self.means, self.horizon)
 
     def cells(self) -> list[tuple]:
         """The (variant, epsilon, delta) cells, in run and output order.
@@ -131,24 +131,13 @@ class ExperimentConfig:
                 for cell in ([(None, None)] if v == VARIANT_BASELINE else grid)]
 
 
-@dataclass(frozen=True)
-class ResultRow:
-    variant: str
-    epsilon: float | None
-    delta: float | None
-    checkpoint: int
-    mean_regret: float
-    stderr: float
-    min: float
-    max: float
-    clean_violations: int
-
-
 @dataclass
 class AggregateResult:
-    rows: list[ResultRow]
-    # (variant, epsilon, delta, seed) -> checkpointed regret array
-    traces: dict = field(default_factory=dict)
+    # (variant, epsilon, delta, seed) -> checkpointed regret array, in key
+    # order: each cell's seeds in a row
+    traces: dict
+    # (variant, epsilon, delta) -> its episodes that broke the clean event
+    violations: dict
 
 
 def _read(key: str, kind: str, text: str):
@@ -261,38 +250,9 @@ def _write_trace(config: ExperimentConfig, stage: str, key, checks) -> None:
         fh.writelines(_checkpoint_rows(config, checks))
 
 
-def _aggregate(config: ExperimentConfig, keys: list,
-               outcomes: list) -> AggregateResult:
-    """Each cell's rows of results.csv from its episodes' outcomes."""
-    result = AggregateResult(rows=[])
-    # keys hold each cell's seeds in a row, and ExperimentConfig keeps
-    # cells unique
-    for (variant, eps, delta), group in groupby(zip(keys, outcomes),
-                                                key=lambda kv: kv[0][:3]):
-        cell, violations = [], 0
-        for key, (checks, violated) in group:
-            cell.append(checks)
-            violations += int(violated)
-            result.traces[key] = checks
-        data = np.vstack(cell)
-        n = data.shape[0]
-        means = data.mean(axis=0)
-        if n > 1:
-            stderrs = data.std(axis=0, ddof=1) / math.sqrt(n)
-        else:
-            stderrs = np.zeros(data.shape[1])
-        for j, cp in enumerate(config.checkpoints):
-            result.rows.append(ResultRow(
-                variant=variant, epsilon=eps, delta=delta, checkpoint=cp,
-                mean_regret=float(means[j]), stderr=float(stderrs[j]),
-                min=float(data[:, j].min()), max=float(data[:, j].max()),
-                clean_violations=violations))
-    return result
-
-
 def run_experiment(config: ExperimentConfig,
                    threads: int = 1) -> AggregateResult:
-    """Run every (cell, seed) episode, aggregate, and emit the outputs.
+    """Run every (cell, seed) episode and emit the outputs.
 
     With threads > 1, each of min(threads, CPUs, keys) pool workers gets
     one task: the config and every tasks-th key, so each sees a similar mix
@@ -303,8 +263,8 @@ def run_experiment(config: ExperimentConfig,
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}", "threads")
-    keys = [(*cell, seed) for cell in config.cells()
-            for seed in range(config.seeds)]
+    cells = config.cells()
+    keys = [(*cell, seed) for cell in cells for seed in range(config.seeds)]
     out = config.output
     os.makedirs(out, exist_ok=True)  # fail before any episode
     stage = tempfile.mkdtemp(prefix=".staging-", dir=out)
@@ -323,7 +283,10 @@ def run_experiment(config: ExperimentConfig,
                     outcomes[i::tasks] = part
         else:
             outcomes = _run_jobs(config, keys, stage, False)
-        result = _aggregate(config, keys, outcomes)
+        result = AggregateResult({}, dict.fromkeys(cells, 0))
+        for key, (checks, violated) in zip(keys, outcomes):
+            result.traces[key] = checks
+            result.violations[key[:3]] += violated
         emit_outputs(result, config, stage)
     except BaseException:
         shutil.rmtree(stage, ignore_errors=True)
@@ -350,8 +313,9 @@ def _checkpoint_rows(config: ExperimentConfig, checks) -> list[str]:
 
 def emit_outputs(result: AggregateResult, config: ExperimentConfig,
                  stage: str) -> None:
-    """Write results.csv, plotdata.csv and manifest.json, and put them and
-    the episodes' trace files in place.
+    """Write results.csv, each cell's statistics over its seeds at each
+    checkpoint, plotdata.csv and manifest.json, and put them and the
+    episodes' trace files in place.
 
     `stage` is a fresh directory inside `config.output` that already holds
     every trace file.  The three top-level files are written into it too;
@@ -363,13 +327,18 @@ def emit_outputs(result: AggregateResult, config: ExperimentConfig,
     out = config.output
     with open(os.path.join(stage, "results.csv"), "w") as fh:
         fh.write(RESULTS_HEADER + "\n")
-        for row in result.rows:
-            fh.write(",".join([
-                row.variant, _fmt(row.epsilon), _fmt(row.delta),
-                str(row.checkpoint), _fmt(row.mean_regret),
-                _fmt(row.stderr), _fmt(row.min), _fmt(row.max),
-                str(row.clean_violations),
-            ]) + "\n")
+        for cell, group in groupby(result.traces.items(),
+                                   key=lambda kv: kv[0][:3]):
+            data = np.vstack([checks for _, checks in group])
+            n = data.shape[0]
+            stderrs = (data.std(axis=0, ddof=1) / math.sqrt(n) if n > 1
+                       else np.zeros(data.shape[1]))
+            variant, eps, delta = cell
+            for cp, *stats in zip(config.checkpoints, data.mean(axis=0),
+                                  stderrs, data.min(axis=0), data.max(axis=0)):
+                fh.write(",".join([variant, _fmt(eps), _fmt(delta), str(cp),
+                                   *(repr(float(v)) for v in stats),
+                                   str(result.violations[cell])]) + "\n")
 
     with open(os.path.join(stage, "plotdata.csv"), "w") as plot:
         plot.write("variant,epsilon,delta,seed,checkpoint,"

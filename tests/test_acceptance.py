@@ -12,7 +12,7 @@ import pytest
 
 from shufflebandit.audit import hockey_stick
 from shufflebandit.bandit import EngineConfig, confidence_radius, run_episode
-from shufflebandit.env import SeedSpec, make_instance
+from shufflebandit.env import BanditInstance, SeedSpec
 from shufflebandit.harness import parse_config, run_experiment
 from shufflebandit.mechanism import PrivacyParams, derive_params, private_sum
 
@@ -46,7 +46,7 @@ def mech_samples():
 @pytest.fixture(scope="module")
 def clean_event_runs():
     # criterion 6 workload, shared with criterion 7
-    instance = make_instance(5, MEANS5, 10**4)
+    instance = BanditInstance(5, MEANS5, 10**4)
     params = derive_params(1.0, 1e-5)
     configs = {
         "sdp-ae": EngineConfig(m=math.ceil(params.sigma), privacy=params),
@@ -161,7 +161,7 @@ def test_criterion_8_log_t_regret_growth():
     seeds = 100
     regrets = {}
     for horizon in (10**4, 4 * 10**4):
-        instance = make_instance(5, MEANS5, horizon)
+        instance = BanditInstance(5, MEANS5, horizon)
         config = EngineConfig(privacy=params)
         regrets[horizon] = np.mean(
             [run_episode(instance, config, SeedSpec(808, s),
@@ -177,7 +177,7 @@ def test_criterion_8_log_t_regret_growth():
 def test_criterion_9_epsilon_scaling_separation():
     horizon = 10**5
     seeds = 100
-    instance = make_instance(5, MEANS5, horizon)
+    instance = BanditInstance(5, MEANS5, horizon)
     mean_regret = {}
     for eps in (0.25, 1.0):
         params = derive_params(eps, 1e-5)
@@ -201,7 +201,7 @@ def test_criterion_10_baseline_closed_form():
     # at the first phase where UCB_2 = I < 1 - I = LCB_1, i.e. 2 I < 1
     t_star = next(t for t in range(1, 500)
                   if 2 * confidence_radius(t, m * t, horizon, 0.0) < 1)
-    instance = make_instance(2, [1.0, 0.0], horizon)
+    instance = BanditInstance(2, [1.0, 0.0], horizon)
     config = EngineConfig(m=m)
     trace = run_episode(instance, config, SeedSpec(1010))
     pulls = trace.arm_pulls_total[1]

@@ -15,7 +15,7 @@ from shufflebandit import bandit, harness
 from shufflebandit.bandit import (EngineConfig, confidence_radius, eliminate,
                                   pulls_at, regret_at, run_block, run_episode,
                                   run_phase)
-from shufflebandit.env import RewardTape, SeedSpec, make_instance
+from shufflebandit.env import BanditInstance, RewardTape, SeedSpec
 from shufflebandit.mechanism import derive_params, noise_law
 
 from reference import batch_schedule, exact_regret, noisy_sum, replay_pulls
@@ -65,14 +65,14 @@ class TestRunPhase:
     def test_bookkeeping_constant(self):
         # one noiseless batch of 10 per active arm: arm 0 reads 10 ones,
         # arm 1 ten zeros, and the inactive arm 2 nothing
-        inst = make_instance(3, [1.0, 0.0, 1.0], 1000)
+        inst = BanditInstance(3, [1.0, 0.0, 1.0], 1000)
         sums, active = [0.0, 0.0, 0.0], [True, True, False]
         tapes = _tapes(inst, SeedSpec(0))
         run_phase(sums, active, tapes, 10)
         assert sums == [10.0, 0.0, 0.0]
 
     def test_noiseless_exact_sum(self):
-        inst = make_instance(1, [1.0], 100)
+        inst = BanditInstance(1, [1.0], 100)
         sums = [0.0]
         tapes = _tapes(inst, SeedSpec(0))
         run_phase(sums, [True], tapes, 5)
@@ -89,7 +89,7 @@ class TestRunPhase:
             return eliminate(active, estimates, radius)
 
         monkeypatch.setattr(bandit, "eliminate", eliminate_spy)
-        inst = make_instance(2, [1.0, 1.0], 29)
+        inst = BanditInstance(2, [1.0, 1.0], 29)
         episode = run_episode(inst, EngineConfig(), SeedSpec(0))
         assert tests == [(confidence_radius(t, pulled, 29, 0.0), [1.0, 1.0])
                          for t, pulled in ((1, 2), (2, 6), (3, 14))]
@@ -99,7 +99,7 @@ class TestRunPhase:
         # T = 15 cuts the first phase short during arm 1's batch: no phase
         # runs, no tape draws, and the pulls up to the T-th are counted
         monkeypatch.setattr(RewardTape, "draw", None)
-        inst = make_instance(2, [1.0, 1.0], 15)
+        inst = BanditInstance(2, [1.0, 1.0], 15)
         episode = run_episode(inst, EngineConfig(m=10), SeedSpec(0), [15])
         assert episode.arm_pulls_total == [10, 5]
         assert episode.cumulative_regret.tolist() == [0.0]
@@ -108,7 +108,7 @@ class TestRunPhase:
         # the phase the horizon cuts short never runs: its pulls, up to the
         # T-th, and their regret follow from the (empty) elimination record
         monkeypatch.setattr(RewardTape, "draw", None)
-        inst = make_instance(3, [1.0, 0.5, 0.0], 25)
+        inst = BanditInstance(3, [1.0, 0.5, 0.0], 25)
         episode = run_episode(inst, EngineConfig(m=10), SeedSpec(0), [24, 25])
         assert episode.eliminations == []
         assert episode.arm_pulls_total == [10, 10, 5]
@@ -123,7 +123,7 @@ class TestRunPhase:
         # order, once per batch, and equal drawing each batch's reward sum
         # and noisy_sum by scalar calls
         params = derive_params(1.0, 0.5)
-        inst = make_instance(2, [0.3, 0.6], 6 * m + 1)
+        inst = BanditInstance(2, [0.3, 0.6], 6 * m + 1)
         seeds = SeedSpec(5)
         law = functools.partial(noise_law, params=params)
         tapes = _tapes(inst, seeds, law)
@@ -143,7 +143,7 @@ class TestRunPhase:
 
 class TestRunEpisode:
     def test_single_arm_zero_regret(self):
-        inst = make_instance(1, [0.5], 500)
+        inst = BanditInstance(1, [0.5], 500)
         params = derive_params(0.9, 1e-3)
         config = EngineConfig(privacy=params)
         trace = run_episode(inst, config, SeedSpec(3), range(1, 501))
@@ -156,7 +156,7 @@ class TestRunEpisode:
         horizon, m = 1000, 10
         t_star = next(t for t in range(1, 200)
                       if 2 * confidence_radius(t, m * t, horizon, 0.0) < 1)
-        inst = make_instance(2, [1.0, 0.0], horizon)
+        inst = BanditInstance(2, [1.0, 0.0], horizon)
         config = EngineConfig(m=m)
         trace = run_episode(inst, config, SeedSpec(11), [horizon])
         assert trace.eliminations == [(1, t_star)]
@@ -164,14 +164,14 @@ class TestRunEpisode:
         assert trace.cumulative_regret.tolist() == [m * t_star]
 
     def test_pull_accounting(self):
-        inst = make_instance(3, [0.9, 0.5, 0.1], 777)
+        inst = BanditInstance(3, [0.9, 0.5, 0.1], 777)
         params = derive_params(0.8, 1e-3)
         config = EngineConfig(privacy=params)
         trace = run_episode(inst, config, SeedSpec(5))
         assert sum(trace.arm_pulls_total) == 777
 
     def test_regret_nondecreasing(self):
-        inst = make_instance(3, [0.9, 0.5, 0.1], 2000)
+        inst = BanditInstance(3, [0.9, 0.5, 0.1], 2000)
         params = derive_params(0.8, 1e-3)
         config = EngineConfig(m=30, privacy=params)
         trace = run_episode(inst, config, SeedSpec(5), range(1, 2001))
@@ -187,7 +187,7 @@ class TestRunEpisode:
         # and its estimates are each arm's sum over its own pulls; `eliminate`
         # sees them at each eliminating phase, as a block tests it
         horizon, m = 40000, 25
-        inst = make_instance(4, [1.0, 0.7, 0.3, 0.0], horizon)
+        inst = BanditInstance(4, [1.0, 0.7, 0.3, 0.0], horizon)
         params = derive_params(1.0, 0.5)
         config = EngineConfig(m=m, privacy=params)
         drawn = {a: [] for a in range(4)}  # each arm's estimates, in order
@@ -220,7 +220,7 @@ class TestRunEpisode:
             self, monkeypatch):
         # two arms of mean 0.5 in batches of 100: the radius is 0.37 at the
         # first phase, 7 standard deviations of an estimate
-        inst = make_instance(2, [0.5, 0.5], 1000)
+        inst = BanditInstance(2, [0.5, 0.5], 1000)
         config = EngineConfig(m=100)
         assert not run_episode(inst, config, SeedSpec(8)).clean_event_violated
         draw = RewardTape.draw
@@ -248,14 +248,14 @@ class TestRunEpisode:
             return out
 
         monkeypatch.setattr(RewardTape, "draw", late_draw)
-        inst = make_instance(2, [1.0, 0.0], 1000)
+        inst = BanditInstance(2, [1.0, 0.0], 1000)
         trace = run_episode(inst, EngineConfig(m=10), SeedSpec(11))
         assert trace.eliminations == [(1, 6)]
         assert drawn[1] == 49
         assert not trace.clean_event_violated
 
     def test_determinism(self):
-        inst = make_instance(3, [0.7, 0.5, 0.3], 3000)
+        inst = BanditInstance(3, [0.7, 0.5, 0.3], 3000)
         params = derive_params(0.6, 1e-4)
         config = EngineConfig(privacy=params)
         users = range(1, 3001)
@@ -269,7 +269,7 @@ class TestRunEpisode:
         # one per batch under that batch's noise law, in phase order,
         # whatever the other arms draw
         params = derive_params(0.5, 1e-2)
-        inst = make_instance(3, [0.5, 0.5, 0.5], 2000)
+        inst = BanditInstance(3, [0.5, 0.5, 0.5], 2000)
         seeds = SeedSpec(4)
         _, draws = _record_noise_draws(inst, EngineConfig(privacy=params),
                                        seeds)
@@ -283,7 +283,7 @@ class TestRunEpisode:
         # (3 * 510 + 512 = 2042 users) and during arm 1's; no elimination
         # test reads that phase, so no arm draws its noise
         params = derive_params(0.5, 1e-2)
-        inst = make_instance(3, [0.5, 0.5, 0.5], 2300)
+        inst = BanditInstance(3, [0.5, 0.5, 0.5], 2300)
         seeds = SeedSpec(4)
         trace, draws = _record_noise_draws(inst, EngineConfig(privacy=params),
                                            seeds)
@@ -307,7 +307,7 @@ class TestRunEpisode:
             return draw(tape, m)
 
         monkeypatch.setattr(RewardTape, "draw", recording_draw)
-        inst = make_instance(3, [0.5, 0.5, 0.5], 2300)
+        inst = BanditInstance(3, [0.5, 0.5, 0.5], 2300)
         config = EngineConfig(privacy=derive_params(0.5, 1e-2))
         trace = run_episode(inst, config, SeedSpec(4))
         assert trace.arm_pulls_total == [510 + 512, 510 + 258, 510]
@@ -315,7 +315,7 @@ class TestRunEpisode:
         assert read == [(a, m) for m in complete for a in range(3)]
 
     def test_optimal_arm_safe_in_clean_runs(self):
-        inst = make_instance(3, [0.9, 0.5, 0.1], 4000)
+        inst = BanditInstance(3, [0.9, 0.5, 0.1], 4000)
         config = EngineConfig(m=5)
         for seed in range(30):
             trace = run_episode(inst, config, SeedSpec(900, seed))
@@ -325,7 +325,7 @@ class TestRunEpisode:
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=15, deadline=None)
     def test_trace_invariants_property(self, seed):
-        inst = make_instance(2, [0.8, 0.3], 600)
+        inst = BanditInstance(2, [0.8, 0.3], 600)
         params = derive_params(0.9, 1e-2)
         config = EngineConfig(privacy=params)
         trace = run_episode(inst, config, SeedSpec(seed), range(1, 601))
@@ -334,7 +334,7 @@ class TestRunEpisode:
         assert sum(trace.arm_pulls_total) == 600
 
     def test_rejects_checkpoints_out_of_order_or_range(self):
-        inst = make_instance(2, [0.8, 0.3], 100)
+        inst = BanditInstance(2, [0.8, 0.3], 100)
         for checkpoints in ([5, 5], [10, 3], [0, 50], [50, 101]):
             with pytest.raises(ValueError, match="checkpoints must ascend"):
                 run_episode(inst, EngineConfig(m=3), SeedSpec(1), checkpoints)
@@ -428,7 +428,7 @@ class TestRegretSegments:
     def test_segments_equal_per_user_fill(self, schedule, private, horizon):
         # the regret after every user is that of replaying the episode's
         # record user by user, summed in Fractions
-        inst = make_instance(4, self.MEANS, horizon)
+        inst = BanditInstance(4, self.MEANS, horizon)
         config = replace(schedule, privacy=derive_params(0.9, 1e-2) if private
                          else None)
         users = range(1, horizon + 1)
@@ -459,7 +459,7 @@ class TestRegretSegments:
         rows = pulls_at(k, m, eliminations, checkpoints)
         batches = batch_schedule(k, m, eliminations, horizon)
         assert rows == replay_pulls(k, batches, checkpoints)
-        inst = make_instance(k, means, horizon)
+        inst = BanditInstance(k, means, horizon)
         assert regret_at(inst, rows).tolist() == exact_regret(means, rows)
 
     def test_recorded_regret_is_correctly_rounded(self, tmp_path):
@@ -485,7 +485,7 @@ class TestRegretSegments:
 
     def test_zero_gap_batches_keep_regret_flat(self):
         # batches of 5 of arms 0 and 1 (tied best), arm 2, then arm 0 again
-        inst = make_instance(3, [0.5, 0.5, 0.25], 19)
+        inst = BanditInstance(3, [0.5, 0.5, 0.25], 19)
         rows = pulls_at(3, 5, [], range(1, 20))
         np.testing.assert_array_equal(
             regret_at(inst, rows),
@@ -500,7 +500,7 @@ class TestRegretSegments:
                                                           [6, 2]]
 
     def test_expansion_is_read_only(self):
-        episode = run_episode(make_instance(2, [0.5, 0.25], 10),
+        episode = run_episode(BanditInstance(2, [0.5, 0.25], 10),
                               EngineConfig(m=2), SeedSpec(1), [1, 2, 3])
         with pytest.raises(ValueError):
             episode.cumulative_regret[0] = 1.0
@@ -521,7 +521,7 @@ class TestTracerHooks:
         tracing = _load_tracer()
         tracer = tracing.Tracer()
         horizon = 1000
-        inst = make_instance(2, [1.0, 0.0], horizon)
+        inst = BanditInstance(2, [1.0, 0.0], horizon)
         config = EngineConfig()  # doubling batches, noiseless
         originals = (bandit.run_phase, bandit.eliminate, harness.run_episode)
         uninstall = tracing.install(tracer)
@@ -548,7 +548,7 @@ class TestTracerHooks:
         # stays the integer batch size, in blocks and in single phases
         tracing = _load_tracer()
         tracer = tracing.Tracer()
-        inst = make_instance(3, [0.9, 0.5, 0.1], 20000)
+        inst = BanditInstance(3, [0.9, 0.5, 0.1], 20000)
         params = derive_params(1.0, 1e-2)
         config = harness.ExperimentConfig(
             k=2, means=(0.9, 0.1), horizon=2000,
@@ -589,7 +589,7 @@ class TestEngineConfig:
 
         monkeypatch.setattr(bandit, "run_phase", recording_run_phase)
         monkeypatch.setattr(RewardTape, "draw", recording_draw)
-        trace = run_episode(make_instance(1, [0.5], 14), EngineConfig(),
+        trace = run_episode(BanditInstance(1, [0.5], 14), EngineConfig(),
                             SeedSpec(3))
         assert sizes == [2, 4]
         assert read == [2, 4]

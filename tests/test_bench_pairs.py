@@ -1,8 +1,10 @@
 """The pure parts of scripts/bench_pairs.py: no round is run here."""
 
 import argparse
+import ast
 import importlib.util
 import os
+import types
 from importlib import metadata
 
 import pytest
@@ -23,6 +25,26 @@ def rounds(base_values, head_values, name="ops_per_s"):
                  {"pair": pair, "side": "head", "ok": True,
                   "metrics": {name: h}}]
     return runs
+
+
+def test_engine_round_imports_resolve():
+    # no other test starts an engine round, so a renamed library name would
+    # break --workload engine unseen; this runs the round's imports alone
+    tree = ast.parse(bench_pairs.ENGINE_ROUND)
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and node.module.partition(".")[0] == "shufflebandit"]
+    assert imports
+    names = {}
+    for node in imports:
+        exec(compile(ast.Module([node], []), "ENGINE_ROUND", "exec"), names)
+    modules = {name: value for name, value in names.items()
+               if isinstance(value, types.ModuleType)}
+    for node in ast.walk(tree):  # e.g. harness.parse_config
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            assert hasattr(modules[node.value.id], node.attr), node.attr
 
 
 def test_abba_order():

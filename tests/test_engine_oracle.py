@@ -29,7 +29,7 @@ from scipy.special import chdtrc
 from shufflebandit import bandit
 from shufflebandit.bandit import (RUN_CAP, EngineConfig, Episode,
                                   confidence_radius, pulls_at, run_episode)
-from shufflebandit.env import RewardTape, SeedSpec, make_instance
+from shufflebandit.env import BanditInstance, RewardTape, SeedSpec
 from shufflebandit.mechanism import derive_params
 
 from reference import batch_schedule, elimination_law, noisy_sum
@@ -92,7 +92,7 @@ def reference_episode(instance, config, seeds, checkpoints=()):
              if config.privacy is not None else None)
     tally = Tally(instance, checkpoints)
     eliminations, violated = [], False
-    sigma = config.sigma
+    sigma = config.privacy.sigma if config.privacy is not None else 0.0
     consumed = 0
     phase = 0
     while consumed < horizon:
@@ -157,21 +157,22 @@ def episodes(draw):
             phases = max(1, (horizon // k + 2).bit_length() - 2)
             horizon = k * (2**(phases + 1) - 2)
     seed = draw(st.integers(0, 2**32))
-    return (make_instance(k, means, horizon), EngineConfig(m=m, privacy=privacy),
+    return (BanditInstance(k, means, horizon),
+            EngineConfig(m=m, privacy=privacy),
             SeedSpec(seed, draw(st.integers(0, 3))))
 
 
 @given(episodes())
 @settings(max_examples=150, deadline=None)
-@example((make_instance(2, [1.0, 0.0], 1000), EngineConfig(m=10),
+@example((BanditInstance(2, [1.0, 0.0], 1000), EngineConfig(m=10),
           SeedSpec(11)))
-@example((make_instance(2, [0.5, 0.5], 28), EngineConfig(), SeedSpec(0)))
-@example((make_instance(1, [0.5], 1), EngineConfig(), SeedSpec(0)))
-@example((make_instance(3, [0.5, 0.5, 0.5], 1), EngineConfig(m=4),
+@example((BanditInstance(2, [0.5, 0.5], 28), EngineConfig(), SeedSpec(0)))
+@example((BanditInstance(1, [0.5], 1), EngineConfig(), SeedSpec(0)))
+@example((BanditInstance(3, [0.5, 0.5, 0.5], 1), EngineConfig(m=4),
           SeedSpec(0)))
 # more than one block, noiseless and private
-@example((make_instance(1, [0.5], 3000), EngineConfig(m=1), SeedSpec(2)))
-@example((make_instance(2, [0.9, 0.1], 5000),
+@example((BanditInstance(1, [0.5], 3000), EngineConfig(m=1), SeedSpec(2)))
+@example((BanditInstance(2, [0.9, 0.1], 5000),
           EngineConfig(m=1, privacy=derive_params(1.0, 0.5)), SeedSpec(3)))
 def test_engine_matches_reference(case):
     assert_same_episode(*case)
@@ -182,7 +183,7 @@ def test_private_eliminations_match_reference():
     # eliminations inside a block; the pulls and regret are compared at
     # the users on both sides of every batch boundary, and at a stride
     params = derive_params(1.0, 1e-2)
-    inst = make_instance(3, [0.9, 0.5, 0.1], 100000)
+    inst = BanditInstance(3, [0.9, 0.5, 0.1], 100000)
     for config in (EngineConfig(m=math.ceil(params.sigma), privacy=params),
                    EngineConfig(privacy=params)):
         phases = set()
@@ -202,7 +203,7 @@ def test_private_eliminations_match_reference():
 
 
 def test_regret_at_checkpoints_matches_reference():
-    inst = make_instance(5, [0.75, 0.625, 0.5, 0.375, 0.25], 10000)
+    inst = BanditInstance(5, [0.75, 0.625, 0.5, 0.375, 0.25], 10000)
     config = EngineConfig(m=42)
     checkpoints = [1, 42, 43, 999, 5000, 9999, 10000]
     got = run_episode(inst, config, SeedSpec(606, 1), checkpoints)
@@ -261,7 +262,7 @@ PRIVATE = derive_params(1.0, 0.5)  # sigma ~ 14.1
     (1, [0.3], 1, RUN_CAP + 2),  # a last block of one phase
 ])
 def test_blocks_match_reference(monkeypatch, privacy, k, means, m, horizon):
-    inst = make_instance(k, means, horizon)
+    inst = BanditInstance(k, means, horizon)
     trace, blocks = _blocks_of(inst, EngineConfig(m=m, privacy=privacy),
                                SeedSpec(17), monkeypatch)
     assert trace.eliminations == []
@@ -288,7 +289,7 @@ def test_blocks_match_reference(monkeypatch, privacy, k, means, m, horizon):
 ])
 def test_block_eliminations_match_reference(monkeypatch, where, means, m,
                                             horizon, privacy, seed):
-    inst = make_instance(len(means), means, horizon)
+    inst = BanditInstance(len(means), means, horizon)
     trace, blocks = _blocks_of(inst, EngineConfig(m=m, privacy=privacy),
                                SeedSpec(seed), monkeypatch)
     assert sorted({phase for _, phase in trace.eliminations}) == \
@@ -316,7 +317,7 @@ def test_no_tape_call_draws_more_than_run_cap(monkeypatch):
         return draw(tape, m, count)
 
     monkeypatch.setattr(RewardTape, "draw", recording_draw)
-    inst = make_instance(5, [0.75, 0.625, 0.5, 0.375, 0.25], 10**6)
+    inst = BanditInstance(5, [0.75, 0.625, 0.5, 0.375, 0.25], 10**6)
     params = derive_params(1.0, 1e-5)
     for config in (EngineConfig(m=math.ceil(params.sigma), privacy=params),
                    EngineConfig(m=1)):
@@ -335,7 +336,7 @@ def test_engine_follows_the_exact_elimination_law():
     means, horizon, episodes = (0.9, 0.1), 200, 10_000
     law = elimination_law(means, horizon)
     assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
-    inst = make_instance(2, list(means), horizon)
+    inst = BanditInstance(2, list(means), horizon)
     seen = Counter()
     for run in range(episodes):
         trace = run_episode(inst, EngineConfig(m=1), SeedSpec(12345, run))

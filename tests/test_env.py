@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shufflebandit.bandit import regret_at
-from shufflebandit.env import RewardTape, SeedSpec, make_instance
+from shufflebandit.env import BanditInstance, RewardTape, SeedSpec
 from shufflebandit.mechanism import derive_params, noise_law
 
 from reference import noisy_sum
@@ -18,40 +19,48 @@ def _one_pull_each(k):
     return [[int(a == b) for b in range(k)] for a in range(k)]
 
 
-class TestMakeInstance:
+class TestBanditInstance:
     def test_extreme_arms(self):
-        inst = make_instance(2, [1.0, 0.0], 100)
+        inst = BanditInstance(2, [1.0, 0.0], 100)
         assert regret_at(inst, _one_pull_each(2)).tolist() == [0.0, 1.0]
         assert inst.best_arm == 0
 
     def test_single_arm(self):
-        inst = make_instance(1, [0.5], 10)
+        inst = BanditInstance(1, [0.5], 10)
         assert regret_at(inst, [[10]]).tolist() == [0.0]
 
     def test_gap_arithmetic(self):
-        inst = make_instance(3, [0.9, 0.8, 0.5], 10**5)
+        inst = BanditInstance(3, [0.9, 0.8, 0.5], 10**5)
         assert regret_at(inst, _one_pull_each(3)).tolist() == \
             pytest.approx([0.0, 0.1, 0.4])
 
     def test_tie_broken_by_lowest_index(self):
-        inst = make_instance(3, [0.7, 0.7, 0.2], 10)
+        inst = BanditInstance(3, [0.7, 0.7, 0.2], 10)
         assert inst.best_arm == 0
 
-    @pytest.mark.parametrize("k,means,horizon", [
-        (0, [], 10),
-        (2, [0.5], 10),
-        (1, [1.5], 10),
-        (1, [-0.1], 10),
-        (1, [0.5], 0),
-    ])
-    def test_rejects_bad_inputs(self, k, means, horizon):
-        with pytest.raises(ValueError):
-            make_instance(k, means, horizon)
+    def test_stores_float_means_and_int_horizon(self):
+        inst = BanditInstance(2, [1, 0], np.int64(100))
+        assert inst.means == (1.0, 0.0)
+        assert all(type(mu) is float for mu in inst.means)
+        assert type(inst.horizon) is int
+
+    @pytest.mark.parametrize("k,means,horizon,message", [
+        (0, [], 10, "need at least one arm, got k=0"),
+        (2, [0.5], 10, "got 1 means for k=2 arms"),
+        (2, [0.5, 0.7, 0.9], 100, "got 3 means for k=2 arms"),
+        (1, [1.5], 10, "means[0]=1.5 outside [0, 1]"),
+        (1, [-0.1], 10, "means[0]=-0.1 outside [0, 1]"),
+        (1, [0.5], 0, "horizon must be >= 1, got 0"),
+    ], ids=["no-arms", "fewer-means", "more-means", "mean-above-one",
+            "mean-below-zero", "no-users"])
+    def test_rejects_bad_inputs(self, k, means, horizon, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BanditInstance(k, means, horizon)
 
     @given(means=st.lists(st.floats(0, 1), min_size=1, max_size=8),
            horizon=st.integers(1, 10**6))
     def test_gaps_always_in_unit_interval(self, means, horizon):
-        inst = make_instance(len(means), means, horizon)
+        inst = BanditInstance(len(means), means, horizon)
         gaps = regret_at(inst, _one_pull_each(len(means)))
         assert all(0.0 <= g <= 1.0 for g in gaps)
         assert gaps[inst.best_arm] == 0.0

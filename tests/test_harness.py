@@ -301,11 +301,14 @@ class TestRunExperiment:
         config = parse_config(path)
         result = run_experiment(config)
         trace = result.traces[("ae-baseline", None, None, 0)]
-        by_cp = {row.checkpoint: row for row in result.rows}
-        for cp, value in zip(config.checkpoints, trace):
-            assert by_cp[cp].mean_regret == value
-            assert by_cp[cp].min == value == by_cp[cp].max
-            assert by_cp[cp].stderr == 0.0
+        with open(out / "results.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(row["checkpoint"]) for row in rows] == \
+            list(config.checkpoints)
+        for row, value in zip(rows, trace):
+            assert float(row["mean_regret"]) == value
+            assert float(row["min"]) == value == float(row["max"])
+            assert float(row["stderr"]) == 0.0
 
     def test_deterministic_bytes(self, tmp_path):
         path, out = write_config(tmp_path, PRIVATE)
@@ -551,7 +554,8 @@ class TestRunExperiment:
             assert len(traces) == jobs and len(serial_files) == 3 + jobs
             assert all(v.startswith(b"checkpoint,") for v in traces)
             for parallel, parallel_files in runs[1:]:
-                assert serial.rows == parallel.rows
+                for name in ("results.csv", "plotdata.csv"):
+                    assert serial_files[name] == parallel_files[name]
                 assert serial.traces.keys() == parallel.traces.keys()
                 for key, checks in serial.traces.items():
                     np.testing.assert_array_equal(checks,
