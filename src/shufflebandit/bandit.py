@@ -102,10 +102,10 @@ def regret_at(instance: BanditInstance, pulls) -> np.ndarray:
     return out
 
 
-def confidence_radius(t: int, pulls: int, horizon: float, sigma: float) -> float:
-    """(2 sqrt(t) sigma / N + 1 / sqrt(N)) * sqrt(2 ln T)."""
-    return ((2.0 * math.sqrt(t) * sigma / pulls + 1.0 / math.sqrt(pulls))
-            * math.sqrt(2.0 * math.log(horizon)))
+def confidence_radius(t, pulls, horizon: float, sigma: float):
+    """(2 sqrt(t) sigma / N + 1 / sqrt(N)) * sqrt(2 ln T), elementwise."""
+    return ((2.0 * np.sqrt(t) * sigma / pulls + 1.0 / np.sqrt(pulls))
+            * np.sqrt(2.0 * math.log(horizon)))
 
 
 def eliminate(active: list[bool], estimates: list[float],
@@ -140,12 +140,12 @@ def run_block(sums, active, tapes, m, phases, phase, sigma, instance,
 
     Each active arm's tape draws the block's estimates by one sized call per
     generator, and the block commits them all.  The sums, radii, clean-event
-    checks and elimination tests of every phase are computed at once, with
-    the float operations of `confidence_radius` and `eliminate` in their
-    order.  At each eliminating phase `eliminate` applies the eliminations,
-    appended to `eliminations`, and the later phases are tested again with
-    the arms left; an eliminated arm's later estimates and its sum are not
-    read.  Returns the users pulled and the clean-event flag.
+    checks and elimination tests of every phase are computed at once: one
+    `confidence_radius` call, and `eliminate`'s float operations in order.
+    At an eliminating phase `eliminate` applies the eliminations, appended
+    to `eliminations`, and the later phases are tested again with the arms
+    left; an eliminated arm's later estimates and sum are not read.  Returns
+    the users pulled and the clean-event flag.
     """
     arms = [a for a in range(instance.k) if active[a]]
     # row i: arm arms[i]'s sum so far, then its estimates of the block
@@ -158,8 +158,7 @@ def run_block(sums, active, tapes, m, phases, phase, sigma, instance,
         sums[a] = total
     t = np.arange(phase + 1, phase + phases + 1)
     pulled = m * t  # each active arm's pulls after each phase
-    radius = ((2.0 * np.sqrt(t) * sigma / pulled + 1.0 / np.sqrt(pulled))
-              * math.sqrt(2.0 * math.log(instance.horizon)))
+    radius = confidence_radius(t, pulled, instance.horizon, sigma)
     estimates = running[:, 1:] / pulled
     outside = np.abs(estimates - [[instance.means[a]] for a in arms]) > radius
     users, violated, done = 0, False, 0
@@ -225,12 +224,16 @@ def run_episode(instance: BanditInstance, config: EngineConfig,
             violated = violated or hit
     else:
         m, pulled = 2, 0  # the next phase's batch size; each arm's pulls
+        # the phases that can run: each arm's 2 + ... + 2**p pulls stay < T
+        reach = np.arange(1, horizon.bit_length())
+        radii = confidence_radius(reach, np.add.accumulate(2**reach), horizon,
+                                  sigma).tolist()
         while users + (batch := active.count(True) * m) < horizon:
             phase += 1
             users += batch
             pulled += m
             run_phase(sums, active, tapes, m)
-            radius = confidence_radius(phase, pulled, horizon, sigma)
+            radius = radii[phase - 1]
             estimates = [s / pulled for s in sums]
             for a in range(k):
                 if active[a] and abs(estimates[a] - means[a]) > radius:

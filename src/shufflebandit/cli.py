@@ -1,9 +1,8 @@
 """Command line entry points.
 
 Subcommands:
-  run                run a regret experiment from a config file
-  audit              exact privacy audit over a parameter grid (CSV to stdout)
-  mechanism sample   draw mechanism error samples (one value per line)
+  run     run a regret experiment from a config file
+  audit   exact privacy audit over a parameter grid (CSV to stdout)
 
 Exit codes: 0 success, 1 validation error, 2 runtime failure.
 """
@@ -15,10 +14,8 @@ import gc
 import math
 import sys
 
-import numpy as np
-
 from .harness import ConfigError, parse_config, run_experiment
-from .mechanism import derive_params, private_sum
+from .mechanism import derive_params
 
 # `audit --m` tokens: that multiple of ceil(tau) in each (epsilon, delta) cell
 TAU_MULTIPLES = {"tau": 1, "4tau": 4}
@@ -61,16 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated epsilon values")
     p_audit.add_argument("--delta", required=True,
                          help="comma-separated delta values")
-
-    p_mech = sub.add_parser("mechanism", help="mechanism utilities")
-    mech_sub = p_mech.add_subparsers(dest="mech_command", required=True)
-    p_sample = mech_sub.add_parser("sample",
-                                   help="sample mechanism error values")
-    p_sample.add_argument("--m", type=int, required=True)
-    p_sample.add_argument("--eps", type=float, required=True)
-    p_sample.add_argument("--delta", type=float, required=True)
-    p_sample.add_argument("--n", type=int, required=True)
-    p_sample.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -114,19 +101,6 @@ def cmd_audit(args) -> int:
     return 0
 
 
-def cmd_mechanism_sample(args) -> int:
-    if args.m < 1 or args.n < 1:
-        raise ValueError("--m and --n must be >= 1")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    params = derive_params(args.eps, args.delta)
-    zeros = np.zeros(args.m, dtype=np.int8)
-    rng = np.random.default_rng(args.seed)
-    for _ in range(args.n):
-        print(repr(private_sum(zeros, params, rng).value))
-    return 0
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if not gc.get_freeze_count():
@@ -136,9 +110,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             return cmd_run(args)
-        if args.command == "audit":
-            return cmd_audit(args)
-        return cmd_mechanism_sample(args)
+        return cmd_audit(args)
     except ValueError as exc:  # bad input, a ConfigError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1

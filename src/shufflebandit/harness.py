@@ -46,9 +46,10 @@ class ExperimentConfig:
     """`seeds` runs of each (variant, epsilon, delta) cell on the instance
     (k, means, horizon), regret recorded at `checkpoints`, written to `output`.
 
-    Construction checks the config format's rules, raising ConfigError keyed
-    by the field at fault, so a config built in code meets them as a parsed
-    one does.  A config never run may break the two rules `cells` checks.
+    Construction checks the config format's rules, the means' by building
+    the instance, raising ConfigError keyed by the field at fault, so a
+    config built in code meets them as a parsed one does.  A config never
+    run may break the two rules `cells` checks.
     """
 
     k: int
@@ -70,12 +71,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be >= {least}", key)
         if self.horizon > 2**63 - 1:  # numpy draws batch sums as int64
             raise ConfigError("horizon must be <= 2**63 - 1", "horizon")
-        if len(self.means) != self.k:
-            raise ConfigError(f"got {len(self.means)} means for k={self.k}",
-                              "means")
-        for mu in self.means:
-            if not 0.0 <= mu <= 1.0:
-                raise ConfigError(f"means entry {mu} outside [0, 1]", "means")
+        try:  # k and horizon are checked: the instance can fault only means
+            self.instance()
+        except ValueError as exc:
+            raise ConfigError(str(exc), "means") from None
         if not self.variants:
             raise ConfigError("variants must be nonempty", "variants")
         # one cell per entry: a repeated entry would run its cells twice

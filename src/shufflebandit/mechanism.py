@@ -5,13 +5,13 @@ the flattened bit multiset; the analyzer popcounts and subtracts the expected
 noise.  Up to tau users each user sends several fair coins, above tau a
 single biased coin; `noise_law` is the one definition of both, and the
 encoder, the analyzer, the engine and the auditor all read it.
-`encode -> shuffle -> analyze` is the executable specification, and
-`private_sum` is that composition for one batch: only `encode` draws noise
-bits and only `shuffle` permutes them.  The engine draws only the popcount
-that the analyzer reads: each arm's `RewardTape` draws the reward sums and
-noise counts of one or more batches of one size per call.  The one-batch
-sampler the tape is tested against, `noisy_sum`, lives with the other
-test-only references in `tests/reference.py`.
+`encode -> shuffle -> analyze` is the executable specification, which no
+command runs, and `private_sum` is that composition for one batch: only
+`encode` draws noise bits and only `shuffle` permutes them.  The engine
+draws only the popcount that the analyzer reads: each arm's `RewardTape`
+draws the reward sums and noise counts of one or more batches of one size
+per call.  The tests hold both to the same law, and the one-batch sampler
+the tape is tested against, `noisy_sum`, lives in `tests/reference.py`.
 The additive error is B - E[B] with B binomial, so it is unbiased,
 independent of the input, and sub-Gaussian with variance 1.5 * tau.
 """

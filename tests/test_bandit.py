@@ -38,6 +38,24 @@ class TestConfidenceRadius:
         assert confidence_radius(4, 30, 10**5, 12.0) == \
             pytest.approx(I_4_30_12_1E5, rel=1e-12)
 
+    @pytest.mark.parametrize("sigma", [0.0, 29.4, 1e3])
+    def test_arrays_give_the_scalar_values(self, sigma):
+        # the blocks' phases and pulls, and a doubling schedule's up to
+        # 2**63 - 2 pulls, far above 2**53, where the int -> float
+        # conversion rounds
+        t = np.array([1, 2, 3, 1023, 5 * 10**6, *range(50, 63)])
+        pulls = np.array([1, 6, 45, 43 * 1023, 7 * 5 * 10**6,
+                          *(2**(p + 1) - 2 for p in range(50, 63))])
+        horizon = 2**63 - 1
+        got = confidence_radius(t, pulls, horizon, sigma).tolist()
+        # the formula in scalar floats, by the math module
+        want = [(2.0 * math.sqrt(a) * sigma / n + 1.0 / math.sqrt(n))
+                * math.sqrt(2.0 * math.log(horizon))
+                for a, n in zip(t.tolist(), pulls.tolist())]
+        assert got == want
+        assert got == [confidence_radius(a, n, horizon, sigma)
+                       for a, n in zip(t.tolist(), pulls.tolist())]
+
 
 class TestEliminate:
     def test_direct_rule(self):
@@ -218,11 +236,15 @@ class TestRunEpisode:
 
     def test_estimates_outside_the_radius_violate_the_clean_event(
             self, monkeypatch):
-        # two arms of mean 0.5 in batches of 100: the radius is 0.37 at the
-        # first phase, 7 standard deviations of an estimate
+        # two arms of mean 0.5 in batches of 100, run as blocks: the radius
+        # is 0.37 at the first phase, 7 standard deviations of an estimate;
+        # in doubling batches, run one phase at a time, it falls below 0.5
+        # at the 5th phase
         inst = BanditInstance(2, [0.5, 0.5], 1000)
-        config = EngineConfig(m=100)
-        assert not run_episode(inst, config, SeedSpec(8)).clean_event_violated
+        configs = (EngineConfig(m=100), EngineConfig())
+        for config in configs:
+            assert not run_episode(inst, config,
+                                   SeedSpec(8)).clean_event_violated
         draw = RewardTape.draw
 
         def shifted_draw(tape, m, *args):
@@ -230,7 +252,8 @@ class TestRunEpisode:
             return draw(tape, m, *args) + (0.5 * m if tape.arm == 1 else 0.0)
 
         monkeypatch.setattr(RewardTape, "draw", shifted_draw)
-        assert run_episode(inst, config, SeedSpec(8)).clean_event_violated
+        for config in configs:
+            assert run_episode(inst, config, SeedSpec(8)).clean_event_violated
 
     def test_block_checks_only_the_phases_it_runs(self, monkeypatch):
         # arm 1 of [1, 0] goes at phase 6 of a block that drew 49 phases;

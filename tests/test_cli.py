@@ -2,13 +2,14 @@ import csv
 import io
 import math
 import os
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 from shufflebandit import harness
-from shufflebandit.cli import main
+from shufflebandit.cli import build_parser, main
 
 CONFIG = """\
 k = 2
@@ -149,31 +150,6 @@ class TestAudit:
         assert rows[1]["pass"] == "error: int too large to convert to float"
 
 
-class TestMechanismSample:
-    def test_emits_n_lines(self, capsys):
-        code, out, _ = run_cli(
-            ["mechanism", "sample", "--m", "10", "--eps", "0.8",
-             "--delta", "0.01", "--n", "25", "--seed", "5"], capsys)
-        assert code == 0
-        values = [float(line) for line in out.splitlines()]
-        assert len(values) == 25
-
-    def test_bad_m_exits_one(self, capsys):
-        code, _, err = run_cli(
-            ["mechanism", "sample", "--m", "0", "--eps", "0.8",
-             "--delta", "0.01", "--n", "5"], capsys)
-        assert code == 1
-        assert "error" in err
-
-    def test_negative_seed_exits_one(self, capsys):
-        code, out, err = run_cli(
-            ["mechanism", "sample", "--m", "3", "--eps", "0.8",
-             "--delta", "0.01", "--n", "5", "--seed", "-1"], capsys)
-        assert code == 1
-        assert out == ""
-        assert err == "error: --seed must be >= 0, got -1\n"
-
-
 class TestRun:
     def test_runs_experiment(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -289,13 +265,17 @@ class TestUsage:
          "'abc'"),
         (["run"], "shufflebandit run: error: the following arguments are "
                   "required: --config"),
-        (["mechanism", "sample", "--eps", "x"],
-         "shufflebandit mechanism sample: error: argument --eps: invalid "
-         "float value: 'x'"),
+        (["audit", "--m", "1"], "shufflebandit audit: error: the following "
+                                "arguments are required: --eps, --delta"),
         (["bogus"], "shufflebandit: error: argument command: invalid choice: "
                     "'bogus'"),
-    ], ids=["threads-not-int", "run-without-config", "eps-not-float",
-            "unknown-subcommand"])
+        # the command that ran `private_sum` is gone; the tests pin its stream
+        (["mechanism", "sample", "--m", "300", "--eps", "0.8", "--delta",
+          "1e-3", "--n", "1000", "--seed", "7"],
+         "shufflebandit: error: argument command: invalid choice: "
+         "'mechanism'"),
+    ], ids=["threads-not-int", "run-without-config", "audit-without-grid",
+            "unknown-subcommand", "mechanism-removed"])
     def test_usage_error_exits_one(self, capsys, argv, message):
         with pytest.raises(SystemExit) as info:
             main(argv)
@@ -306,12 +286,27 @@ class TestUsage:
         assert message in captured.err
 
     @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"],
-                                      ["mechanism", "sample", "--help"]])
+                                      ["audit", "--help"]])
     def test_help_exits_zero(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 0
         assert capsys.readouterr().out.startswith("usage: shufflebandit")
+
+
+class TestReadme:
+    def test_cli_block_parses(self):
+        # each command line the README's CLI section shows parses, so the
+        # section shows no command or flag that is gone; none of them runs
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(path, encoding="utf-8") as fh:
+            section = fh.read().split("\n## CLI\n", 1)[1]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [shlex.split(line) for line in block.splitlines()
+                 if line.startswith("shufflebandit ")]
+        assert lines
+        for line in lines:
+            build_parser().parse_args(line[1:])
 
 
 class TestImports:
@@ -390,17 +385,16 @@ class TestImports:
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self, capsys):
-        # `mechanism sample` does not import scipy, so the subprocess is quick
+        # `audit` does not import scipy, so the subprocess is quick
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        argv = ["mechanism", "sample", "--m", "3", "--eps", "0.8",
-                "--delta", "0.01", "--n", "1", "--seed", "5"]
+        argv = ["audit", "--m", "1", "--eps", "1", "--delta", "1e-5"]
         proc = subprocess.run([sys.executable, "-m", "shufflebandit", *argv],
                               capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
-        assert proc.stdout == out and len(out.splitlines()) == 1
+        assert proc.stdout == out and len(out.splitlines()) == 2
 
     def test_usage_error_exits_one(self):
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

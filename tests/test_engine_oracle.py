@@ -306,6 +306,25 @@ def test_block_eliminations_match_reference(monkeypatch, where, means, m,
         assert first == last and hits == [last]
 
 
+@pytest.mark.parametrize("privacy", [None, PRIVATE])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("j", [1, 2, 5, 11])
+def test_doubling_radii_cover_every_phase(privacy, k, j):
+    # an episode computes the radii of phases 1 to T.bit_length() - 1 up
+    # front; one arm runs phase p once 2**(p + 1) - 1 users arrive, so at
+    # T = 2**j - 1 it reads the last of them; 0.9 against 0.1 eliminates
+    config = EngineConfig(privacy=privacy)
+    for horizon in (2**j - 2, 2**j - 1, 2**j, 2**j + 1):
+        if horizon < 1:
+            continue
+        inst = BanditInstance(k, [0.9, 0.1][:k], horizon)
+        trace = assert_same_episode(inst, config, SeedSpec(j))
+        batches = batch_schedule(k, None, trace.eliminations, horizon)
+        ran = batches[-1][0] - 1  # the phase the horizon cuts never runs
+        if k == 1:
+            assert ran == (horizon + 1).bit_length() - 2
+
+
 def test_no_tape_call_draws_more_than_run_cap(monkeypatch):
     # at T = 1e6, sdp-ae at eps = 1 eliminates arms inside blocks, and the
     # baseline at m = 1 runs blocks of RUN_CAP phases

@@ -154,6 +154,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("key,value,match", [
         ("k", "two", r":2: k must be an integer, got 'two'$"),
         ("means", "1.0, x", r":3: means entry 'x' is not a number$"),
+        ("means", "1.0, 1.5", r":3: means\[1\]=1.5 outside \[0, 1\]$"),
         ("checkpoints", "100, 2e2",
          r":8: checkpoints must be an integer, got '2e2'$"),
     ])
@@ -242,7 +243,7 @@ class TestCodeBuiltConfig:
         (dict(checkpoints=(150, 301)),
          r"^checkpoints must lie in \[1, horizon\]$"),
         (dict(epsilons=(1.5,)), r"^epsilon 1.5 outside \(0, 1\]$"),
-        (dict(means=(0.9,)), r"^got 1 means for k=2$"),
+        (dict(means=(0.9,)), r"^got 1 means for k=2 arms$"),
         (dict(deltas=(1.0,)), r"^delta 1.0 outside \(0, 1\)$"),
         (dict(epsilons=(0.5, 1e-200)), r"^epsilon 1e-200 is too small: "),
         (dict(horizon=2**63), r"^horizon must be <= 2\*\*63 - 1$"),
